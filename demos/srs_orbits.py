@@ -11,7 +11,6 @@ from betafin import (
     f1_certificate,
     in_f_beta,
     make_field,
-    p_set,
     q_set,
     tau_preimages,
 )
@@ -30,12 +29,12 @@ print("orbit of (0,1):", " -> ".join(map(str, path)))
 # the closure of (0,1) under tau and its dual
 graph = q_set(srs)
 print("#Q =", graph.node_count())
-print("P (nonzero tau-periodic):", sorted(p_set(graph)))
+print("P (nonzero tau-periodic):", sorted(graph.p_nodes))
 print("(1,1) reaches zero?", in_f_beta(srs, (1, 1)))
 print("preimages of (1,1):", tau_preimages(srs, (1, 1)))
 
 # the sufficient condition for every natural number to expand finitely
-cert = f1_certificate(srs)
+cert = f1_certificate(graph)
 print("certificate verdict:", cert.verdict)
 print("  delta =", cert.delta, "| box slice R0 =", sorted(cert.r0),
       "| complete:", cert.r0_complete)
@@ -49,4 +48,4 @@ print("...")
 # a larger member of the same program: x^3 - 5x^2 + 5x - 3
 big = ShiftRadixSystem(make_field((3, -5, 5)))
 print("\n#Q for x^3-5x^2+5x-3:", q_set(big).node_count())
-print("certificate:", f1_certificate(big).verdict)
+print("certificate:", f1_certificate(q_set(big)).verdict)

@@ -26,7 +26,6 @@ from .field import (
     BetaField,
     FieldElement,
     cubic_pisot_criterion,
-    elem_arith,
     floor,
     is_pisot,
     make_field,
@@ -67,7 +66,6 @@ from .srs import (
     f1_certificate,
     floor_beta_plus_one_finite,
     in_f_beta,
-    p_set,
     q_set,
     tau_orbit_vectors,
     tau_preimages,

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .expansion import d_beta_one, is_finite_expansion
 from .field import BetaField, cubic_pisot_criterion, is_pisot, unit_disk_profile
-from .srs import ShiftRadixSystem, f1_certificate, p_set, q_set
+from .srs import ShiftRadixSystem, f1_certificate, q_set
 from .words import Word, format_word
 
 PROVEN = "proven"
@@ -295,9 +295,10 @@ def classify(
 
     # ---- SRS data: refutes (F) via nonzero tau-cycles, certifies (F1) ----
     srs = ShiftRadixSystem(field)
+    graph = None
     try:
         graph = q_set(srs, closure_cap)
-        P = p_set(graph)
+        P = graph.p_nodes
         if P and report.f != REFUTED:
             wit = min(P)
             x0 = srs.frac_value(wit)
@@ -347,8 +348,8 @@ def classify(
         )
 
     # ---- (F1) --------------------------------------------------------------
-    if report.f1 == UNKNOWN or report.pf == UNKNOWN:
-        cert = f1_certificate(srs, closure_cap, orbit_cap, box_pad)
+    if graph is not None and (report.f1 == UNKNOWN or report.pf == UNKNOWN):
+        cert = f1_certificate(graph, orbit_cap, box_pad)
         if cert.verdict == PROVEN:
             _set_verdict(
                 report, "f1", PROVEN,

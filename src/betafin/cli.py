@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -24,7 +25,6 @@ from .srs import (
     export_graph,
     f1_certificate,
     in_f_beta,
-    p_set,
     q_set,
 )
 from .words import Word, format_word, parse_word
@@ -130,7 +130,7 @@ def cmd_srs(args) -> int:
                 print(" ", ",".join(map(str, v)))
         return 0
     if args.action == "pset":
-        P = sorted(p_set(graph))
+        P = sorted(graph.p_nodes)
         if args.format == "json":
             print(json.dumps({"p_set": [list(v) for v in P]}))
         else:
@@ -184,11 +184,11 @@ def _family_checks(t: int, args) -> list[tuple[str, bool]]:
         expected_q.add((-v[0], -v[1]))
     graph = q_set(srs, cap=args.budget_closure)
     checks.append(("Q is the 27-vector set", set(graph.nodes) == expected_q))
-    checks.append(("P = {(1,1)}", p_set(graph) == frozenset({(1, 1)})))
+    checks.append(("P = {(1,1)}", graph.p_nodes == frozenset({(1, 1)})))
     from .srs import tau_preimages
 
     checks.append(("tau-preimage closure of (1,1)", tau_preimages(srs, (1, 1)) == {(1, 1)}))
-    cert = f1_certificate(srs, args.budget_closure, args.budget_orbit, args.box_pad)
+    cert = f1_certificate(graph, args.budget_orbit, args.box_pad)
     checks.append(("R0 inside F", all(in_f_beta(srs, v) for v in cert.r0)))
     checks.append(("F1 certificate proven", cert.verdict == "proven"))
     report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep, args.box_pad)
@@ -254,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-closure", type=int, default=1_000_000)
         p.add_argument("--box-pad", type=int, default=8)
         p.add_argument("--n-sweep", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("expand", help="beta-expansion of a field element")
     common(p)
@@ -307,6 +306,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (e.g. `| head`); send the output still
+        # buffered to devnull so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

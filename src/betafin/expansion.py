@@ -167,11 +167,16 @@ def xi(field: BetaField, n: int) -> FieldElement:
 
 def t_orbit_of_one(field: BetaField, upto: int) -> list[FieldElement]:
     """[T^0(1), T^1(1), ..., T^upto(1)], cached incrementally."""
-    orbit: list[FieldElement] = field._cache.setdefault("t_orbit_one", [field.one()])
-    while len(orbit) <= upto:
-        _, nxt = t_map(orbit[-1])
-        orbit.append(nxt)
-    return orbit[: upto + 1]
+    orbit: tuple[FieldElement, ...] = field._cache.get("t_orbit_one", (field.one(),))
+    if len(orbit) <= upto:
+        # extend a private copy and publish it whole, so concurrent callers
+        # never see (or append to) a half-built orbit
+        grown = list(orbit)
+        while len(grown) <= upto:
+            grown.append(t_map(grown[-1])[1])
+        orbit = tuple(grown)
+        field._cache["t_orbit_one"] = orbit
+    return list(orbit[: upto + 1])
 
 
 def xi_t_power(field: BetaField, n: int) -> int:

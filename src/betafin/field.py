@@ -381,17 +381,6 @@ def floor(a: FieldElement) -> int:
     return a.floor()
 
 
-def elem_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch form of +, -, * used by the command line front end."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def unit_disk_profile(field: BetaField) -> tuple[int, int, int]:
     """(inside, on, outside) root counts of p relative to the unit circle."""
     if "disk_profile" not in field._cache:
@@ -423,8 +412,3 @@ def cubic_pisot_criterion(a: int, b: int, c: int) -> bool:
     """Coefficient test for x^3 - ax^2 - bx - c to have a Pisot root."""
     sgn_c = (c > 0) - (c < 0)
     return abs(b - 1) < a + c and c * c - b < sgn_c * (1 + a * c)
-
-
-def has_boundary_root(field: BetaField) -> bool:
-    """Diagnostic: does p have a root of modulus exactly 1?"""
-    return unit_disk_profile(field)[1] > 0

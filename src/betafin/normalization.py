@@ -29,7 +29,7 @@ from .expansion import (
     d_beta_star,
     frac_part,
     is_admissible,
-    nu as word_value,
+    nu,
     t_orbit_of_one,
     xi,
     xi_t_power,
@@ -38,11 +38,6 @@ from .field import BetaField, FieldElement
 from .words import Word, compare_window, subtract
 
 _SCAN_CAP = 1_000_000
-
-
-def nu(field: BetaField, w: Word) -> FieldElement:
-    """Exact value of a (possibly signed) eventually periodic word."""
-    return word_value(field, w)
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,7 @@ def add_one(
     theta = 1 if ell < blocks.k(i + 1) else 0
 
     tail = c.shift(ell)
-    y = word_value(field, tail)
+    y = nu(field, tail)
     if tail != d_beta(y, cap):
         raise InvariantViolation("tail of the shifted word is not the greedy word of frac(x)")
     y0 = y

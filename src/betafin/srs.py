@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
 from .expansion import is_finite_expansion
@@ -99,6 +100,37 @@ class OrbitGraph:
         return len(self.nodes)
 
 
+def _walk(
+    step: Callable[[SrsVector], SrsVector],
+    start: SrsVector,
+    verdict: dict[SrsVector, bool],
+    cycles: set[SrsVector],
+    cap: int,
+) -> list[SrsVector]:
+    """Follow step from start until a node with a verdict (the caller seeds
+    zero as reaching zero) or a node already on this path.
+
+    Every node of the path gets its reach-zero verdict, a cycle the walk
+    closes is added to cycles, and the path is returned.  Walks that share
+    one verdict map visit each node once.
+    """
+    on_path: dict[SrsVector, int] = {}
+    path: list[SrsVector] = []
+    cur = start
+    while cur not in verdict and cur not in on_path:
+        on_path[cur] = len(path)
+        path.append(cur)
+        if len(path) > cap:
+            raise ClosureBudgetExceeded(f"tau walk exceeded {cap} states")
+        cur = step(cur)
+    if cur in on_path:
+        cycles.update(path[on_path[cur]:])
+    reach = verdict.get(cur, False)
+    for node in path:
+        verdict[node] = reach
+    return path
+
+
 def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
     """Closure of the initial vector under tau and its dual, with the
     tau-edge relation and membership annotations."""
@@ -118,61 +150,26 @@ def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
             if len(seen) > cap:
                 raise ClosureBudgetExceeded(f"closure exceeded {cap} vectors")
         frontier = nxt
-    for v in list(seen):
-        if v not in edges:
-            edges[v] = srs.tau(v)
     if any(t not in seen for t in edges.values()):
         raise InvariantViolation("closure is not tau-closed")
 
-    # F membership: resolve reach-to-zero over the functional graph
-    in_f: dict[SrsVector, bool] = {}
+    # F membership and P (nonzero nodes on tau-cycles) in one linear pass
     zero = (0,) * srs.dim
+    in_f = {zero: True}
+    p_nodes: set[SrsVector] = set()
     for v in seen:
-        if v in in_f:
-            continue
-        path = []
-        cur = v
-        while cur not in in_f and cur not in path and cur != zero:
-            path.append(cur)
-            cur = edges[cur]
-        verdict = True if cur == zero else (in_f[cur] if cur in in_f else False)
-        for node in path:
-            in_f[node] = verdict
-    if zero in seen:
-        in_f[zero] = True
-
-    # P: nonzero nodes lying on tau-cycles
-    p_nodes = set()
-    for v in seen:
-        if v == zero:
-            continue
-        cur = srs.tau(v)
-        for _ in range(len(seen)):
-            if cur == v:
-                p_nodes.add(v)
-                break
-            cur = edges[cur]
+        _walk(edges.__getitem__, v, in_f, p_nodes, len(seen))
+    if zero not in seen:
+        del in_f[zero]
     nodes = tuple(sorted(seen))
     return OrbitGraph(srs, nodes, edges, in_f, frozenset(p_nodes))
 
 
 def in_f_beta(srs: ShiftRadixSystem, vec: SrsVector, cap: int = DEFAULT_WALK_CAP) -> bool:
     """Does the tau-orbit of vec reach the zero vector?"""
-    zero = (0,) * srs.dim
-    seen: set[SrsVector] = set()
-    cur = vec
-    while cur != zero:
-        if cur in seen:
-            return False
-        seen.add(cur)
-        if len(seen) > cap:
-            raise ClosureBudgetExceeded(f"tau walk exceeded {cap} states")
-        cur = srs.tau(cur)
-    return True
-
-
-def p_set(graph: OrbitGraph) -> frozenset[SrsVector]:
-    return graph.p_nodes
+    verdict = {(0,) * srs.dim: True}
+    _walk(srs.tau, vec, verdict, set(), cap)
+    return verdict[vec]
 
 
 def tau_preimages(
@@ -196,13 +193,13 @@ def tau_preimages(
     lo_val = (srs.field.from_rational(target) - const) / r1
     hi_val = (srs.field.from_rational(target + 1) - const) / r1
     if r1.sign() > 0:
-        lo_int = _ceil(lo_val)
-        hi_int = _ceil(hi_val) - 1
+        lo_int = -(-lo_val).floor()
+        hi_int = -(-hi_val).floor() - 1
     else:
         lo_val, hi_val = hi_val, lo_val
         # here the inequality flips to open at the left end
-        lo_int = _floor(lo_val) + 1
-        hi_int = _floor(hi_val)
+        lo_int = lo_val.floor() + 1
+        hi_int = hi_val.floor()
     out: set[SrsVector] = set()
     for x in range(lo_int, hi_int + 1):
         cand = (x,) + fixed
@@ -214,14 +211,6 @@ def tau_preimages(
     return out
 
 
-def _floor(v: FieldElement) -> int:
-    return v.floor()
-
-
-def _ceil(v: FieldElement) -> int:
-    return -((-v).floor())
-
-
 def delta(p_nodes: frozenset[SrsVector] | set[SrsVector]) -> int:
     """Largest coordinate magnitude over P; 0 for an empty P."""
     return max((abs(c) for v in p_nodes for c in v), default=0)
@@ -229,17 +218,7 @@ def delta(p_nodes: frozenset[SrsVector] | set[SrsVector]) -> int:
 
 def tau_orbit_vectors(srs: ShiftRadixSystem, cap: int = DEFAULT_WALK_CAP) -> list[SrsVector]:
     """Distinct nonzero vectors of the tau-orbit of the initial vector."""
-    zero = (0,) * srs.dim
-    out: list[SrsVector] = []
-    seen: set[SrsVector] = set()
-    cur = srs.initial_vector()
-    while cur != zero and cur not in seen:
-        seen.add(cur)
-        out.append(cur)
-        if len(out) > cap:
-            raise ClosureBudgetExceeded(f"tau orbit exceeded {cap} states")
-        cur = srs.tau(cur)
-    return out
+    return _walk(srs.tau, srs.initial_vector(), {(0,) * srs.dim: True}, set(), cap)
 
 
 def v_box_set(
@@ -311,19 +290,19 @@ class F1Certificate:
 
 
 def f1_certificate(
-    srs: ShiftRadixSystem,
-    closure_cap: int = DEFAULT_CLOSURE_CAP,
+    graph: OrbitGraph,
     walk_cap: int = DEFAULT_WALK_CAP,
     box_pad: int = DEFAULT_BOX_PAD,
 ) -> F1Certificate:
-    """Check the sufficient condition: every preimage of a P vector stays
-    in P, and the delta-box slice of V reaches zero under tau."""
+    """Check the sufficient condition on the closure graph: every preimage
+    of a P vector stays in P, and the delta-box slice of V reaches zero
+    under tau."""
+    srs = graph.srs
+    P = graph.p_nodes
+    d = delta(P)
     try:
-        graph = q_set(srs, closure_cap)
-        P = graph.p_nodes
-        d = delta(P)
         closure_ok = all(tau_preimages(srs, p) <= P for p in P)
-        r0, complete = v_box_set(srs, d, box_pad, closure_cap)
+        r0, complete = v_box_set(srs, d, box_pad)
         r0_in_f = all(in_f_beta(srs, v, walk_cap) for v in r0)
     except ClosureBudgetExceeded as exc:
         return F1Certificate(

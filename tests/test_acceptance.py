@@ -35,7 +35,6 @@ from betafin.srs import (
     ShiftRadixSystem,
     f1_certificate,
     in_f_beta,
-    p_set,
     q_set,
 )
 from betafin.words import Word, format_word
@@ -63,12 +62,12 @@ def test_ac01_family_verification():
         srs = ShiftRadixSystem(f)
         graph = q_set(srs)
         assert set(graph.nodes) == FAMILY_Q, t
-        assert p_set(graph) == frozenset({(1, 1)}), t
+        assert graph.p_nodes == frozenset({(1, 1)}), t
         assert graph.edges == FAMILY_EDGES, t
         # the published diagram omits only the fixed point's self-loop
         figure = dict(FAMILY_FIGURE_EDGES)
         assert {k: v for k, v in graph.edges.items() if k != (0, 0)} == figure
-        cert = f1_certificate(srs)
+        cert = f1_certificate(graph)
         assert cert.verdict == PROVEN, t
         report = classify(f)
         assert report.pf == REFUTED, t
@@ -83,7 +82,7 @@ def test_ac02_q_cardinalities_and_chain():
         srs = ShiftRadixSystem(f)
         graph = q_set(srs)
         assert graph.node_count() == size, (a, b, c)
-        assert p_set(graph) == frozenset({(1, 1)}), (a, b, c)
+        assert graph.p_nodes == frozenset({(1, 1)}), (a, b, c)
         chain = [(0, -1)]
         while chain[-1] != (0, 0):
             chain.append(srs.tau(chain[-1]))
@@ -302,7 +301,7 @@ def test_ac11_cubic_unit_corollary():
                 # (F) verdict against the unit theorem's coefficient form
                 thm_f = c == 1 and a >= 0 and -1 <= b <= a + 1
                 assert (verdicts["f"] == PROVEN) == thm_f, (a, b, c)
-                cert = f1_certificate(ShiftRadixSystem(f))
+                cert = f1_certificate(q_set(ShiftRadixSystem(f)))
                 if cert.verdict == PROVEN:
                     assert verdicts["f1"] == PROVEN, (a, b, c)
                 if verdicts["f1"] == REFUTED:

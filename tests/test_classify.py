@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 
@@ -224,3 +225,23 @@ def test_infinite_cases_force_beta_at_least_two():
         f = make_field((c, b, a))
         assert bassino_case(a, b, c) != FINITE
         assert (f.beta() - 2).sign() >= 0, (a, b, c)
+
+
+def test_classify_builds_q_once(monkeypatch):
+    # the package exports a function named classify, so reach the modules
+    # through importlib rather than attribute access
+    classify_module = importlib.import_module("betafin.classify")
+    srs_module = importlib.import_module("betafin.srs")
+    calls = []
+    original = srs_module.q_set
+
+    def counting_q_set(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(srs_module, "q_set", counting_q_set)
+    monkeypatch.setattr(classify_module, "q_set", counting_q_set)
+    report = classify(family(3))
+    # the certificate ran on the same closure graph
+    assert any(ev.rule == "srs-certificate" for ev in report.evidence)
+    assert len(calls) == 1

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -152,3 +154,22 @@ def test_expand_determinism(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_closed_pipe_exits_without_traceback(monkeypatch, tmp_path):
+    # a reader such as `head` that stops early makes every write raise
+    class ClosedPipe(io.StringIO):
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+        code = main(["srs", "qset", "--poly", "x^3-4x^2+4x-2"])
+    assert code == 1

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 
 import pytest
@@ -219,3 +221,34 @@ def test_frac_part():
 def test_orbit_budget():
     with pytest.raises(OrbitBudgetExceeded):
         d_beta(TRIB.from_coords((Q(1, 97), Q(1, 89), Q(1, 83))), cap=5)
+
+
+def test_t_orbit_of_one_under_threads():
+    # d_beta(1) is infinite here, so a duplicated orbit entry would shift
+    # every later entry instead of hiding among trailing zeros
+    expect = [x.coords for x in t_orbit_of_one(make_field((-2, 3, 5)), 40)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            field = make_field((-2, 3, 5))
+            results = []
+            start = threading.Barrier(8)
+
+            def worker():
+                start.wait(timeout=60)
+                for upto in range(41):
+                    results.append((upto, t_orbit_of_one(field, upto)))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert len(results) == 8 * 41
+            for upto, orbit in results:
+                assert [x.coords for x in orbit] == expect[: upto + 1]
+            assert [x.coords for x in t_orbit_of_one(field, 40)] == expect
+    finally:
+        sys.setswitchinterval(old_interval)

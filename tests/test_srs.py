@@ -13,7 +13,6 @@ from betafin.srs import (
     f1_certificate,
     floor_beta_plus_one_finite,
     in_f_beta,
-    p_set,
     q_set,
     tau_orbit_vectors,
     tau_preimages,
@@ -120,7 +119,7 @@ def test_family_q_set(t):
     g = q_set(srs_for(family(t)))
     assert set(g.nodes) == FAMILY_Q
     assert g.edges == FAMILY_EDGES
-    assert p_set(g) == frozenset({(1, 1)})
+    assert g.p_nodes == frozenset({(1, 1)})
 
 
 def test_family_orbit_chain():
@@ -135,14 +134,14 @@ def test_q_set_cardinalities():
     for (a, b, c), size in (((5, -5, 3), 43), ((6, -6, 4), 67), ((7, -8, 5), 117)):
         g = q_set(srs_for(make_field((c, b, a))))
         assert g.node_count() == size
-        assert p_set(g) == frozenset({(1, 1)})
+        assert g.p_nodes == frozenset({(1, 1)})
 
 
 def test_tribonacci_q_set_regression():
     g = q_set(srs_for(TRIB))
     assert (0, 1) in g.nodes
     assert g.node_count() == 7  # frozen from the first verified run
-    assert p_set(g) == frozenset()
+    assert g.p_nodes == frozenset()
     assert all(g.in_f[v] for v in g.nodes)
 
 
@@ -170,6 +169,40 @@ def test_q_set_against_plain_closure_oracle():
     assert seen == set(q_set(s).nodes)
 
 
+def test_q_set_flags_against_stepwise_oracle():
+    # the definitions spelled out: v is in F when |Q| tau steps from v hit
+    # zero, and a nonzero v is in P when tau returns to v within |Q| steps
+    for field in (make_field((4, -4, 5)), make_field((-1, 1, 2)), family(2), TRIB):
+        s = srs_for(field)
+        g = q_set(s)
+        zero = (0,) * s.dim
+        expect_f = {}
+        expect_p = set()
+        for v in g.nodes:
+            cur = v
+            hits_zero = cur == zero
+            for _ in range(len(g.nodes)):
+                cur = s.tau(cur)
+                hits_zero = hits_zero or cur == zero
+                if cur == v and v != zero:
+                    expect_p.add(v)
+            expect_f[v] = hits_zero
+        assert g.in_f == expect_f
+        assert g.p_nodes == expect_p
+    assert len(q_set(srs_for(make_field((4, -4, 5)))).p_nodes) == 5
+
+
+def test_tau_orbit_vectors_is_plain_iteration():
+    for field in (make_field((4, -4, 5)), make_field((-1, 1, 2)), family(2), TRIB):
+        s = srs_for(field)
+        expect = []
+        cur = s.initial_vector()
+        while any(cur) and cur not in expect:
+            expect.append(cur)
+            cur = s.tau(cur)
+        assert tau_orbit_vectors(s) == expect
+
+
 def test_in_f_beta():
     s = srs_for(family(2))
     assert in_f_beta(s, (0, 0))
@@ -195,7 +228,7 @@ def test_q_symmetry_under_preimage_closure():
     for field in (family(2), make_field((3, -5, 5))):
         s = srs_for(field)
         g = q_set(s)
-        P = p_set(g)
+        P = g.p_nodes
         if all(tau_preimages(s, p) <= P for p in P):
             assert {tuple(-c for c in v) for v in g.nodes} == set(g.nodes)
 
@@ -204,7 +237,7 @@ def test_q_minus_f_subset_p():
     for field in (family(2), make_field((3, -5, 5)), TRIB):
         s = srs_for(field)
         g = q_set(s)
-        P = p_set(g)
+        P = g.p_nodes
         if all(tau_preimages(s, p) <= P for p in P):
             outside_f = {v for v in g.nodes if not g.in_f[v]}
             assert outside_f <= P
@@ -277,7 +310,7 @@ def test_v_box_zero_delta():
 
 def test_f1_certificate_family():
     for t in (2, 5, 9):
-        cert = f1_certificate(srs_for(family(t)))
+        cert = f1_certificate(q_set(srs_for(family(t))))
         assert cert.verdict == "proven"
         assert cert.p_set == frozenset({(1, 1)})
         assert cert.delta == 1
@@ -286,9 +319,9 @@ def test_f1_certificate_family():
 
 def test_f1_certificate_examples():
     for a, b, c in ((5, -5, 3), (6, -6, 4), (7, -8, 5)):
-        cert = f1_certificate(srs_for(make_field((c, b, a))))
+        cert = f1_certificate(q_set(srs_for(make_field((c, b, a)))))
         assert cert.verdict == "proven"
-    cert = f1_certificate(srs_for(TRIB))
+    cert = f1_certificate(q_set(srs_for(TRIB)))
     assert cert.verdict == "proven"
     assert cert.p_set == frozenset() and cert.delta == 0
     assert cert.r0 == frozenset({(0, 0)})
@@ -297,7 +330,7 @@ def test_f1_certificate_examples():
 def test_f1_certificate_unknown_is_not_refuted():
     # quadratic with a tau self-loop: the sufficient condition fails but
     # the verdict must stay unknown (here (F1) actually holds)
-    cert = f1_certificate(srs_for(make_field((-1, 3))))
+    cert = f1_certificate(q_set(srs_for(make_field((-1, 3)))))
     assert cert.verdict == "unknown"
     assert cert.p_set == frozenset({(1,)})
 
