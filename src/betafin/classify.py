@@ -15,7 +15,11 @@ Refutation routes worth noting:
   * (PF) forces either (F) or a specific coefficient shape, so failing
     both refutes (PF);
   * any natural number with an infinite expansion refutes (F1); the
-    first candidate tried is floor(beta) + 1.
+    first candidate tried is floor(beta) + 1.  N has a finite expansion
+    iff its digit orbit (the T-orbit of beta^{-L(N)} N) reaches 0, so the
+    sweep over N runs the same shared-verdict reach-zero walk as the SRS
+    closure, over field elements instead of integer vectors: a state
+    reached from several N is stepped once.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from .errors import (
     NotUnit,
     OrbitBudgetExceeded,
 )
-from .expansion import d_beta_one, is_finite_expansion
-from .field import BetaField, cubic_pisot_criterion, is_pisot, unit_disk_profile
+from .expansion import big_l, d_beta_one, is_finite_expansion, t_map
+from .field import BetaField, FieldElement, cubic_pisot_criterion, is_pisot, unit_disk_profile
 from .srs import ShiftRadixSystem, f1_certificate, q_set
+from .walk import walk
 from .words import Word, format_word
 
 PROVEN = "proven"
@@ -359,7 +364,7 @@ def classify(
                 "preimage-closed P and delta-box slice of V inside F give (F1)",
             )
     if report.f1 == UNKNOWN:
-        refuter = _find_infinite_natural(field, n_sweep, orbit_cap)
+        refuter = _find_infinite_natural(field, n_sweep, orbit_cap, report)
         if refuter is not None:
             _set_verdict(
                 report, "f1", REFUTED,
@@ -371,19 +376,42 @@ def classify(
     return report
 
 
-def _find_infinite_natural(field: BetaField, n_sweep: int, orbit_cap: int) -> int | None:
-    candidates = [field.floor_beta() + 1] + list(range(1, n_sweep + 1))
-    seen: set[int] = set()
-    for n in candidates:
-        if n in seen:
-            continue
-        seen.add(n)
+def _find_infinite_natural(
+    field: BetaField, n_sweep: int, orbit_cap: int, report: PropertyReport
+) -> int | None:
+    """The first candidate N with an infinite expansion, or None.
+
+    N has a finite expansion iff the T-orbit of beta^{-L(N)} N reaches 0,
+    so the sweep is one reach-zero walk per N over a verdict map shared by
+    all N: each orbit state is stepped once.  orbit_cap bounds the new
+    states one N walks; an N over it is skipped, never decided, and the
+    skipped N are named in an evidence record.
+    """
+    reaches_zero = {field.zero(): True}
+    skipped: list[int] = []
+    refuter = None
+    for n in dict.fromkeys([field.floor_beta() + 1, *range(1, n_sweep + 1)]):
+        x = field.from_rational(n)
+        start = x * field.beta_power(-big_l(x))
         try:
-            if not is_finite_expansion(field.from_rational(n), orbit_cap):
-                return n
+            walk(_t_step, start, reaches_zero, set(), orbit_cap, OrbitBudgetExceeded)
         except OrbitBudgetExceeded:
+            skipped.append(n)
             continue
-    return None
+        if not reaches_zero[start]:
+            refuter = n
+            break
+    if skipped:
+        report.add(
+            f"N = {', '.join(map(str, skipped))} skipped: each digit orbit "
+            f"exceeded {orbit_cap} new states",
+            "orbit-budget", "budget exceeded",
+        )
+    return refuter
+
+
+def _t_step(x: FieldElement) -> FieldElement:
+    return t_map(x)[1]
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,20 @@ class BetaField:
         else:
             self._interval = (lo, mid)
 
+    def _check_not_root(self, p: polys.Poly, value: int = 0) -> None:
+        """Raise Reducible when p - value shares a factor with the field
+        polynomial.
+
+        Refinement decides p(beta) against value only when p(beta) != value,
+        which irreducibility guarantees for a nonconstant p of degree below
+        d.  When irreducibility is not verified an exact tie is possible and
+        refinement would never end, so a common factor is ruled out first.
+        """
+        if self.irreducibility_verified:
+            return
+        if polys.degree(polys.gcd(polys.sub(p, (Fraction(value),)), self.poly)) > 0:
+            raise Reducible(f"{self.poly_str()} has a proper factor in common with an element")
+
     def poly_str(self) -> str:
         terms = [f"x^{self.degree}"]
         for i in range(self.degree - 1, -1, -1):
@@ -337,13 +351,15 @@ class FieldElement:
         if self.is_rational():
             return _sign(self.coords[0])
         p = polys.poly(self.coords)
-        for _ in range(_REFINE_CAP):
+        for i in range(_REFINE_CAP):
             lo, hi = self.field.interval
             vlo, vhi = polys.eval_interval(p, lo, hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
+            if i == 0:
+                self.field._check_not_root(p)
             self.field.refine()
         raise InvariantViolation("sign refinement exceeded the safety cap")
 
@@ -352,11 +368,17 @@ class FieldElement:
         if self.is_rational():
             return math.floor(self.coords[0])
         p = polys.poly(self.coords)
+        straddled = None
         for _ in range(_REFINE_CAP):
             lo, hi = self.field.interval
             vlo, vhi = polys.eval_interval(p, lo, hi)
-            if math.floor(vlo) == math.floor(vhi):
-                return math.floor(vlo)
+            k = math.floor(vhi)
+            if math.floor(vlo) == k:
+                return k
+            # the bracket straddles k, which may be the exact value
+            if k != straddled:
+                straddled = k
+                self.field._check_not_root(p, k)
             self.field.refine()
         raise InvariantViolation("floor refinement exceeded the safety cap")
 

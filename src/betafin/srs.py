@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
 from .expansion import is_finite_expansion
 from .field import BetaField, FieldElement
+from .walk import walk
 
 SrsVector = tuple[int, ...]
 
@@ -100,37 +100,6 @@ class OrbitGraph:
         return len(self.nodes)
 
 
-def _walk(
-    step: Callable[[SrsVector], SrsVector],
-    start: SrsVector,
-    verdict: dict[SrsVector, bool],
-    cycles: set[SrsVector],
-    cap: int,
-) -> list[SrsVector]:
-    """Follow step from start until a node with a verdict (the caller seeds
-    zero as reaching zero) or a node already on this path.
-
-    Every node of the path gets its reach-zero verdict, a cycle the walk
-    closes is added to cycles, and the path is returned.  Walks that share
-    one verdict map visit each node once.
-    """
-    on_path: dict[SrsVector, int] = {}
-    path: list[SrsVector] = []
-    cur = start
-    while cur not in verdict and cur not in on_path:
-        on_path[cur] = len(path)
-        path.append(cur)
-        if len(path) > cap:
-            raise ClosureBudgetExceeded(f"tau walk exceeded {cap} states")
-        cur = step(cur)
-    if cur in on_path:
-        cycles.update(path[on_path[cur]:])
-    reach = verdict.get(cur, False)
-    for node in path:
-        verdict[node] = reach
-    return path
-
-
 def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
     """Closure of the initial vector under tau and its dual, with the
     tau-edge relation and membership annotations."""
@@ -158,7 +127,7 @@ def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
     in_f = {zero: True}
     p_nodes: set[SrsVector] = set()
     for v in seen:
-        _walk(edges.__getitem__, v, in_f, p_nodes, len(seen))
+        walk(edges.__getitem__, v, in_f, p_nodes, len(seen))
     if zero not in seen:
         del in_f[zero]
     nodes = tuple(sorted(seen))
@@ -168,7 +137,7 @@ def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
 def in_f_beta(srs: ShiftRadixSystem, vec: SrsVector, cap: int = DEFAULT_WALK_CAP) -> bool:
     """Does the tau-orbit of vec reach the zero vector?"""
     verdict = {(0,) * srs.dim: True}
-    _walk(srs.tau, vec, verdict, set(), cap)
+    walk(srs.tau, vec, verdict, set(), cap)
     return verdict[vec]
 
 
@@ -218,7 +187,7 @@ def delta(p_nodes: frozenset[SrsVector] | set[SrsVector]) -> int:
 
 def tau_orbit_vectors(srs: ShiftRadixSystem, cap: int = DEFAULT_WALK_CAP) -> list[SrsVector]:
     """Distinct nonzero vectors of the tau-orbit of the initial vector."""
-    return _walk(srs.tau, srs.initial_vector(), {(0,) * srs.dim: True}, set(), cap)
+    return walk(srs.tau, srs.initial_vector(), {(0,) * srs.dim: True}, set(), cap)
 
 
 def v_box_set(

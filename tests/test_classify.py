@@ -5,6 +5,7 @@ import random
 import pytest
 
 from betafin.classify import (
+    _find_infinite_natural,
     CASE_I,
     CASE_II,
     CASE_III,
@@ -14,6 +15,7 @@ from betafin.classify import (
     PROVEN,
     REFUTED,
     UNKNOWN,
+    PropertyReport,
     bassino_case,
     classify,
     cpcase_check,
@@ -24,7 +26,7 @@ from betafin.classify import (
     pf_shape,
 )
 from betafin.errors import NotApplicable, NotCubicPisot, NotUnit
-from betafin.expansion import d_beta_one
+from betafin.expansion import beta_expand, d_beta_one, is_finite_expansion
 from betafin.field import cubic_pisot_criterion, make_field
 from betafin.errors import NoRootAboveOne, Reducible
 
@@ -245,3 +247,64 @@ def test_classify_builds_q_once(monkeypatch):
     # the certificate ran on the same closure graph
     assert any(ev.rule == "srs-certificate" for ev in report.evidence)
     assert len(calls) == 1
+
+
+def _linear_scan(field, n_sweep):
+    """Independent sweep: first N, floor(beta)+1 first, whose greedy
+    expansion is infinite, each N expanded from scratch."""
+    for n in [field.floor_beta() + 1] + list(range(1, n_sweep + 1)):
+        if not is_finite_expansion(field.from_rational(n)):
+            return n
+    return None
+
+
+# (a, b, c) of x^3 - ax^2 - bx - c with the first N <= 40 outside Fin, or None
+@pytest.mark.parametrize(
+    "abc, refuter",
+    [((1, 3, 2), 7), ((2, 5, 3), 24), ((3, 1, -2), 4), ((5, -4, 4), None), ((1, 1, 1), None), ((4, -4, 2), None)],
+)
+def test_natural_sweep_matches_linear_scan(abc, refuter):
+    a, b, c = abc
+    f = make_field((c, b, a))
+    report = PropertyReport(poly=f.poly_str())
+    found = _find_infinite_natural(f, 40, 100_000, report)
+    assert found == refuter == _linear_scan(f, 40)
+    assert report.evidence == []
+
+
+def test_classify_refutes_f1_by_the_sweep():
+    rep = classify(make_field((2, 3, 1)))  # (a,b,c) = (1,3,2)
+    assert rep.f1 == REFUTED
+    assert any(e.rule == "natural-sweep" and "N = 7 " in e.claim for e in rep.evidence)
+
+
+def test_natural_sweep_steps_each_state_once(monkeypatch):
+    classify_module = importlib.import_module("betafin.classify")
+    args = []
+    original = classify_module.t_map
+
+    def counting_t_map(x):
+        args.append(x)
+        return original(x)
+
+    monkeypatch.setattr(classify_module, "t_map", counting_t_map)
+    f = make_field((4, -4, 5))  # (a,b,c) = (5,-4,4): no refuter, every N walked
+    report = PropertyReport(poly=f.poly_str())
+    assert _find_infinite_natural(f, 40, 100_000, report) is None
+    assert len(args) == len(set(args))
+    # walked one N at a time, the orbits would step far more states
+    per_n = 0
+    for n in range(1, 41):
+        word = beta_expand(f.from_rational(n)).word
+        per_n += len(word.pre) + len(word.period)
+    assert len(args) < per_n
+
+
+def test_natural_sweep_skip_is_recorded_not_refuted():
+    # at full budget N = 7 refutes (F1); with 5 states per N it is skipped
+    rep = classify(make_field((2, 3, 1)), orbit_cap=5)
+    assert rep.f1 == UNKNOWN
+    skips = [e for e in rep.evidence if e.rule == "orbit-budget" and "skipped" in e.claim]
+    assert len(skips) == 1
+    assert "7," in skips[0].claim and "exceeded 5 new states" in skips[0].claim
+    assert not any(e.rule == "natural-sweep" for e in rep.evidence)

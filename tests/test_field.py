@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction as Q
 
 import pytest
@@ -62,6 +63,38 @@ def test_make_field_errors():
     prod = P.mul(P.poly((-1, -1, 1)), P.poly((-2, 0, 1)))
     with pytest.raises(Reducible):
         make_field([-int(c) for c in prod[:-1]])
+
+
+# x^5-x^4-2x^3+2x+1 = (x^2-x-1)(x^3-x-1) passes the degree-5 tests, and
+# its largest root is the golden ratio, so beta^2 - beta - 1 is exactly 0
+REDUCIBLE_QUINTIC = (-1, -2, 0, 2, 1)
+
+
+def _raises_within(call, seconds):
+    """The exception call raises, run in a daemon thread that may take at
+    most the given time; a hang fails the test instead of stalling it."""
+    out = []
+
+    def run():
+        try:
+            call()
+        except Exception as exc:  # handed to the test, which checks its type
+            out.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    assert len(out) == 1
+    return out[0]
+
+
+def test_exact_zero_on_unverified_field_raises_reducible():
+    f = make_field(REDUCIBLE_QUINTIC)
+    assert not f.irreducibility_verified
+    b = f.beta()
+    assert isinstance(_raises_within((b * b - b - 1).sign, 1.0), Reducible)
+    assert isinstance(_raises_within((b * b - b).floor, 1.0), Reducible)
 
 
 def test_defining_relation():
