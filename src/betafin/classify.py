@@ -385,17 +385,22 @@ def _find_infinite_natural(
     so the sweep is one reach-zero walk per N over a verdict map shared by
     all N: each orbit state is stepped once.  orbit_cap bounds the new
     states one N walks; an N over it is skipped, never decided, and the
-    skipped N are named in an evidence record.
+    skipped N are named in an evidence record.  The map starts afresh once
+    it holds more than orbit_cap states, so the sweep never holds more than
+    about twice orbit_cap; states dropped then are stepped again.
     """
-    reaches_zero = {field.zero(): True}
+    zero = field.zero()
+    reaches_zero = {zero: True}
     skipped: list[int] = []
     refuter = None
     for n in dict.fromkeys([field.floor_beta() + 1, *range(1, n_sweep + 1)]):
+        if len(reaches_zero) > orbit_cap:
+            reaches_zero = {zero: True}
         x = field.from_rational(n)
         start = x * field.beta_power(-big_l(x))
         try:
-            walk(_t_step, start, reaches_zero, set(), orbit_cap, OrbitBudgetExceeded)
-        except OrbitBudgetExceeded:
+            walk(_t_step, start, reaches_zero, set(), orbit_cap)
+        except ClosureBudgetExceeded:
             skipped.append(n)
             continue
         if not reaches_zero[start]:

@@ -26,7 +26,8 @@ class OrbitBudgetExceeded(BetaFinError):
 
 
 class ClosureBudgetExceeded(BetaFinError):
-    """A vector closure did not stabilize within its node budget."""
+    """A vector closure or a reach-zero walk did not stabilize within its
+    node budget."""
 
 
 class NotAdmissible(BetaFinError):

@@ -96,18 +96,23 @@ class BetaField:
             self._interval = (lo, mid)
 
     def _check_not_root(self, p: polys.Poly, value: int = 0) -> None:
-        """Raise Reducible when p - value shares a factor with the field
-        polynomial.
+        """Raise Reducible when p(beta) == value exactly.
 
         Refinement decides p(beta) against value only when p(beta) != value,
         which irreducibility guarantees for a nonconstant p of degree below
         d.  When irreducibility is not verified an exact tie is possible and
-        refinement would never end, so a common factor is ruled out first.
+        refinement would never end.  A tie means beta is a root of
+        g = gcd(p - value, field polynomial); the roots of g are roots of
+        the field polynomial, so beta is the only one the isolating
+        interval can hold.  A common factor without beta as a root is no
+        tie, and refinement goes on.
         """
         if self.irreducibility_verified:
             return
-        if polys.degree(polys.gcd(polys.sub(p, (Fraction(value),)), self.poly)) > 0:
-            raise Reducible(f"{self.poly_str()} has a proper factor in common with an element")
+        g = polys.gcd(polys.sub(p, (Fraction(value),)), self.poly)
+        lo, hi = self._interval
+        if polys.degree(g) > 0 and polys.count_real_roots(g, lo, hi) > 0:
+            raise Reducible(f"{self.poly_str()} has a proper factor with beta as a root")
 
     def poly_str(self) -> str:
         terms = [f"x^{self.degree}"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, TypeVar
 
-from .errors import BetaFinError, ClosureBudgetExceeded
+from .errors import ClosureBudgetExceeded
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -23,14 +23,13 @@ def walk(
     verdict: dict[Node, bool],
     cycles: set[Node],
     cap: int,
-    budget_error: type[BetaFinError] = ClosureBudgetExceeded,
 ) -> list[Node]:
     """Follow step from start until a node with a verdict (the caller seeds
     zero as reaching zero) or a node already on this path.
 
     Every node of the path gets its reach-zero verdict, a cycle the walk
     closes is added to cycles, and the path is returned.  A path longer
-    than cap raises budget_error and records no verdict, so cap bounds
+    than cap raises ClosureBudgetExceeded and records no verdict, so cap bounds
     the new nodes one walk steps: nodes settled by earlier walks on the
     same verdict map are not counted again.
     """
@@ -41,7 +40,7 @@ def walk(
         on_path[cur] = len(path)
         path.append(cur)
         if len(path) > cap:
-            raise budget_error(f"walk exceeded {cap} new states")
+            raise ClosureBudgetExceeded(f"walk exceeded {cap} new states")
         cur = step(cur)
     if cur in on_path:
         cycles.update(path[on_path[cur]:])

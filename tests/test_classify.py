@@ -300,6 +300,30 @@ def test_natural_sweep_steps_each_state_once(monkeypatch):
     assert len(args) < per_n
 
 
+@pytest.mark.parametrize("abc, cap, refuter", [((2, 5, 3), 40, 24), ((4, -4, 2), 30, None)])
+def test_natural_sweep_memory_stays_within_twice_the_cap(monkeypatch, abc, cap, refuter):
+    # the sweep steps more than cap distinct states in all, yet no single N
+    # walks more than cap new ones: the shared map must start afresh
+    classify_module = importlib.import_module("betafin.classify")
+    held = []
+    original = classify_module.walk
+
+    def measuring_walk(step, start, verdict, cycles, walk_cap):
+        try:
+            return original(step, start, verdict, cycles, walk_cap)
+        finally:
+            held.append(len(verdict))
+
+    monkeypatch.setattr(classify_module, "walk", measuring_walk)
+    a, b, c = abc
+    f = make_field((c, b, a))
+    report = PropertyReport(poly=f.poly_str())
+    assert _find_infinite_natural(f, 40, cap, report) == refuter == _linear_scan(f, 40)
+    assert report.evidence == []
+    assert max(held) > cap
+    assert max(held) <= 2 * cap + 1
+
+
 def test_natural_sweep_skip_is_recorded_not_refuted():
     # at full budget N = 7 refutes (F1); with 5 states per N it is skipped
     rep = classify(make_field((2, 3, 1)), orbit_cap=5)
