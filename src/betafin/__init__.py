@@ -26,10 +26,8 @@ from .field import (
     BetaField,
     FieldElement,
     cubic_pisot_criterion,
-    floor,
     is_pisot,
     make_field,
-    sign,
     unit_disk_profile,
 )
 from .words import Word, format_word, lex_cmp, parse_word, subtract

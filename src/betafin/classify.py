@@ -233,7 +233,6 @@ def classify(
     orbit_cap: int = 100_000,
     closure_cap: int = 1_000_000,
     n_sweep: int = DEFAULT_N_SWEEP,
-    box_pad: int = 8,
 ) -> PropertyReport:
     """Full three-valued classification of the field's base."""
     report = PropertyReport(poly=field.poly_str())
@@ -317,6 +316,13 @@ def classify(
             )
     except ClosureBudgetExceeded:
         report.add("vector closure budget exceeded", "closure-budget", "budget exceeded")
+    except OrbitBudgetExceeded:
+        # the tau-cycle self-check did not run, so (F) is not refuted here
+        report.add(
+            f"tau-cycle check: the digit orbit of frac(value({wit})) "
+            f"exceeded {orbit_cap} states",
+            "orbit-budget", "budget exceeded",
+        )
 
     # ---- (PF) -------------------------------------------------------------
     if field.degree == 2:
@@ -354,7 +360,7 @@ def classify(
 
     # ---- (F1) --------------------------------------------------------------
     if graph is not None and (report.f1 == UNKNOWN or report.pf == UNKNOWN):
-        cert = f1_certificate(graph, orbit_cap, box_pad)
+        cert = f1_certificate(graph, orbit_cap)
         if cert.verdict == PROVEN:
             _set_verdict(
                 report, "f1", PROVEN,

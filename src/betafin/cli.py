@@ -153,7 +153,6 @@ def cmd_classify(args) -> int:
         orbit_cap=args.budget_orbit,
         closure_cap=args.budget_closure,
         n_sweep=args.n_sweep,
-        box_pad=args.box_pad,
     )
     if args.format == "json":
         print(report.to_json())
@@ -170,6 +169,16 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# Q of x^3 - 2tx^2 + 2tx - t for every t >= 2: zero and 13 vectors with
+# their negatives
+FAMILY_Q = {(0, 0)} | {
+    w
+    for v in [(3, 2), (1, 1), (2, 2), (2, 1), (1, 0), (3, 1), (0, 1),
+              (2, 0), (1, -1), (3, 3), (1, 2), (2, 3), (0, 2)]
+    for w in (v, (-v[0], -v[1]))
+}
+
+
 def _family_checks(t: int, args) -> list[tuple[str, bool]]:
     from .classify import REFUTED
 
@@ -177,21 +186,16 @@ def _family_checks(t: int, args) -> list[tuple[str, bool]]:
     srs = ShiftRadixSystem(field)
     checks: list[tuple[str, bool]] = []
     checks.append(("pisot", is_pisot(field)))
-    expected_q = {(0, 0)}
-    for v in [(3, 2), (1, 1), (2, 2), (2, 1), (1, 0), (3, 1), (0, 1),
-              (2, 0), (1, -1), (3, 3), (1, 2), (2, 3), (0, 2)]:
-        expected_q.add(v)
-        expected_q.add((-v[0], -v[1]))
     graph = q_set(srs, cap=args.budget_closure)
-    checks.append(("Q is the 27-vector set", set(graph.nodes) == expected_q))
+    checks.append(("Q is the 27-vector set", set(graph.nodes) == FAMILY_Q))
     checks.append(("P = {(1,1)}", graph.p_nodes == frozenset({(1, 1)})))
     from .srs import tau_preimages
 
     checks.append(("tau-preimage closure of (1,1)", tau_preimages(srs, (1, 1)) == {(1, 1)}))
-    cert = f1_certificate(graph, args.budget_orbit, args.box_pad)
+    cert = f1_certificate(graph, args.budget_orbit)
     checks.append(("R0 inside F", all(in_f_beta(srs, v) for v in cert.r0)))
     checks.append(("F1 certificate proven", cert.verdict == "proven"))
-    report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep, args.box_pad)
+    report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep)
     checks.append(("PF refuted", report.pf == REFUTED))
     from .expansion import d_beta_one
 
@@ -252,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
         p.add_argument("--budget-orbit", type=int, default=100_000)
         p.add_argument("--budget-closure", type=int, default=1_000_000)
-        p.add_argument("--box-pad", type=int, default=8)
         p.add_argument("--n-sweep", type=int, default=200)
 
     p = sub.add_parser("expand", help="beta-expansion of a field element")

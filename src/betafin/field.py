@@ -35,7 +35,7 @@ class BetaField:
     valid bracket.  Everything else is immutable after construction.
     """
 
-    def __init__(self, coeffs: Sequence[int], _skip_checks: bool = False):
+    def __init__(self, coeffs: Sequence[int]):
         coeffs = tuple(int(a) for a in coeffs)
         if len(coeffs) < 2:
             raise Reducible("degree must be at least 2")
@@ -398,14 +398,6 @@ class FieldElement:
 
     def __ge__(self, other):
         return (self - other).sign() >= 0
-
-
-def sign(a: FieldElement) -> int:
-    return a.sign()
-
-
-def floor(a: FieldElement) -> int:
-    return a.floor()
 
 
 def unit_disk_profile(field: BetaField) -> tuple[int, int, int]:

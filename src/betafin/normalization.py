@@ -37,8 +37,6 @@ from .expansion import (
 from .field import BetaField, FieldElement
 from .words import Word, compare_window, subtract
 
-_SCAN_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class FreeBlockDecomposition:

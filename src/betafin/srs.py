@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from .errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
 from .expansion import is_finite_expansion
 from .field import BetaField, FieldElement
-from .walk import walk
+from .walk import closure, walk
 
 SrsVector = tuple[int, ...]
 
 DEFAULT_CLOSURE_CAP = 1_000_000
 DEFAULT_WALK_CAP = 100_000
-DEFAULT_BOX_PAD = 8
 
 
 class ShiftRadixSystem:
@@ -103,22 +102,13 @@ class OrbitGraph:
 def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
     """Closure of the initial vector under tau and its dual, with the
     tau-edge relation and membership annotations."""
-    start = srs.initial_vector()
-    seen: set[SrsVector] = {start}
-    frontier = [start]
     edges: dict[SrsVector, SrsVector] = {}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            t = srs.tau(v)
-            edges[v] = t
-            for img in (t, srs.tau_star(v)):
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-            if len(seen) > cap:
-                raise ClosureBudgetExceeded(f"closure exceeded {cap} vectors")
-        frontier = nxt
+
+    def successors(v: SrsVector) -> tuple[SrsVector, SrsVector]:
+        edges[v] = srs.tau(v)
+        return edges[v], srs.tau_star(v)
+
+    seen = closure(srs.initial_vector(), successors, cap)
     if any(t not in seen for t in edges.values()):
         raise InvariantViolation("closure is not tau-closed")
 
@@ -154,10 +144,7 @@ def tau_preimages(
     fixed = vec[:-1]
     target = -vec[-1]
     r1 = srs.r[0]
-    const = srs.field.zero()
-    for rj, lj in zip(srs.r[1:], fixed):
-        if lj:
-            const = const + lj * rj
+    const = srs.value((0,) + fixed)
     # target <= x*r1 + const < target + 1
     lo_val = (srs.field.from_rational(target) - const) / r1
     hi_val = (srs.field.from_rational(target + 1) - const) / r1
@@ -191,45 +178,34 @@ def tau_orbit_vectors(srs: ShiftRadixSystem, cap: int = DEFAULT_WALK_CAP) -> lis
 
 
 def v_box_set(
-    srs: ShiftRadixSystem,
-    delta_bound: int,
-    pad: int = DEFAULT_BOX_PAD,
-    cap: int = DEFAULT_CLOSURE_CAP,
+    srs: ShiftRadixSystem, delta_bound: int, cap: int = DEFAULT_CLOSURE_CAP
 ) -> tuple[set[SrsVector], bool]:
     """Members of V inside the delta-box, with a completeness flag.
 
     V is the set of finite sums -sum omega_n s_n over the orbit vectors
     s_n.  When the s_n all have the same coordinate sign, partial sums
-    are coordinate-monotone and the box-restricted breadth first search
-    enumerates the slice exactly.  Otherwise the search runs in a padded
-    box and the result is flagged incomplete (never silently wrong).
+    are coordinate-monotone, so the closure of zero under v -> v - s_n
+    kept inside the box is exactly the slice.  Otherwise a sum can leave
+    the box and come back, and the slice is reported incomplete and
+    empty, without a search (never silently wrong).
     """
     if delta_bound < 0:
         raise ValueError("delta must be >= 0")
     S = tau_orbit_vectors(srs)
-    box = delta_bound
+    zero = (0,) * srs.dim
     if delta_bound == 0 or not S:
         # the box holds only the zero vector, which is always a member
-        return {(0,) * srs.dim}, True
-    monotone = all(c >= 0 for v in S for c in v) or all(c <= 0 for v in S for c in v)
-    bound = box if monotone else box + max(abs(c) for v in S for c in v) * pad
-    zero = (0,) * srs.dim
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in S:
-                w = _vec_sub(v, s)
-                if w in seen or any(abs(c) > bound for c in w):
-                    continue
-                seen.add(w)
-                nxt.append(w)
-                if len(seen) > cap:
-                    raise ClosureBudgetExceeded(f"V enumeration exceeded {cap} vectors")
-        frontier = nxt
-    slice_ = {v for v in seen if all(abs(c) <= box for c in v)}
-    return slice_, monotone
+        return {zero}, True
+    if not (all(c >= 0 for v in S for c in v) or all(c <= 0 for v in S for c in v)):
+        return set(), False
+
+    def successors(v: SrsVector):
+        for s in S:
+            w = _vec_sub(v, s)
+            if all(abs(c) <= delta_bound for c in w):
+                yield w
+
+    return closure(zero, successors, cap), True
 
 
 @dataclass(frozen=True)
@@ -258,11 +234,7 @@ class F1Certificate:
         }
 
 
-def f1_certificate(
-    graph: OrbitGraph,
-    walk_cap: int = DEFAULT_WALK_CAP,
-    box_pad: int = DEFAULT_BOX_PAD,
-) -> F1Certificate:
+def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_WALK_CAP) -> F1Certificate:
     """Check the sufficient condition on the closure graph: every preimage
     of a P vector stays in P, and the delta-box slice of V reaches zero
     under tau."""
@@ -271,7 +243,7 @@ def f1_certificate(
     d = delta(P)
     try:
         closure_ok = all(tau_preimages(srs, p) <= P for p in P)
-        r0, complete = v_box_set(srs, d, box_pad)
+        r0, complete = v_box_set(srs, d)
         r0_in_f = all(in_f_beta(srs, v, walk_cap) for v in r0)
     except ClosureBudgetExceeded as exc:
         return F1Certificate(

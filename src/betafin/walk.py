@@ -1,6 +1,10 @@
-"""Reach-zero walks on functional graphs.
+"""Closures and reach-zero walks on integer-vector and field-element graphs.
 
-One engine answers "does the orbit of x under step reach zero?" for every
+closure collects every node reachable from a start under a successor
+function: the SRS closure Q (tau and its dual) and the delta-box slice of
+V (subtracting orbit vectors) are both built by it.
+
+walk answers "does the orbit of x under step reach zero?" for every
 orbit the package follows: integer vectors under the shift radix map tau
 (closure flags, F membership, the orbit of the initial vector) and field
 elements under the beta-transformation T (finiteness of the expansions of
@@ -10,11 +14,33 @@ however many starts lead into it.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 from .errors import ClosureBudgetExceeded
 
 Node = TypeVar("Node", bound=Hashable)
+
+
+def closure(start: Node, successors: Callable[[Node], Iterable[Node]], cap: int) -> set[Node]:
+    """Every node reachable from start, start included.
+
+    Nodes are visited breadth first, each one's successors in the order
+    given, so the set is built in the same order on every run.  Holding
+    more than cap nodes raises ClosureBudgetExceeded.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in successors(v):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+                    if len(seen) > cap:
+                        raise ClosureBudgetExceeded(f"closure exceeded {cap} nodes")
+        frontier = nxt
+    return seen
 
 
 def walk(

@@ -69,14 +69,8 @@ class Word:
     def is_zero(self) -> bool:
         return not self.pre and not self.period
 
-    def max_abs_digit(self) -> int:
-        return max((abs(d) for d in self.pre + self.period), default=0)
-
     def has_negative_digit(self) -> bool:
         return any(d < 0 for d in self.pre + self.period)
-
-    def fits_alphabet(self, bound: int) -> bool:
-        return all(0 <= d <= bound for d in self.pre + self.period)
 
     def period_len(self) -> int:
         return max(1, len(self.period))
@@ -98,9 +92,6 @@ class Word:
         while True:
             yield self.digit(i)
             i += 1
-
-
-ZERO_WORD = Word()
 
 
 def compare_window(a: Word, b: Word) -> int:

@@ -1,14 +1,12 @@
 """Shared expected data for the cubic family x^3 - 2tx^2 + 2tx - t.
 
-The 27-vector closure set and its tau-edge relation (the latter
-transcribed from the published orbit diagram, self-loop on (1,1)
-included; the fixed point (0,0) maps to itself)."""
+The 27-vector closure set (kept once, in betafin.cli, which checks it in
+verify-family) and its tau-edge relation, transcribed from the published
+orbit diagram (self-loop on (1,1) included; the fixed point (0,0) maps to
+itself).  The two transcriptions are checked against each other in
+test_family_q_set."""
 
-FAMILY_Q = {(0, 0)}
-for _v in [(3, 2), (1, 1), (2, 2), (2, 1), (1, 0), (3, 1), (0, 1),
-           (2, 0), (1, -1), (3, 3), (1, 2), (2, 3), (0, 2)]:
-    FAMILY_Q.add(_v)
-    FAMILY_Q.add((-_v[0], -_v[1]))
+from betafin.cli import FAMILY_Q  # noqa: F401  (re-exported for the tests)
 
 FAMILY_FIGURE_EDGES = {
     (1, 0): (0, 0), (2, 1): (1, 0), (2, 2): (2, 1), (1, 2): (2, 2),

@@ -332,3 +332,20 @@ def test_natural_sweep_skip_is_recorded_not_refuted():
     assert len(skips) == 1
     assert "7," in skips[0].claim and "exceeded 5 new states" in skips[0].claim
     assert not any(e.rule == "natural-sweep" for e in rep.evidence)
+
+
+def test_small_orbit_cap_leaves_tau_cycle_check_unknown():
+    # at orbit_cap 3 the digit orbit of the tau-cycle witness does not
+    # close, so the check that would refute (F) cannot run
+    f = make_field((2, 3, 1))
+    small = classify(f, orbit_cap=3)
+    checks = [e for e in small.evidence
+              if e.rule == "orbit-budget" and "tau-cycle check" in e.claim]
+    assert len(checks) == 1 and "exceeded 3 states" in checks[0].claim
+    assert small.f == UNKNOWN
+    assert not any(e.rule == "tau-cycle-witness" for e in small.evidence)
+    full = classify(f)
+    assert full.f == REFUTED
+    for prop in ("pisot", "f", "pf", "f1"):
+        got = getattr(small, prop)
+        assert got == UNKNOWN or got == getattr(full, prop), prop

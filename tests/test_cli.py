@@ -149,6 +149,18 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["PF"] == "refuted"
 
 
+def test_removed_box_pad_option_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--poly", "x^3-x^2-x-1", "--box-pad", "8"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"poly": "x^3-x^2-x-1", "box-pad": 8}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "classify"])
+    assert exc.value.code == 2
+    assert "--box-pad" in capsys.readouterr().err
+
+
 def test_expand_determinism(capsys):
     args = ("expand", "--poly", "x^3-4x^2+4x-2", "--x", "3", "--format", "json")
     _, out1, _ = run(capsys, *args)

@@ -116,6 +116,7 @@ def test_t_orbit_of_one_matches_vectors():
 
 @pytest.mark.parametrize("t", [2, 3, 4])
 def test_family_q_set(t):
+    assert set(FAMILY_EDGES) == FAMILY_Q
     g = q_set(srs_for(family(t)))
     assert set(g.nodes) == FAMILY_Q
     assert g.edges == FAMILY_EDGES
@@ -167,6 +168,20 @@ def test_q_set_against_plain_closure_oracle():
                 seen.add(img)
                 stack.append(img)
     assert seen == set(q_set(s).nodes)
+
+
+def test_q_set_nodes_against_fixed_point_oracle():
+    # grow the set by every tau and tau_star image until it stops changing
+    for field in (family(2), TRIB, make_field((2, 3, 1))):
+        s = srs_for(field)
+        q = {s.initial_vector()}
+        while True:
+            grown = q | {s.tau(v) for v in q} | {s.tau_star(v) for v in q}
+            if grown == q:
+                break
+            q = grown
+        assert set(q_set(s).nodes) == q
+        assert len(q_set(s).nodes) == len(q)
 
 
 def test_q_set_flags_against_stepwise_oracle():
@@ -308,6 +323,29 @@ def test_v_box_zero_delta():
     assert r0 == {(0, 0)} and complete
 
 
+def test_mixed_sign_orbit_gives_incomplete_box():
+    # x^3-x^2-3x-2 and x^3-2x^2-5x-3: orbit vectors of both signs, delta 3
+    for a, b, c in ((1, 3, 2), (2, 5, 3)):
+        s = srs_for(make_field((c, b, a)))
+        S = tau_orbit_vectors(s)
+        assert any(x < 0 for v in S for x in v) and any(x > 0 for v in S for x in v)
+        assert v_box_set(s, 3) == (set(), False)
+        cert = f1_certificate(q_set(s))
+        assert cert.delta == 3
+        assert cert.verdict == "unknown" and not cert.r0_complete
+        assert "box enumeration incomplete" in cert.diagnostic
+
+
+def test_mixed_sign_orbit_with_zero_delta_is_proven():
+    s = srs_for(make_field((5, 5, 4)))  # x^3-4x^2-5x-5
+    S = tau_orbit_vectors(s)
+    assert any(x < 0 for v in S for x in v) and any(x > 0 for v in S for x in v)
+    cert = f1_certificate(q_set(s))
+    assert cert.delta == 0
+    assert cert.verdict == "proven" and cert.r0_complete
+    assert cert.r0 == frozenset({(0, 0)})
+
+
 def test_f1_certificate_family():
     for t in (2, 5, 9):
         cert = f1_certificate(q_set(srs_for(family(t))))
@@ -356,6 +394,8 @@ def test_budget_errors():
         q_set(srs_for(family(2)), cap=3)
     with pytest.raises(ClosureBudgetExceeded):
         in_f_beta(srs_for(family(2)), (0, 1), cap=2)
+    with pytest.raises(ClosureBudgetExceeded):
+        v_box_set(srs_for(family(2)), 1, cap=2)
 
 
 def test_export_graph_dot_and_json():
