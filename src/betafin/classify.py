@@ -20,6 +20,12 @@ Refutation routes worth noting:
     sweep over N runs the same shared-verdict reach-zero walk as the SRS
     closure, over field elements instead of integer vectors: a state
     reached from several N is stepped once.
+
+On a field whose irreducibility is not verified (degree 5 and up) no
+verdict is refuted: p may factor, and beta then belongs to a proper
+factor whose roots and coefficients the rules never read.  Each
+refutation a rule would make is left unknown with a
+`withheld-refutation` evidence record naming the rule.
 """
 
 from __future__ import annotations
@@ -181,12 +187,25 @@ def _set_verdict(report: PropertyReport, prop: str, verdict: str, claim: str, ru
     cur = getattr(report, prop)
     if cur == verdict:
         return
+    if verdict == REFUTED and not report.irreducibility_verified:
+        _withhold(report, prop, rule)
+        return
     if cur != UNKNOWN:
         raise InvariantViolation(
             f"conflicting verdicts for {prop}: {cur} vs {verdict} (rule {rule})"
         )
     setattr(report, prop, verdict)
     report.add(claim, rule, cite)
+
+
+def _withhold(report: PropertyReport, prop: str, rule: str) -> None:
+    """Leave prop unknown where rule would refute it: when p may factor,
+    beta's minimal polynomial may be a proper factor of p, and a rule
+    that reads all roots or coefficients of p proves nothing about beta."""
+    report.add(
+        f"{prop} not refuted: irreducibility unverified", "withheld-refutation",
+        f"rule {rule} would refute {prop} if p were irreducible",
+    )
 
 
 def _propagate(report: PropertyReport) -> None:
@@ -245,7 +264,12 @@ def classify(
         )
 
     pisot = is_pisot(field)
-    report.pisot = PROVEN if pisot else REFUTED
+    if pisot:
+        report.pisot = PROVEN
+    elif field.irreducibility_verified:
+        report.pisot = REFUTED
+    else:
+        _withhold(report, "pisot", "schur-cohn")
     inside, on, outside = unit_disk_profile(field)
     report.add(
         f"unit-disk root profile inside={inside} on={on} outside={outside}",
@@ -267,7 +291,10 @@ def classify(
         report.d_beta_one = d_beta_one(field, orbit_cap)
     except OrbitBudgetExceeded:
         report.d_beta_one = None
-        report.add("digit orbit of 1 did not close", "orbit-budget", "budget exceeded")
+        report.add(
+            f"digit orbit of 1 did not close within {orbit_cap} states",
+            "orbit-budget", "budget exceeded",
+        )
 
     d1 = report.d_beta_one
     d1_finite = d1.is_finite() if d1 is not None else None
@@ -315,7 +342,9 @@ def classify(
                 "a nonzero tau-periodic vector yields an element of Z[1/beta] outside Fin",
             )
     except ClosureBudgetExceeded:
-        report.add("vector closure budget exceeded", "closure-budget", "budget exceeded")
+        report.add(
+            f"vector closure exceeded {closure_cap} nodes", "closure-budget", "budget exceeded"
+        )
     except OrbitBudgetExceeded:
         # the tau-cycle self-check did not run, so (F) is not refuted here
         report.add(

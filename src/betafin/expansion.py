@@ -91,26 +91,30 @@ def is_admissible(field: BetaField, w: Word) -> bool:
 
 
 def nu(field: BetaField, w: Word) -> FieldElement:
-    """Exact value sum_n w_n beta^{-n} via geometric summation in Q(beta)."""
-    binv = field.beta_inverse()
-    acc = field.zero()
-    power = field.one()
-    for d in w.pre:
-        power = power * binv
-        if d:
-            acc = acc + d * power
+    """Exact value sum_n w_n beta^{-n} in Q(beta).
+
+    Each block is summed by Horner's rule in beta^{-1}: for digits
+    w_1 ... w_m the value (w_1 + (w_2 + ... (w_m) / beta ...) / beta) / beta
+    takes one O(d) division by beta per digit.  The period's block value
+    v gives the tail beta^{-m} v / (1 - beta^{-p}) by geometric summation,
+    with 1 / (1 - beta^{-p}) cached per period length p.
+    """
+    acc = _horner_inverse_beta(field, w.pre)
     if w.period:
         p = len(w.period)
-        block = field.zero()
-        bpow = power
-        for d in w.period:
-            bpow = bpow * binv
-            if d:
-                block = block + d * bpow
         key = ("geom_inverse", p)
         if key not in field._cache:
             field._cache[key] = (field.one() - field.beta_power(-p)).inverse()
-        acc = acc + block * field._cache[key]
+        block = _horner_inverse_beta(field, w.period)
+        acc = acc + block * field._cache[key] * field.beta_power(-len(w.pre))
+    return acc
+
+
+def _horner_inverse_beta(field: BetaField, digits) -> FieldElement:
+    """sum_{n=1}^{m} digits[n-1] beta^{-n} by Horner's rule in beta^{-1}."""
+    acc = field.zero()
+    for d in reversed(digits):
+        acc = (acc + d if d else acc).div_beta()
     return acc
 
 
@@ -126,7 +130,7 @@ def big_l(x: FieldElement) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expansion:
     """A floating-point style expansion x = beta^exponent * nu(word)."""
 

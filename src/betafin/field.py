@@ -8,11 +8,19 @@ Every comparison is decided exactly: rational shortcuts where possible,
 otherwise interval refinement of the isolating interval, which terminates
 because a nonzero element of the field is a nonzero polynomial of degree
 below d evaluated at beta.
+
+The isolating interval is a dyadic bracket (lo, hi, k), meaning
+[lo / 2^k, hi / 2^k] with integers lo < hi.  Sign and floor run interval
+Horner in integers on it: the coordinates become integer numerators over
+their common denominator, and after t Horner steps the enclosure is a
+pair of integers over that denominator times 2^(k t).  Since beta > 1
+both ends of the bracket are positive, so each step takes two products.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,8 +39,10 @@ class BetaField:
     """The number field Q(beta), beta the largest real root > 1 of p.
 
     The isolating interval only ever shrinks; refinement swaps in a new
-    (lo, hi) tuple atomically, so concurrent readers always observe a
-    valid bracket.  Everything else is immutable after construction.
+    dyadic bracket (lo, hi, k) with one assignment, under a lock, so
+    concurrent readers always observe a valid bracket and concurrent
+    refinements each halve it.  Everything else is immutable after
+    construction.
     """
 
     def __init__(self, coeffs: Sequence[int]):
@@ -43,18 +53,21 @@ class BetaField:
             raise Reducible("constant term a_0 must be nonzero (x divides p)")
         self.coeffs = coeffs
         self.degree = len(coeffs)
-        # p(x) = -a_0 - a_1 x - ... - a_{d-1} x^{d-1} + x^d, low to high
-        self.poly = polys.poly(tuple(-a for a in coeffs) + (1,))
-        irreducible, verified = polys.irreducible_over_q([int(c) for c in self.poly])
+        # p(x) = -a_0 - a_1 x - ... - a_{d-1} x^{d-1} + x^d, low to high,
+        # in integers for the integer Horner and as a Fraction polynomial
+        self._int_poly = tuple(-a for a in coeffs) + (1,)
+        self.poly = polys.poly(self._int_poly)
+        irreducible, verified = polys.irreducible_over_q(self._int_poly)
         if not irreducible:
             raise Reducible(f"{self.poly_str()} factors over Q")
         self.irreducibility_verified = verified
-        self._interval = self._isolate_largest_root()
+        self._bracket = self._isolate_largest_root()
+        self._refine_lock = threading.Lock()
         self._cache: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
-    def _isolate_largest_root(self) -> tuple[Fraction, Fraction]:
+    def _isolate_largest_root(self) -> tuple[int, int, int]:
         p = self.poly
         bound = Fraction(1) + max(Fraction(1), max(abs(c) for c in p[:-1]))
         lo, hi = Fraction(1), bound
@@ -72,31 +85,37 @@ class BetaField:
                 hi = mid
             if lo > 1 and polys.count_real_roots(p, lo, hi) == 1:
                 break
-        # widen checks: bracket the root by a sign change for cheap bisection
-        if _sign(polys.eval_at(p, lo)) * _sign(polys.eval_at(p, hi)) >= 0:
+        # p is monic and beta its largest real root, so p < 0 at lo and
+        # p > 0 at hi: refinement keeps the half where p changes sign
+        if not polys.eval_at(p, lo) < 0 < polys.eval_at(p, hi):
             raise InvariantViolation("isolating interval lost its sign change")
-        return lo, hi
+        # bisection from integer ends gives dyadic ends
+        k = max(lo.denominator, hi.denominator).bit_length() - 1
+        return int(lo * (1 << k)), int(hi * (1 << k)), k
 
     # -- public surface ------------------------------------------------------
 
     @property
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._interval
+        lo, hi, k = self._bracket
+        return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
 
     def refine(self) -> None:
         """Halve the isolating interval once."""
-        lo, hi = self._interval
-        mid = (lo + hi) / 2
-        v = polys.eval_at(self.poly, mid)
-        if v == 0:
-            raise InvariantViolation("rational midpoint is a root of an irreducible p")
-        if _sign(v) == _sign(polys.eval_at(self.poly, lo)):
-            self._interval = (mid, hi)
-        else:
-            self._interval = (lo, mid)
+        with self._refine_lock:
+            lo, hi, k = self._bracket
+            mid = lo + hi  # the midpoint over 2^(k+1)
+            v, _, _ = _horner(self._int_poly, (mid, mid, k + 1))
+            if v == 0:
+                raise InvariantViolation("rational midpoint is a root of an irreducible p")
+            if v < 0:
+                self._bracket = (mid, hi << 1, k + 1)
+            else:
+                self._bracket = (lo << 1, mid, k + 1)
 
-    def _check_not_root(self, p: polys.Poly, value: int = 0) -> None:
-        """Raise Reducible when p(beta) == value exactly.
+    def _check_not_root(self, coords: Sequence[Fraction], value: int = 0) -> None:
+        """Raise Reducible when p(beta) == value exactly, p the polynomial
+        with the given coefficients.
 
         Refinement decides p(beta) against value only when p(beta) != value,
         which irreducibility guarantees for a nonconstant p of degree below
@@ -109,8 +128,8 @@ class BetaField:
         """
         if self.irreducibility_verified:
             return
-        g = polys.gcd(polys.sub(p, (Fraction(value),)), self.poly)
-        lo, hi = self._interval
+        g = polys.gcd(polys.sub(polys.poly(coords), (Fraction(value),)), self.poly)
+        lo, hi = self.interval
         if polys.degree(g) > 0 and polys.count_real_roots(g, lo, hi) > 0:
             raise Reducible(f"{self.poly_str()} has a proper factor with beta as a root")
 
@@ -140,6 +159,10 @@ class BetaField:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
+    def __reduce__(self):
+        # the lock cannot be pickled; a copy is rebuilt from p alone
+        return BetaField, (self.coeffs,)
+
     def zero(self) -> "FieldElement":
         return FieldElement(self, (Fraction(0),) * self.degree)
 
@@ -162,14 +185,9 @@ class BetaField:
         return FieldElement(self, coords)
 
     def beta_inverse(self) -> "FieldElement":
-        """1/beta from a_0 beta^{-1} = beta^{d-1} - a_{d-1} beta^{d-2} - ... - a_1."""
+        """1/beta, cached."""
         if "beta_inverse" not in self._cache:
-            a0 = Fraction(self.coeffs[0])
-            coords = [Fraction(0)] * self.degree
-            for i in range(1, self.degree):
-                coords[i - 1] = Fraction(-self.coeffs[i]) / a0
-            coords[self.degree - 1] = Fraction(1) / a0
-            self._cache["beta_inverse"] = FieldElement(self, coords)
+            self._cache["beta_inverse"] = self.one().div_beta()
         return self._cache["beta_inverse"]
 
     def beta_power(self, n: int) -> "FieldElement":
@@ -200,6 +218,26 @@ def make_field(coeffs: Sequence[int]) -> BetaField:
 
 def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
+
+
+def _horner(nums: Sequence[int], bracket: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Interval Horner of sum_i nums[i] x^i over x in the bracket
+    [lo / 2^k, hi / 2^k], 0 < lo <= hi, in integers.
+
+    Returns (a, b, s) with the enclosure [a / 2^s, b / 2^s], s = k t for
+    t = len(nums) - 1 Horner steps.  With both ends positive the low end
+    of [a, b] * [lo, hi] is a * lo or a * hi by the sign of a, and the
+    high end likewise, so each step takes two products.
+    """
+    lo, hi, k = bracket
+    a = b = nums[-1]
+    s = 0
+    for n in nums[-2::-1]:
+        s += k
+        c = n << s
+        a = (a * lo if a >= 0 else a * hi) + c
+        b = (b * hi if b >= 0 else b * lo) + c
+    return a, b, s
 
 
 class FieldElement:
@@ -304,6 +342,20 @@ class FieldElement:
             coords = [Fraction(0)] + list(self.coords[: d - 1])
         return FieldElement(self.field, coords)
 
+    def div_beta(self) -> "FieldElement":
+        """self / beta by coordinate shift and
+        a_0 beta^{-1} = beta^{d-1} - a_{d-1} beta^{d-2} - ... - a_1 (O(d))."""
+        d = self.field.degree
+        low = self.coords[0]
+        coords = list(self.coords[1:]) + [Fraction(0)]
+        if low:
+            a = self.field.coeffs
+            q = low / a[0]
+            for i in range(1, d):
+                coords[i - 1] -= q * a[i]
+            coords[d - 1] = q
+        return FieldElement(self.field, coords)
+
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero():
@@ -349,42 +401,52 @@ class FieldElement:
 
     # -- exact decisions -----------------------------------------------------
 
+    def _numerators(self) -> tuple[list[int], int]:
+        """Integer numerators over the lcm of the coordinates' denominators,
+        with zero top coordinates dropped, and that lcm."""
+        den = math.lcm(*(c.denominator for c in self.coords))
+        nums = [c.numerator * (den // c.denominator) for c in self.coords]
+        while not nums[-1]:
+            nums.pop()
+        return nums, den
+
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
         if self.is_zero():
             return 0
         if self.is_rational():
             return _sign(self.coords[0])
-        p = polys.poly(self.coords)
+        nums, _ = self._numerators()
+        field = self.field
         for i in range(_REFINE_CAP):
-            lo, hi = self.field.interval
-            vlo, vhi = polys.eval_interval(p, lo, hi)
+            vlo, vhi, _ = _horner(nums, field._bracket)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
             if i == 0:
-                self.field._check_not_root(p)
-            self.field.refine()
+                field._check_not_root(self.coords)
+            field.refine()
         raise InvariantViolation("sign refinement exceeded the safety cap")
 
     def floor(self) -> int:
         """Exact integer part."""
         if self.is_rational():
             return math.floor(self.coords[0])
-        p = polys.poly(self.coords)
+        nums, den = self._numerators()
+        field = self.field
         straddled = None
         for _ in range(_REFINE_CAP):
-            lo, hi = self.field.interval
-            vlo, vhi = polys.eval_interval(p, lo, hi)
-            k = math.floor(vhi)
-            if math.floor(vlo) == k:
+            vlo, vhi, s = _horner(nums, field._bracket)
+            scale = den << s
+            k = vhi // scale
+            if vlo // scale == k:
                 return k
             # the bracket straddles k, which may be the exact value
             if k != straddled:
                 straddled = k
-                self.field._check_not_root(p, k)
-            self.field.refine()
+                field._check_not_root(self.coords, k)
+            field.refine()
         raise InvariantViolation("floor refinement exceeded the safety cap")
 
     def __lt__(self, other):

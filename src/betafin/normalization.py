@@ -38,7 +38,7 @@ from .field import BetaField, FieldElement
 from .words import Word, compare_window, subtract
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeBlockDecomposition:
     """Block boundaries k_1 < k_2 < ... of an admissible word.
 
@@ -173,7 +173,7 @@ def carry_step(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyWitness:
     """Certificate for frac(x+1) - frac(x) = theta - sum_j omega_j T^j(1)."""
 

@@ -102,7 +102,11 @@ def eval_at(p: Poly, x) -> Fraction:
 
 
 def eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of p([lo, hi]) by interval Horner evaluation."""
+    """Enclosure of p([lo, hi]) by interval Horner evaluation.
+
+    The field kernel runs the same Horner in integers on its dyadic
+    bracket; this Fraction form is the tests' reference for it.
+    """
     vlo = vhi = p[-1] if p else Fraction(0)
     for c in reversed(p[:-1]):
         prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)

@@ -28,7 +28,7 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
     return period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     pre: tuple[int, ...]
     period: tuple[int, ...]

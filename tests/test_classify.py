@@ -349,3 +349,34 @@ def test_small_orbit_cap_leaves_tau_cycle_check_unknown():
     for prop in ("pisot", "f", "pf", "f1"):
         got = getattr(small, prop)
         assert got == UNKNOWN or got == getattr(full, prop), prop
+
+
+def test_unverified_field_withholds_refutations():
+    # x^5-x^4-2x^3+2x+1 = (x^2-x-1)(x^3-x-1) passes the degree-5 tests; its
+    # beta is the golden ratio, which is Pisot and has (F), yet p has two
+    # roots outside the unit disk
+    rep = classify(make_field((-1, -2, 0, 2, 1)))
+    assert not rep.irreducibility_verified
+    assert (rep.pisot, rep.f, rep.pf, rep.f1) == (UNKNOWN,) * 4
+    withheld = [e for e in rep.evidence if e.rule == "withheld-refutation"]
+    assert [e.cite.split()[1] for e in withheld] == ["schur-cohn", "pisot-necessity"]
+    assert not any(e.rule in ("pisot-necessity", "inclusion-chain") for e in rep.evidence)
+
+
+def test_verified_field_report_keeps_its_refutations():
+    rep = classify(make_field((-1, 1, 1, 1)))  # reciprocal quartic
+    assert rep.irreducibility_verified
+    assert [e.rule for e in rep.evidence] == [
+        "schur-cohn", "pisot-necessity", "inclusion-chain", "inclusion-chain",
+    ]
+    assert (rep.pisot, rep.f, rep.pf, rep.f1) == (REFUTED,) * 4
+
+
+def test_budget_records_name_their_cap():
+    small = classify(make_field((2, 3, 1)), orbit_cap=3)
+    orbit = [e.claim for e in small.evidence if e.rule == "orbit-budget"]
+    assert "digit orbit of 1 did not close within 3 states" in orbit
+    closure = classify(make_field((2, 3, 1)), closure_cap=5)
+    assert [e.claim for e in closure.evidence if e.rule == "closure-budget"] == [
+        "vector closure exceeded 5 nodes"
+    ]

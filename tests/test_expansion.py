@@ -252,3 +252,34 @@ def test_t_orbit_of_one_under_threads():
             assert [x.coords for x in t_orbit_of_one(field, 40)] == expect
     finally:
         sys.setswitchinterval(old_interval)
+
+
+def nu_power_sum(field, w):
+    """sum_n w_n beta^{-n} as a power sum: each digit times its own power
+    of 1/beta, and the period's block times 1 / (1 - beta^{-p})."""
+    binv = field.beta_inverse()
+    acc = field.zero()
+    power = field.one()
+    for d in w.pre:
+        power = power * binv
+        acc = acc + d * power
+    if w.period:
+        block = field.zero()
+        for d in w.period:
+            power = power * binv
+            block = block + d * power
+        acc = acc + block * (field.one() - binv ** len(w.period)).inverse()
+    return acc
+
+
+@pytest.mark.parametrize("coeffs", [(-1, 3), (1, 1, 1), (1, 1, 0), (2, -4, 4), (1, 1, 1, 1)])
+def test_nu_matches_power_sum(coeffs):
+    f = make_field(coeffs)
+    rng = random.Random(len(coeffs) * 100 + coeffs[0])
+    words = [Word(), Word((3,)), Word((), (1,)), Word((0, 0, 2), (1, 0))]
+    for _ in range(40):
+        pre = [rng.randint(-2, 3) for _ in range(rng.randint(0, 12))]
+        period = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
+        words.append(Word(pre, period))
+    for w in words:
+        assert nu(f, w) == nu_power_sum(f, w), w

@@ -1,4 +1,7 @@
+import math
+import pickle
 import random
+import sys
 import threading
 from fractions import Fraction as Q
 
@@ -236,3 +239,135 @@ def test_pisot_grid_matches_cubic_criterion():
                 except (NoRootAboveOne, Reducible):
                     continue
                 assert is_pisot(f) == cubic_pisot_criterion(a, b, c), (a, b, c)
+
+
+# -- the integer kernel against a Fraction oracle ------------------------------
+#
+# Each field comes with a hand bracket (lo, hi) holding its largest real
+# root and no other root (beta to four places in the comment).  The oracle
+# narrows it by its own bisection on P.eval_at and encloses an element's
+# value by the Fraction interval Horner P.eval_interval, so it shares no
+# code with the field's integer bracket or its integer Horner.
+
+KERNEL_FIELDS = {
+    (-1, 3): (Q(2), Q(3)),  # x^2-3x+1, beta 2.6180
+    (-2, 4): (Q(3), Q(4)),  # x^2-4x+2, beta 3.4142
+    TRIBONACCI: (Q(18, 10), Q(19, 10)),  # beta 1.8393
+    MINIMAL_PISOT: (Q(13, 10), Q(14, 10)),  # x^3-x-1, beta 1.3247
+    family(2): (Q(28, 10), Q(29, 10)),  # x^3-4x^2+4x-2, beta 2.8393
+    (1, 1, 1, 1): (Q(19, 10), Q(2)),  # tetranacci, beta 1.9276
+    (2, 2, 0, 3): (Q(32, 10), Q(33, 10)),  # x^4-3x^3-2x-2, beta 3.2480
+    (1, 1, 0, 0, 0): (Q(11, 10), Q(12, 10)),  # x^5-x-1 (unverified), beta 1.1673
+}
+
+
+def oracle_enclosure(field, coords, done):
+    """The first Fraction enclosure of the element's value, over ever
+    narrower oracle brackets of beta, for which done(vlo, vhi) holds."""
+    p = P.poly(field.poly)
+    lo, hi = KERNEL_FIELDS[field.coeffs]
+    assert P.eval_at(p, lo) < 0 < P.eval_at(p, hi)
+    value = P.poly(coords)
+    while True:
+        vlo, vhi = P.eval_interval(value, lo, hi)
+        if done(vlo, vhi):
+            return vlo, vhi
+        mid = (lo + hi) / 2
+        if P.eval_at(p, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def oracle_sign(field, coords):
+    vlo, vhi = oracle_enclosure(
+        field, coords, lambda a, b: a > 0 or b < 0 or a == b == 0
+    )
+    return 1 if vlo > 0 else -1 if vhi < 0 else 0
+
+
+def oracle_floor(field, coords):
+    vlo, _ = oracle_enclosure(field, coords, lambda a, b: math.floor(a) == math.floor(b))
+    return math.floor(vlo)
+
+
+def kernel_elements(f, rng, count):
+    """Random elements plus near-integers k +- beta^{-20} and k +- beta^{-1}."""
+    out = []
+    for _ in range(count):
+        out.append(f.from_coords(
+            [Q(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(f.degree)]
+        ))
+    tiny = f.beta_power(-20)
+    for k in (-2, 0, 1, 3):
+        out += [k + tiny, k - tiny, k + f.beta_inverse(), k - f.beta_inverse()]
+    out.append(f.beta() - f.floor_beta())
+    return out
+
+
+@pytest.mark.parametrize("coeffs", list(KERNEL_FIELDS))
+def test_sign_and_floor_match_fraction_oracle(coeffs):
+    rng = random.Random(sum(coeffs) * 31 + len(coeffs))
+    f = make_field(coeffs)
+    for x in kernel_elements(f, rng, 60):
+        assert x.sign() == oracle_sign(f, x.coords), x
+        assert x.floor() == oracle_floor(f, x.coords), x
+
+
+@pytest.mark.parametrize("coeffs", list(KERNEL_FIELDS))
+def test_div_beta_inverts_mul_beta(coeffs):
+    rng = random.Random(7)
+    f = make_field(coeffs)
+    for x in kernel_elements(f, rng, 20):
+        assert x.div_beta().mul_beta() == x
+        assert x.div_beta() == x * f.beta_inverse()
+
+
+def test_sign_and_floor_under_threads():
+    # every thread starts on a fresh field, so the decisions refine one
+    # shared bracket while other threads read and refine it
+    f0 = make_field(TRIBONACCI)
+    rng = random.Random(3)
+    elements = [c.coords for c in kernel_elements(f0, rng, 40)]
+    expect = [(f0.from_coords(c).sign(), f0.from_coords(c).floor()) for c in elements]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            field = make_field(TRIBONACCI)
+            results = []
+            start = threading.Barrier(8)
+
+            def worker():
+                start.wait(timeout=60)
+                got = [(field.from_coords(c).sign(), field.from_coords(c).floor()) for c in elements]
+                results.append(got)
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert results == [expect] * 8
+            # the bracket still isolates beta, and each refinement halves it
+            p = P.poly(field.poly)
+            lo, hi = field.interval
+            assert P.eval_at(p, lo) < 0 < P.eval_at(p, hi)
+            for _ in range(3):
+                field.refine()
+                nlo, nhi = field.interval
+                assert lo <= nlo < nhi <= hi and nhi - nlo == (hi - lo) / 2
+                assert P.eval_at(p, nlo) < 0 < P.eval_at(p, nhi)
+                lo, hi = nlo, nhi
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_field_and_elements_pickle():
+    f = make_field(TRIBONACCI)
+    x = f.beta() - 1 + f.beta_power(-20)
+    x.sign()  # refines the bracket, which the copy does not carry
+    f2, x2 = pickle.loads(pickle.dumps((f, x)))
+    assert f2 == f and x2 == x and x2.field is f2
+    assert (x2.sign(), x2.floor()) == (x.sign(), x.floor())
