@@ -15,6 +15,8 @@ Horner in integers on it: the coordinates become integer numerators over
 their common denominator, and after t Horner steps the enclosure is a
 pair of integers over that denominator times 2^(k t).  Since beta > 1
 both ends of the bracket are positive, so each step takes two products.
+BetaField.floor_nums is the one floor decision on integer numerators;
+FieldElement.floor and the shift radix system's tau both call it.
 """
 
 from __future__ import annotations
@@ -113,22 +115,42 @@ class BetaField:
             else:
                 self._bracket = (lo << 1, mid, k + 1)
 
-    def _check_not_root(self, coords: Sequence[Fraction], value: int = 0) -> None:
-        """Raise Reducible when p(beta) == value exactly, p the polynomial
-        with the given coefficients.
+    def floor_nums(self, nums: Sequence[int], den: int) -> int:
+        """Exact floor of (sum_i nums[i] beta^i) / den, den > 0.
 
-        Refinement decides p(beta) against value only when p(beta) != value,
-        which irreducibility guarantees for a nonconstant p of degree below
+        This is the package's one floor decision: interval Horner on the
+        dyadic bracket, refined while the enclosure straddles an integer.
+        """
+        straddled = None
+        for _ in range(_REFINE_CAP):
+            vlo, vhi, s = _horner(nums, self._bracket)
+            scale = den << s
+            k = vhi // scale
+            if vlo // scale == k:
+                return k
+            # the bracket straddles k, which may be the exact value
+            if k != straddled:
+                straddled = k
+                self._check_not_root(nums, k * den)
+            self.refine()
+        raise InvariantViolation("floor refinement exceeded the safety cap")
+
+    def _check_not_root(self, nums: Sequence[int], value: int = 0) -> None:
+        """Raise Reducible when q(beta) == value exactly, q the polynomial
+        with the given integer coefficients.
+
+        Refinement decides q(beta) against value only when q(beta) != value,
+        which irreducibility guarantees for a nonconstant q of degree below
         d.  When irreducibility is not verified an exact tie is possible and
         refinement would never end.  A tie means beta is a root of
-        g = gcd(p - value, field polynomial); the roots of g are roots of
+        g = gcd(q - value, field polynomial); the roots of g are roots of
         the field polynomial, so beta is the only one the isolating
         interval can hold.  A common factor without beta as a root is no
         tie, and refinement goes on.
         """
         if self.irreducibility_verified:
             return
-        g = polys.gcd(polys.sub(polys.poly(coords), (Fraction(value),)), self.poly)
+        g = polys.gcd(polys.sub(polys.poly(nums), (Fraction(value),)), self.poly)
         lo, hi = self.interval
         if polys.degree(g) > 0 and polys.count_real_roots(g, lo, hi) > 0:
             raise Reducible(f"{self.poly_str()} has a proper factor with beta as a root")
@@ -191,15 +213,18 @@ class BetaField:
         return self._cache["beta_inverse"]
 
     def beta_power(self, n: int) -> "FieldElement":
-        """beta^n for any integer n, cached."""
-        key = ("beta_power", n)
-        if key not in self._cache:
-            base = self.beta() if n >= 0 else self.beta_inverse()
-            acc = self.one()
-            for _ in range(abs(n)):
-                acc = acc * base
-            self._cache[key] = acc
-        return self._cache[key]
+        """beta^n for any integer n, cached; built from the nearest cached
+        power between 0 and n by O(d) shifts."""
+        step = 1 if n > 0 else -1
+        m = n
+        while m and ("beta_power", m) not in self._cache:
+            m -= step
+        acc = self._cache[("beta_power", m)] if m else self.one()
+        while m != n:
+            m += step
+            acc = acc.mul_beta() if step > 0 else acc.div_beta()
+            self._cache[("beta_power", m)] = acc
+        return acc
 
     def floor_beta(self) -> int:
         if "floor_beta" not in self._cache:
@@ -425,7 +450,7 @@ class FieldElement:
             if vhi < 0:
                 return -1
             if i == 0:
-                field._check_not_root(self.coords)
+                field._check_not_root(nums)
             field.refine()
         raise InvariantViolation("sign refinement exceeded the safety cap")
 
@@ -433,21 +458,7 @@ class FieldElement:
         """Exact integer part."""
         if self.is_rational():
             return math.floor(self.coords[0])
-        nums, den = self._numerators()
-        field = self.field
-        straddled = None
-        for _ in range(_REFINE_CAP):
-            vlo, vhi, s = _horner(nums, field._bracket)
-            scale = den << s
-            k = vhi // scale
-            if vlo // scale == k:
-                return k
-            # the bracket straddles k, which may be the exact value
-            if k != straddled:
-                straddled = k
-                field._check_not_root(self.coords, k)
-            field.refine()
-        raise InvariantViolation("floor refinement exceeded the safety cap")
+        return self.field.floor_nums(*self._numerators())
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -2,7 +2,9 @@
 
 Integer vectors l in Z^{d-1} evolve by tau(l) = (l_2, ..., l_{d-1},
 -floor(r . l)) where r is the radix vector built from the defining
-coefficients.  The fractional value map conjugates tau to the
+coefficients.  Every r_j lies in Z[beta], so r . l is one integer dot
+product, floored by the field's integer floor kernel
+BetaField.floor_nums.  The fractional value map conjugates tau to the
 beta-transformation on Z[beta] intersected with [0, 1), which turns
 digit finiteness questions into reachability questions on integer
 vectors: F collects the vectors whose tau-orbit hits zero, Q the closure
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
 from .expansion import is_finite_expansion
@@ -30,49 +33,63 @@ DEFAULT_WALK_CAP = 100_000
 
 
 class ShiftRadixSystem:
-    """tau, its dual, and the conjugacy data for one field."""
+    """tau, its dual, and the conjugacy data for one field.
+
+    The radix coordinates r_j = sum_{i=1}^{j} a_{j-i} beta^{-i} lie in
+    Z[beta]: with beta^d = sum_i a_i beta^i,
+    r_j = beta^{d-j} - sum_{i=j}^{d-1} a_i beta^{i-j}.  Each r_j is kept
+    once, as the integer row R_j of its power-basis coordinates, so r . l
+    is the integer dot product sum_j l_j R_j, and tau floors it with the
+    field's integer floor kernel, the one that FieldElement.floor runs.
+    """
 
     def __init__(self, field: BetaField):
         self.field = field
-        self.dim = field.degree - 1
-        binv = field.beta_inverse()
+        d = field.degree
+        self.dim = d - 1
         a = field.coeffs
-        # r_j = sum_{i=1}^{j} a_{j-i} beta^{-i}
-        self.r: list[FieldElement] = []
-        for j in range(1, field.degree):
-            acc = field.zero()
-            power = field.one()
-            for i in range(1, j + 1):
-                power = power * binv
-                acc = acc + a[j - i] * power
-            self.r.append(acc)
+        rows = [
+            [-a[m + j] for m in range(d - j)] + [1] + [0] * (j - 1)
+            for j in range(1, d)
+        ]
+        # column m holds the beta^m coordinates of every row
+        self._cols = tuple(zip(*rows))
+
+    @property
+    def r(self) -> list[FieldElement]:
+        """The radix vector, one field element per coordinate."""
+        return [FieldElement(self.field, row) for row in zip(*self._cols)]
 
     def initial_vector(self) -> SrsVector:
         return (0,) * (self.dim - 1) + (1,)
 
+    def _numerators(self, vec: SrsVector) -> list[int]:
+        """Power-basis coordinates of r . vec, all integers."""
+        self._check(vec)
+        return [sum(map(mul, vec, col)) for col in self._cols]
+
     def value(self, vec: SrsVector) -> FieldElement:
         """The inner product r . vec, exact in Q(beta)."""
-        self._check(vec)
-        acc = self.field.zero()
-        for rj, lj in zip(self.r, vec):
-            if lj:
-                acc = acc + lj * rj
-        return acc
+        return FieldElement(self.field, self._numerators(vec))
 
     def frac_value(self, vec: SrsVector) -> FieldElement:
         v = self.value(vec)
         return v - v.floor()
 
     def tau(self, vec: SrsVector) -> SrsVector:
-        self._check(vec)
-        return vec[1:] + (-self.value(vec).floor(),)
+        return vec[1:] + (-self.field.floor_nums(self._numerators(vec), 1),)
 
-    def tau_star(self, vec: SrsVector) -> SrsVector:
-        """-tau(-l); checked to equal tau(l) - initial_vector for l != 0."""
+    def tau_star(self, vec: SrsVector, tau_vec: SrsVector | None = None) -> SrsVector:
+        """-tau(-l); checked to equal tau(l) - initial_vector for l != 0.
+
+        A caller that already holds tau(l) passes it as tau_vec, and the
+        check reads it instead of computing tau(l) again.
+        """
         out = tuple(-c for c in self.tau(tuple(-c for c in vec)))
         if any(vec):
-            expect = _vec_sub(self.tau(vec), self.initial_vector())
-            if out != expect:
+            if tau_vec is None:
+                tau_vec = self.tau(vec)
+            if out != _vec_sub(tau_vec, self.initial_vector()):
                 raise InvariantViolation("tau_star identity tau(l) - l_I failed")
         return out
 
@@ -105,8 +122,8 @@ def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
     edges: dict[SrsVector, SrsVector] = {}
 
     def successors(v: SrsVector) -> tuple[SrsVector, SrsVector]:
-        edges[v] = srs.tau(v)
-        return edges[v], srs.tau_star(v)
+        image = edges[v] = srs.tau(v)
+        return image, srs.tau_star(v, image)
 
     seen = closure(srs.initial_vector(), successors, cap)
     if any(t not in seen for t in edges.values()):

@@ -182,6 +182,19 @@ def test_floor_bracketing_property():
         assert (a - (n + 1)).sign() < 0
 
 
+def test_beta_power_matches_repeated_products():
+    rng = random.Random(11)
+    for coeffs in (TRIBONACCI, family(2), (2, 2, 0, 3)):
+        f = make_field(coeffs)
+        order = list(range(-9, 10))
+        rng.shuffle(order)
+        for n in order:
+            expect = f.one()
+            for _ in range(abs(n)):
+                expect = expect * (f.beta() if n > 0 else f.one() / f.beta())
+            assert f.beta_power(n) == expect, (coeffs, n)
+
+
 def test_interval_refinement_halves():
     f = make_field(TRIBONACCI)
     lo, hi = f.interval

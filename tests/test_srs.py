@@ -1,9 +1,12 @@
 import json
+import math
 import random
+from fractions import Fraction as Q
 
 import pytest
 
-from betafin.errors import ClosureBudgetExceeded, GoldenRatioPrecondition
+from betafin import polys as P
+from betafin.errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
 from betafin.expansion import is_finite_expansion, t_map, t_orbit_of_one
 from betafin.field import make_field
 from betafin.srs import (
@@ -144,6 +147,76 @@ def test_tribonacci_q_set_regression():
     assert g.node_count() == 7  # frozen from the first verified run
     assert g.p_nodes == frozenset()
     assert all(g.in_f[v] for v in g.nodes)
+
+
+@pytest.mark.parametrize("coeffs, size", [((8, 8, 7), 9287), ((7, 7, 6), 6079)])
+def test_large_q_set_regression(coeffs, size):
+    # (a, b, c) = (7, 8, 8) and (6, 7, 7); frozen from the Fraction tau
+    g = q_set(srs_for(make_field(coeffs)))
+    assert g.node_count() == size
+    assert g.p_nodes == frozenset()
+
+
+# -- tau against a Fraction oracle --------------------------------------------
+#
+# From the definition r_j = sum_{i=1}^{j} a_{j-i} beta^{-i}, the product
+# beta^{d-1} (r . l) is an integer polynomial G(beta) of degree below d-1.
+# The oracle encloses G(beta) by P.eval_interval on a hand bracket of beta
+# (beta to four places in the comment), narrowed by its own bisection on
+# P.eval_at, divides by the enclosure of beta^{d-1}, and floors.  It shares
+# no code with the SRS rows or the field's floor kernel.
+
+TAU_ORACLE_FIELDS = {
+    (1, 1, 1): (Q(18, 10), Q(19, 10)),  # tribonacci, beta 1.8393
+    (2, -4, 4): (Q(28, 10), Q(29, 10)),  # family(2), beta 2.8393
+    (8, 8, 7): (Q(81, 10), Q(82, 10)),  # x^3-7x^2-8x-8, beta 8.1083
+    (2, 3, 1): (Q(25, 10), Q(26, 10)),  # x^3-x^2-3x-2, beta 2.5115
+    (-3, 3, -2, 4): (Q(36, 10), Q(37, 10)),  # x^4-4x^3+2x^2-3x+3, beta 3.6126
+}
+
+
+def oracle_tau(field, vec):
+    a, d = field.coeffs, field.degree
+    g = [0] * d
+    for j, lj in enumerate(vec, start=1):
+        for i in range(1, j + 1):
+            g[d - 1 - i] += lj * a[j - i]
+    G = P.poly(g)
+    p = P.poly(field.poly)
+    lo, hi = TAU_ORACLE_FIELDS[field.coeffs]
+    assert P.eval_at(p, lo) < 0 < P.eval_at(p, hi)
+    while True:
+        glo, ghi = P.eval_interval(G, lo, hi)
+        # beta^{d-1} lies in [lo^{d-1}, hi^{d-1}], both ends positive
+        ends = [x / y ** (d - 1) for x in (glo, ghi) for y in (lo, hi)]
+        if math.floor(min(ends)) == math.floor(max(ends)):
+            return vec[1:] + (-math.floor(min(ends)),)
+        mid = (lo + hi) / 2
+        if P.eval_at(p, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("coeffs", list(TAU_ORACLE_FIELDS))
+def test_tau_and_tau_star_match_fraction_oracle(coeffs):
+    rng = random.Random(sum(coeffs) * 17 + len(coeffs))
+    s = srs_for(make_field(coeffs))
+    vecs = [s.initial_vector(), (0,) * s.dim]
+    vecs += [tuple(rng.randint(-50, 50) for _ in range(s.dim)) for _ in range(60)]
+    for vec in vecs:
+        assert s.tau(vec) == oracle_tau(s.field, vec), vec
+        neg = tuple(-c for c in vec)
+        assert s.tau_star(vec) == tuple(-c for c in oracle_tau(s.field, neg)), vec
+
+
+def test_tau_star_checks_the_given_tau_image():
+    s = srs_for(TRIB)
+    vec = (3, -2)
+    image = s.tau(vec)
+    assert s.tau_star(vec, image) == s.tau_star(vec)
+    with pytest.raises(InvariantViolation):
+        s.tau_star(vec, image[:-1] + (image[-1] + 1,))
 
 
 def test_q_set_against_plain_closure_oracle():
