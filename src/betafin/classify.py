@@ -20,12 +20,6 @@ Refutation routes worth noting:
     sweep over N runs the same shared-verdict reach-zero walk as the SRS
     closure, over field elements instead of integer vectors: a state
     reached from several N is stepped once.
-
-On a field whose irreducibility is not verified (degree 5 and up) no
-verdict is refuted: p may factor, and beta then belongs to a proper
-factor whose roots and coefficients the rules never read.  Each
-refutation a rule would make is left unknown with a
-`withheld-refutation` evidence record naming the rule.
 """
 
 from __future__ import annotations
@@ -43,9 +37,9 @@ from .errors import (
     NotUnit,
     OrbitBudgetExceeded,
 )
-from .expansion import big_l, d_beta_one, is_finite_expansion, t_map
+from .expansion import DEFAULT_ORBIT_CAP, big_l, d_beta_one, is_finite_expansion, t_map
 from .field import BetaField, FieldElement, cubic_pisot_criterion, is_pisot, unit_disk_profile
-from .srs import ShiftRadixSystem, f1_certificate, q_set
+from .srs import DEFAULT_CLOSURE_CAP, ShiftRadixSystem, f1_certificate, q_set
 from .walk import walk
 from .words import Word, format_word
 
@@ -159,7 +153,6 @@ class PropertyReport:
     pf: str = UNKNOWN
     f1: str = UNKNOWN
     d_beta_one: Word | None = None
-    irreducibility_verified: bool = True
     evidence: list[Evidence] = dc_field(default_factory=list)
 
     def add(self, claim: str, rule: str, cite: str) -> None:
@@ -187,25 +180,12 @@ def _set_verdict(report: PropertyReport, prop: str, verdict: str, claim: str, ru
     cur = getattr(report, prop)
     if cur == verdict:
         return
-    if verdict == REFUTED and not report.irreducibility_verified:
-        _withhold(report, prop, rule)
-        return
     if cur != UNKNOWN:
         raise InvariantViolation(
             f"conflicting verdicts for {prop}: {cur} vs {verdict} (rule {rule})"
         )
     setattr(report, prop, verdict)
     report.add(claim, rule, cite)
-
-
-def _withhold(report: PropertyReport, prop: str, rule: str) -> None:
-    """Leave prop unknown where rule would refute it: when p may factor,
-    beta's minimal polynomial may be a proper factor of p, and a rule
-    that reads all roots or coefficients of p proves nothing about beta."""
-    report.add(
-        f"{prop} not refuted: irreducibility unverified", "withheld-refutation",
-        f"rule {rule} would refute {prop} if p were irreducible",
-    )
 
 
 def _propagate(report: PropertyReport) -> None:
@@ -249,27 +229,19 @@ def cubic_unit_classify(a: int, b: int, c: int) -> dict[str, str]:
 
 def classify(
     field: BetaField,
-    orbit_cap: int = 100_000,
-    closure_cap: int = 1_000_000,
+    orbit_cap: int = DEFAULT_ORBIT_CAP,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
     n_sweep: int = DEFAULT_N_SWEEP,
 ) -> PropertyReport:
-    """Full three-valued classification of the field's base."""
+    """Full three-valued classification of the field's base.
+
+    The rules read the coefficients and conjugates of p, which is beta's
+    minimal polynomial: make_field proves p irreducible.
+    """
     report = PropertyReport(poly=field.poly_str())
-    report.irreducibility_verified = field.irreducibility_verified
-    if not field.irreducibility_verified:
-        report.add(
-            "irreducibility only partially tested at this degree",
-            "irreducibility-flag",
-            "rational-root and squarefree tests only for degree >= 5",
-        )
 
     pisot = is_pisot(field)
-    if pisot:
-        report.pisot = PROVEN
-    elif field.irreducibility_verified:
-        report.pisot = REFUTED
-    else:
-        _withhold(report, "pisot", "schur-cohn")
+    report.pisot = PROVEN if pisot else REFUTED
     inside, on, outside = unit_disk_profile(field)
     report.add(
         f"unit-disk root profile inside={inside} on={on} outside={outside}",

@@ -16,11 +16,12 @@ import re
 import sys
 from fractions import Fraction
 
-from .classify import classify
+from .classify import DEFAULT_N_SWEEP, classify
 from .errors import BetaFinError
-from .expansion import beta_expand, is_admissible, nu
+from .expansion import DEFAULT_ORBIT_CAP, beta_expand, is_admissible, nu
 from .field import BetaField, FieldElement, is_pisot, make_field
 from .srs import (
+    DEFAULT_CLOSURE_CAP,
     ShiftRadixSystem,
     export_graph,
     f1_certificate,
@@ -65,7 +66,10 @@ def parse_element(field: BetaField, text: str) -> FieldElement:
         exp_s, word_s = text.split(":", 1)
         w = parse_word(word_s)
         return field.beta_power(int(exp_s)) * nu(field, w)
-    coords = [Fraction(t) for t in text.split(",")]
+    try:
+        coords = [Fraction(t) for t in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
     if len(coords) > field.degree:
         raise ValueError(f"too many coordinates for degree {field.degree}")
     coords += [Fraction(0)] * (field.degree - len(coords))
@@ -254,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--poly", help="polynomial: symbolic or comma separated low-to-high")
         p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-        p.add_argument("--budget-orbit", type=int, default=100_000)
-        p.add_argument("--budget-closure", type=int, default=1_000_000)
-        p.add_argument("--n-sweep", type=int, default=200)
+        p.add_argument("--budget-orbit", type=int, default=DEFAULT_ORBIT_CAP)
+        p.add_argument("--budget-closure", type=int, default=DEFAULT_CLOSURE_CAP)
+        p.add_argument("--n-sweep", type=int, default=DEFAULT_N_SWEEP)
 
     p = sub.add_parser("expand", help="beta-expansion of a field element")
     common(p)
@@ -288,8 +292,16 @@ def main(argv: list[str] | None = None) -> int:
         # lift config values into argv right after the subcommand, so any
         # explicit flags (parsed later) win
         idx = argv.index("--config")
-        with open(argv[idx + 1]) as fh:
-            defaults = json.load(fh)
+        try:
+            if idx + 1 == len(argv):
+                raise ValueError("no file given")
+            with open(argv[idx + 1]) as fh:
+                defaults = json.load(fh)  # JSONDecodeError is a ValueError
+            if not isinstance(defaults, dict):
+                raise ValueError(f"{argv[idx + 1]!r} must hold a JSON object")
+        except (OSError, ValueError) as exc:
+            print(f"error: --config: {exc}", file=sys.stderr)
+            return 2
         del argv[idx : idx + 2]
         sub_idx = next((i for i, a in enumerate(argv) if not a.startswith("-")), 0)
         injected: list[str] = []

@@ -16,6 +16,7 @@ from .errors import InvariantViolation, OrbitBudgetExceeded, OutOfRange
 from .field import BetaField, FieldElement
 from .words import Word, format_word, lex_cmp
 
+# bounds digit orbits here and shift radix system walks (--budget-orbit)
 DEFAULT_ORBIT_CAP = 100_000
 
 

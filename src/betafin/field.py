@@ -7,7 +7,9 @@ rational coordinate vectors in the power basis 1, beta, ..., beta^{d-1}.
 Every comparison is decided exactly: rational shortcuts where possible,
 otherwise interval refinement of the isolating interval, which terminates
 because a nonzero element of the field is a nonzero polynomial of degree
-below d evaluated at beta.
+below d evaluated at beta, and beta is no root of it: the constructor
+proves p irreducible over Q at every degree (polys.least_factor) and
+raises Reducible, naming a factor, when it is not.
 
 The isolating interval is a dyadic bracket (lo, hi, k), meaning
 [lo / 2^k, hi / 2^k] with integers lo < hi.  Sign and floor run interval
@@ -59,10 +61,11 @@ class BetaField:
         # in integers for the integer Horner and as a Fraction polynomial
         self._int_poly = tuple(-a for a in coeffs) + (1,)
         self.poly = polys.poly(self._int_poly)
-        irreducible, verified = polys.irreducible_over_q(self._int_poly)
-        if not irreducible:
-            raise Reducible(f"{self.poly_str()} factors over Q")
-        self.irreducibility_verified = verified
+        factor = polys.least_factor(self._int_poly)
+        if factor is not None:
+            raise Reducible(
+                f"{self.poly_str()} factors over Q: {polys.format_poly(factor)} divides it"
+            )
         self._bracket = self._isolate_largest_root()
         self._refine_lock = threading.Lock()
         self._cache: dict = {}
@@ -73,19 +76,20 @@ class BetaField:
         p = self.poly
         bound = Fraction(1) + max(Fraction(1), max(abs(c) for c in p[:-1]))
         lo, hi = Fraction(1), bound
-        if polys.eval_at(p, lo) == 0 or polys.eval_at(p, hi) == 0:
-            raise Reducible("rational root at an isolation endpoint")
-        total = polys.count_real_roots(p, lo, hi)
-        if total == 0:
+        # one Sturm chain; the sign variations at lo and hi carry over
+        # from step to step, and V(a) - V(b) counts the roots in (a, b]
+        chain = polys.sturm_chain(p)
+        vlo, vhi = polys.sturm_variations(chain, lo), polys.sturm_variations(chain, hi)
+        if vlo == vhi:
             raise NoRootAboveOne(f"{self.poly_str()} has no real root above 1")
         while True:
             mid = (lo + hi) / 2
-            right = polys.count_real_roots(p, mid, hi)
-            if right >= 1:
-                lo = mid
+            vmid = polys.sturm_variations(chain, mid)
+            if vmid > vhi:
+                lo, vlo = mid, vmid
             else:
-                hi = mid
-            if lo > 1 and polys.count_real_roots(p, lo, hi) == 1:
+                hi, vhi = mid, vmid
+            if lo > 1 and vlo - vhi == 1:
                 break
         # p is monic and beta its largest real root, so p < 0 at lo and
         # p > 0 at hi: refinement keeps the half where p changes sign
@@ -121,56 +125,17 @@ class BetaField:
         This is the package's one floor decision: interval Horner on the
         dyadic bracket, refined while the enclosure straddles an integer.
         """
-        straddled = None
         for _ in range(_REFINE_CAP):
             vlo, vhi, s = _horner(nums, self._bracket)
             scale = den << s
             k = vhi // scale
             if vlo // scale == k:
                 return k
-            # the bracket straddles k, which may be the exact value
-            if k != straddled:
-                straddled = k
-                self._check_not_root(nums, k * den)
             self.refine()
         raise InvariantViolation("floor refinement exceeded the safety cap")
 
-    def _check_not_root(self, nums: Sequence[int], value: int = 0) -> None:
-        """Raise Reducible when q(beta) == value exactly, q the polynomial
-        with the given integer coefficients.
-
-        Refinement decides q(beta) against value only when q(beta) != value,
-        which irreducibility guarantees for a nonconstant q of degree below
-        d.  When irreducibility is not verified an exact tie is possible and
-        refinement would never end.  A tie means beta is a root of
-        g = gcd(q - value, field polynomial); the roots of g are roots of
-        the field polynomial, so beta is the only one the isolating
-        interval can hold.  A common factor without beta as a root is no
-        tie, and refinement goes on.
-        """
-        if self.irreducibility_verified:
-            return
-        g = polys.gcd(polys.sub(polys.poly(nums), (Fraction(value),)), self.poly)
-        lo, hi = self.interval
-        if polys.degree(g) > 0 and polys.count_real_roots(g, lo, hi) > 0:
-            raise Reducible(f"{self.poly_str()} has a proper factor with beta as a root")
-
     def poly_str(self) -> str:
-        terms = [f"x^{self.degree}"]
-        for i in range(self.degree - 1, -1, -1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            c = -a
-            s = "+" if c > 0 else "-"
-            mag = abs(c)
-            if i == 0:
-                terms.append(f"{s}{mag}")
-            elif i == 1:
-                terms.append(f"{s}{'' if mag == 1 else mag}x")
-            else:
-                terms.append(f"{s}{'' if mag == 1 else mag}x^{i}")
-        return "".join(terms)
+        return polys.format_poly(self._int_poly)
 
     def __repr__(self) -> str:
         return f"BetaField({self.poly_str()})"
@@ -235,8 +200,9 @@ class BetaField:
 def make_field(coeffs: Sequence[int]) -> BetaField:
     """Construct Q(beta) from (a_0, ..., a_{d-1}).
 
-    Raises Reducible when p factors (exactly decided for degree <= 4) and
-    NoRootAboveOne when no real root exceeds 1.
+    Raises Reducible when p factors over Q, naming the monic factor of
+    least degree (decided exactly at every degree by polys.least_factor),
+    and NoRootAboveOne when no real root exceeds 1.
     """
     return BetaField(coeffs)
 
@@ -443,14 +409,12 @@ class FieldElement:
             return _sign(self.coords[0])
         nums, _ = self._numerators()
         field = self.field
-        for i in range(_REFINE_CAP):
+        for _ in range(_REFINE_CAP):
             vlo, vhi, _ = _horner(nums, field._bracket)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-            if i == 0:
-                field._check_not_root(nums)
             field.refine()
         raise InvariantViolation("sign refinement exceeded the safety cap")
 

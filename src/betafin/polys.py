@@ -139,18 +139,32 @@ def _variations(values: Sequence[Fraction]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
+def sturm_variations(chain: list[Poly], x) -> int:
+    """Sign variations of a Sturm chain at x; x must not be a root of
+    chain[0]."""
+    values = [eval_at(c, x) for c in chain]
+    if values[0] == 0:
+        raise ValueError("Sturm endpoints must not be roots")
+    return _variations(values)
+
+
 def count_real_roots(p: Poly, lo, hi) -> int:
     """Number of distinct real roots of squarefree p in (lo, hi].
 
     Requires p(lo) != 0 and p(hi) != 0 (callers arrange this).
     """
-    lo, hi = Fraction(lo), Fraction(hi)
-    if eval_at(p, lo) == 0 or eval_at(p, hi) == 0:
-        raise ValueError("Sturm endpoints must not be roots")
     chain = sturm_chain(p)
-    va = _variations([eval_at(c, lo) for c in chain])
-    vb = _variations([eval_at(c, hi) for c in chain])
-    return va - vb
+    return sturm_variations(chain, lo) - sturm_variations(chain, hi)
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive and negative divisors of a nonzero integer."""
+    n = abs(n)
+    out: list[int] = []
+    for a in range(1, math.isqrt(n) + 1):
+        if n % a == 0:
+            out += [a] if a * a == n else [a, n // a]
+    return out + [-a for a in out]
 
 
 def integer_roots(p: Poly) -> list[int]:
@@ -161,62 +175,96 @@ def integer_roots(p: Poly) -> list[int]:
     if const == 0:
         roots = integer_roots(poly(p[1:]))
         return sorted(set(roots) | {0})
-    n = abs(int(const))
-    cands: set[int] = set()
-    for a in range(1, int(math.isqrt(n)) + 1):
-        if n % a == 0:
-            cands.update({a, -a, n // a, -(n // a)})
-    return sorted(r for r in cands if eval_at(p, r) == 0)
+    return sorted(r for r in _divisors(int(const)) if eval_at(p, r) == 0)
 
 
-def irreducible_over_q(int_coeffs: Sequence[int]) -> tuple[bool, bool]:
-    """(irreducible, fully_verified) for a monic integer polynomial.
+def least_factor(p: Sequence[int]) -> tuple[int, ...] | None:
+    """The monic factor of least positive degree of a monic integer
+    polynomial p of degree >= 2 (coefficients low to high), or None when
+    p is irreducible over Q.
 
-    Exact for degree <= 4 (rational roots, then quadratic*quadratic
-    splittings for quartics).  Degree >= 5 only gets the rational-root
-    and squarefree tests, flagged as not fully verified.
+    Kronecker's method.  By Gauss's lemma a reducible p has a monic
+    integer factor g of degree k <= deg(p) / 2, and g(x) divides p(x) at
+    every integer x.  Degree 1 is the rational root test.  For each
+    k >= 2 in turn, g - x^k is fixed by its values at k integer points,
+    so every choice of divisors of p at the points 0, 1, -1, 2, ... is
+    interpolated in Newton form.  Divided differences of an integer
+    polynomial at integer points are integers, so a non-integer one drops
+    the choice made so far.  A candidate is kept only if it divides p
+    exactly.  The first factor found has the least degree, so it is
+    irreducible.  The search runs in integer arithmetic.
     """
-    p = poly(int_coeffs)
-    d = degree(p)
-    if d <= 0:
-        return False, True
-    if d == 1:
-        return True, True
-    if p[0] == 0:
-        return False, True
-    if not is_squarefree(p):
-        return False, True
-    if integer_roots(p):
-        return False, True
-    if d <= 3:
-        return True, True
-    if d == 4:
-        # monic quartic without linear factors: only (x^2+ux+v)(x^2+sx+w)
-        p0, p1, p2, p3 = (int(p[i]) for i in range(4))
-        n = abs(p0)
-        divisors: set[int] = set()
-        for a in range(1, int(math.isqrt(n)) + 1):
-            if n % a == 0:
-                divisors.update({a, n // a})
-        for v in sorted(divisors | {-dv for dv in divisors}):
-            if v == 0 or p0 % v != 0:
-                continue
-            w = p0 // v
-            # u + s = p3 and u*s = p2 - v - w; integer u, s need a square disc
-            disc = p3 * p3 - 4 * (p2 - v - w)
-            if disc < 0:
-                continue
-            r = math.isqrt(disc)
-            if r * r != disc:
-                continue
-            for u in {(p3 + r) // 2, (p3 - r) // 2}:
-                if 2 * u not in (p3 + r, p3 - r):
-                    continue
-                s = p3 - u
-                if u * w + v * s == p1:
-                    return False, True
-        return True, True
-    return True, False
+    p = tuple(int(c) for c in p)
+    roots = integer_roots(poly(p))
+    if roots:
+        return (-roots[0], 1)
+    xs: list[int] = []
+    divisors: list[list[int]] = []
+    for k in range(2, (len(p) - 1) // 2 + 1):
+        while len(xs) < k:
+            i = len(xs)
+            x = (i + 1) // 2 if i % 2 else -(i // 2)
+            xs.append(x)
+            divisors.append(_divisors(int(eval_at(p, x))))
+        g = _kronecker(p, k, xs, divisors, [])
+        if g is not None:
+            return g
+    return None
+
+
+def _kronecker(
+    p: tuple[int, ...], k: int, xs: list[int], divisors: list[list[int]], diag: list[int]
+) -> tuple[int, ...] | None:
+    """Depth-first over g(xs[m]) in divisors[m] for a monic degree-k
+    factor g, where diag[j] is the divided difference h[xs[j], ..., xs[m-1]]
+    of h = g - x^k: the Newton coefficients of h on the points in reverse."""
+    m = len(diag)
+    if m == k:
+        h = [diag[0]]
+        for d, x in zip(diag[1:], xs[1:]):
+            # h * (X - x) + d
+            h = [d - x * h[0]] + [h[i - 1] - x * h[i] for i in range(1, len(h))] + [h[-1]]
+        g = (*h, 1)
+        return g if _divides(g, p) else None
+    x = xs[m]
+    for y in divisors[m]:
+        new = [y - x**k]  # h[xs[m]], then h[xs[j], ..., xs[m]] for j = m-1 .. 0
+        for j in range(m - 1, -1, -1):
+            q, r = divmod(new[-1] - diag[j], x - xs[j])
+            if r:
+                break
+            new.append(q)
+        else:
+            g = _kronecker(p, k, xs, divisors, new[::-1])
+            if g is not None:
+                return g
+    return None
+
+
+def _divides(g: Sequence[int], p: Sequence[int]) -> bool:
+    """Whether monic g divides p in Z[x]."""
+    r = list(p)
+    k = len(g) - 1
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(k + 1):
+                r[i - k + j] -= c * g[j]
+    return not any(r[:k])
+
+
+def format_poly(p: Sequence[int]) -> str:
+    """A monic integer polynomial, coefficients low to high, written as
+    "x^3-x-1"."""
+    terms = []
+    for i in range(len(p) - 1, -1, -1):
+        c = p[i]
+        if c == 0:
+            continue
+        mono = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+        mag = "" if abs(c) == 1 and i > 0 else str(abs(c))
+        terms.append(("-" if c < 0 else "+") + mag + mono)
+    return "".join(terms).lstrip("+")
 
 
 # ---------------------------------------------------------------------------

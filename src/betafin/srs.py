@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
-from .expansion import is_finite_expansion
+from .expansion import DEFAULT_ORBIT_CAP, is_finite_expansion
 from .field import BetaField, FieldElement
 from .walk import closure, walk
 
 SrsVector = tuple[int, ...]
 
 DEFAULT_CLOSURE_CAP = 1_000_000
-DEFAULT_WALK_CAP = 100_000
 
 
 class ShiftRadixSystem:
@@ -141,7 +140,7 @@ def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
     return OrbitGraph(srs, nodes, edges, in_f, frozenset(p_nodes))
 
 
-def in_f_beta(srs: ShiftRadixSystem, vec: SrsVector, cap: int = DEFAULT_WALK_CAP) -> bool:
+def in_f_beta(srs: ShiftRadixSystem, vec: SrsVector, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Does the tau-orbit of vec reach the zero vector?"""
     verdict = {(0,) * srs.dim: True}
     walk(srs.tau, vec, verdict, set(), cap)
@@ -189,7 +188,7 @@ def delta(p_nodes: frozenset[SrsVector] | set[SrsVector]) -> int:
     return max((abs(c) for v in p_nodes for c in v), default=0)
 
 
-def tau_orbit_vectors(srs: ShiftRadixSystem, cap: int = DEFAULT_WALK_CAP) -> list[SrsVector]:
+def tau_orbit_vectors(srs: ShiftRadixSystem, cap: int = DEFAULT_ORBIT_CAP) -> list[SrsVector]:
     """Distinct nonzero vectors of the tau-orbit of the initial vector."""
     return walk(srs.tau, srs.initial_vector(), {(0,) * srs.dim: True}, set(), cap)
 
@@ -251,7 +250,7 @@ class F1Certificate:
         }
 
 
-def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_WALK_CAP) -> F1Certificate:
+def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_ORBIT_CAP) -> F1Certificate:
     """Check the sufficient condition on the closure graph: every preimage
     of a P vector stays in P, and the delta-box slice of V reaches zero
     under tau."""
@@ -282,7 +281,7 @@ def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_WALK_CAP) -> F1Cer
     return F1Certificate(verdict, P, d, frozenset(r0), complete, closure_ok, diag)
 
 
-def floor_beta_plus_one_finite(srs: ShiftRadixSystem, cap: int = DEFAULT_WALK_CAP) -> bool:
+def floor_beta_plus_one_finite(srs: ShiftRadixSystem, cap: int = DEFAULT_ORBIT_CAP) -> bool:
     """Finiteness of the expansion of floor(beta) + 1, decided on the
     vector side and cross-checked on the digit side.
 

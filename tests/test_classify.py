@@ -351,21 +351,17 @@ def test_small_orbit_cap_leaves_tau_cycle_check_unknown():
         assert got == UNKNOWN or got == getattr(full, prop), prop
 
 
-def test_unverified_field_withholds_refutations():
-    # x^5-x^4-2x^3+2x+1 = (x^2-x-1)(x^3-x-1) passes the degree-5 tests; its
-    # beta is the golden ratio, which is Pisot and has (F), yet p has two
-    # roots outside the unit disk
-    rep = classify(make_field((-1, -2, 0, 2, 1)))
-    assert not rep.irreducibility_verified
-    assert (rep.pisot, rep.f, rep.pf, rep.f1) == (UNKNOWN,) * 4
-    withheld = [e for e in rep.evidence if e.rule == "withheld-refutation"]
-    assert [e.cite.split()[1] for e in withheld] == ["schur-cohn", "pisot-necessity"]
-    assert not any(e.rule in ("pisot-necessity", "inclusion-chain") for e in rep.evidence)
+def test_quintic_gets_its_refutations():
+    # x^5-x-1 is irreducible with two roots outside the unit disk
+    rep = classify(make_field((1, 1, 0, 0, 0)))
+    assert (rep.pisot, rep.f, rep.pf, rep.f1) == (REFUTED,) * 4
+    assert not any(
+        e.rule in ("withheld-refutation", "irreducibility-flag") for e in rep.evidence
+    )
 
 
 def test_verified_field_report_keeps_its_refutations():
     rep = classify(make_field((-1, 1, 1, 1)))  # reciprocal quartic
-    assert rep.irreducibility_verified
     assert [e.rule for e in rep.evidence] == [
         "schur-cohn", "pisot-necessity", "inclusion-chain", "inclusion-chain",
     ]

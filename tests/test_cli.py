@@ -149,6 +149,26 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["PF"] == "refuted"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--poly", "x^2-x-1", "--config"),
+        ("--config", "{dir}/missing.json", "classify", "--poly", "x^2-x-1"),
+        ("--config", "{dir}", "classify", "--poly", "x^2-x-1"),
+        ("--config", "{dir}/malformed.json", "classify", "--poly", "x^2-x-1"),
+        ("--config", "{dir}/list.json", "classify", "--poly", "x^2-x-1"),
+        ("expand", "--poly", "x^2-x-1", "--x", "1/0"),
+        ("expand", "--poly", "x^2-x-1", "--x-coords", "1/0"),
+    ],
+)
+def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
+    (tmp_path / "malformed.json").write_text("{poly")
+    (tmp_path / "list.json").write_text(json.dumps(["poly", "x^2-x-1"]))
+    code, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_removed_box_pad_option_is_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--poly", "x^3-x^2-x-1", "--box-pad", "8"])

@@ -68,50 +68,11 @@ def test_make_field_errors():
         make_field([-int(c) for c in prod[:-1]])
 
 
-# x^5-x^4-2x^3+2x+1 = (x^2-x-1)(x^3-x-1) passes the degree-5 tests, and
-# its largest root is the golden ratio, so beta^2 - beta - 1 is exactly 0
-REDUCIBLE_QUINTIC = (-1, -2, 0, 2, 1)
-
-
-def _raises_within(call, seconds):
-    """The exception call raises (None if it returns), run in a daemon
-    thread that may take at most the given time; a hang fails the test
-    instead of stalling it."""
-    out = []
-
-    def run():
-        try:
-            call()
-        except Exception as exc:  # handed to the test, which checks its type
-            out.append(exc)
-
-    worker = threading.Thread(target=run, daemon=True)
-    worker.start()
-    worker.join(timeout=seconds)
-    assert not worker.is_alive(), f"still running after {seconds} s"
-    return out[0] if out else None
-
-
-def test_exact_zero_on_unverified_field_raises_reducible():
-    f = make_field(REDUCIBLE_QUINTIC)
-    assert not f.irreducibility_verified
-    b = f.beta()
-    assert isinstance(_raises_within((b * b - b - 1).sign, 1.0), Reducible)
-    assert isinstance(_raises_within((b * b - b).floor, 1.0), Reducible)
-
-
-def test_cofactor_sharing_element_is_decided_on_unverified_field():
-    # (x^3-x-1)(x-r) shares the cubic factor with the field polynomial, but
-    # beta (the golden ratio) is not a root of it, so it is no exact tie
-    f = make_field(REDUCIBLE_QUINTIC)
-    b = f.beta()
-    cubic = b * b * b - b - 1  # equals beta at the golden ratio
-    above = cubic * (b - f.from_rational(Q(8, 5)))  # about +0.029
-    below = cubic * (b - f.from_rational(Q(17, 10)))  # about -0.132
-    assert _raises_within(above.sign, 1.0) is None and above.sign() == 1
-    assert above.floor() == 0
-    assert below.sign() == -1
-    assert below.floor() == -1
+def test_reducible_quintic_names_its_factor():
+    # x^5-x^4-2x^3+2x+1 = (x^2-x-1)(x^3-x-1) has no rational root; its
+    # largest root is the golden ratio, a root of the quadratic factor
+    with pytest.raises(Reducible, match=r"x\^2-x-1 divides it"):
+        make_field((-1, -2, 0, 2, 1))
 
 
 def test_defining_relation():
@@ -244,8 +205,7 @@ def test_pisot_grid_matches_cubic_criterion():
         for b in range(-3, 4):
             for c in range(-3, 4):
                 coeffs = (c, b, a)
-                irreducible, verified = P.irreducible_over_q((-c, -b, -a, 1))
-                if not (irreducible and verified):
+                if P.least_factor((-c, -b, -a, 1)) is not None:
                     continue
                 try:
                     f = make_field(coeffs)
@@ -270,7 +230,7 @@ KERNEL_FIELDS = {
     family(2): (Q(28, 10), Q(29, 10)),  # x^3-4x^2+4x-2, beta 2.8393
     (1, 1, 1, 1): (Q(19, 10), Q(2)),  # tetranacci, beta 1.9276
     (2, 2, 0, 3): (Q(32, 10), Q(33, 10)),  # x^4-3x^3-2x-2, beta 3.2480
-    (1, 1, 0, 0, 0): (Q(11, 10), Q(12, 10)),  # x^5-x-1 (unverified), beta 1.1673
+    (1, 1, 0, 0, 0): (Q(11, 10), Q(12, 10)),  # x^5-x-1, beta 1.1673
 }
 
 

@@ -61,16 +61,64 @@ def test_integer_roots():
     ],
 )
 def test_irreducibility_quartic_cases(coeffs, expect):
-    got, verified = P.irreducible_over_q(coeffs)
-    assert verified
+    got = P.least_factor(coeffs) is None
     if coeffs == (2, 0, -3, 0, 1):
         # (x^2-2)(x^2-1) is not squarefree-free of rational roots; build a
         # genuine quadratic*quadratic case instead
         prod = P.mul(P.poly((-1, -1, 1)), P.poly((-2, 0, 1)))
-        got2, verified2 = P.irreducible_over_q([int(c) for c in prod])
-        assert verified2 and got2 is False
+        assert P.least_factor([int(c) for c in prod]) is not None
     else:
         assert got is expect
+
+
+def _factor_of(g, p):
+    return g is not None and g[-1] == 1 and P.rem(P.poly(p), P.poly(g)) == ()
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((-1, -1, 1), (1, 0, 1)),  # (x^2-x-1)(x^2+1)
+        ((-1, -1, 0, 1), (-1, -1, -1, 1)),  # (x^3-x-1)(x^3-x^2-x-1): k = 3
+        ((1, 0, 0, 0, 1), (-1, -1, 0, 0, 1)),  # (x^4+1)(x^4-x-1)
+    ],
+)
+def test_least_factor_finds_a_factor_of_least_degree(factors):
+    prod = tuple(int(c) for c in P.mul(P.poly(factors[0]), P.poly(factors[1])))
+    g = P.least_factor(prod)
+    assert g in factors and _factor_of(g, prod)
+    for f in factors:
+        assert P.least_factor(f) is None
+
+
+def test_least_factor_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    for i in range(120):
+        d = rng.randint(2, 8)
+        if i % 2:
+            # a product, so that factors are found too
+            k = rng.randint(1, d // 2)
+            left = [rng.randint(-3, 3) for _ in range(k)] + [1]
+            right = [rng.randint(-3, 3) for _ in range(d - k)] + [1]
+            p = [int(c) for c in P.mul(P.poly(left), P.poly(right))]
+        else:
+            p = [rng.randint(-9, 9) for _ in range(d)] + [1]
+        g = P.least_factor(p)
+        factors = sympy.Poly(list(reversed(p)), x).factor_list()[1]
+        if len(factors) == 1 and factors[0][1] == 1:
+            assert g is None, p
+        else:
+            assert _factor_of(g, p), (p, g)
+            assert sympy.Poly(list(reversed(g)), x).is_irreducible, (p, g)
+            assert len(g) - 1 == min(f.degree() for f, _ in factors), (p, g)
+
+
+def test_format_poly():
+    assert P.format_poly((-1, -1, 0, 1)) == "x^3-x-1"
+    assert P.format_poly((2, -4, 4, -2, 1)) == "x^4-2x^3+4x^2-4x+2"
+    assert P.format_poly((-2, 1)) == "x-2"
 
 
 def test_charpoly_and_inertia():
