@@ -16,9 +16,9 @@ import re
 import sys
 from fractions import Fraction
 
-from .classify import DEFAULT_N_SWEEP, classify
+from .classify import DEFAULT_N_SWEEP, REFUTED, classify
 from .errors import BetaFinError
-from .expansion import DEFAULT_ORBIT_CAP, beta_expand, is_admissible, nu
+from .expansion import DEFAULT_ORBIT_CAP, beta_expand, d_beta_one, is_admissible, nu
 from .field import BetaField, FieldElement, is_pisot, make_field
 from .srs import (
     DEFAULT_CLOSURE_CAP,
@@ -27,6 +27,7 @@ from .srs import (
     f1_certificate,
     in_f_beta,
     q_set,
+    tau_preimages,
 )
 from .words import Word, format_word, parse_word
 
@@ -90,8 +91,6 @@ def cmd_expand(args) -> int:
     exp = beta_expand(x, cap=args.budget_orbit)
     reconstructed = exp.value(field)
     ok = reconstructed == x
-    from .expansion import d_beta_one
-
     payload = {
         "poly": field.poly_str(),
         "L": exp.exponent,
@@ -184,8 +183,6 @@ FAMILY_Q = {(0, 0)} | {
 
 
 def _family_checks(t: int, args) -> list[tuple[str, bool]]:
-    from .classify import REFUTED
-
     field = make_field((t, -2 * t, 2 * t))
     srs = ShiftRadixSystem(field)
     checks: list[tuple[str, bool]] = []
@@ -193,16 +190,12 @@ def _family_checks(t: int, args) -> list[tuple[str, bool]]:
     graph = q_set(srs, cap=args.budget_closure)
     checks.append(("Q is the 27-vector set", set(graph.nodes) == FAMILY_Q))
     checks.append(("P = {(1,1)}", graph.p_nodes == frozenset({(1, 1)})))
-    from .srs import tau_preimages
-
     checks.append(("tau-preimage closure of (1,1)", tau_preimages(srs, (1, 1)) == {(1, 1)}))
     cert = f1_certificate(graph, args.budget_orbit)
     checks.append(("R0 inside F", all(in_f_beta(srs, v) for v in cert.r0)))
     checks.append(("F1 certificate proven", cert.verdict == "proven"))
     report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep)
     checks.append(("PF refuted", report.pf == REFUTED))
-    from .expansion import d_beta_one
-
     expected_d1 = Word((2 * t - 2, 2 * t - 2, t - 1, 0, 0, t), ())
     checks.append(("d_beta(1) = (2t-2)(2t-2)(t-1)00t", d_beta_one(field) == expected_d1))
     checks.append(("floor(beta) = 2t-2", field.floor_beta() == 2 * t - 2))

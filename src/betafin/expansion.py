@@ -51,9 +51,13 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
 
 
 def d_beta_one(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
-    if "d_beta_one" not in field._cache:
-        field._cache["d_beta_one"] = d_beta(field.one(), cap)
-    return field._cache["d_beta_one"]
+    """d_beta(1), memoized.  Its orbit has len(pre) + period_len() states
+    (T^n(1), n >= 1, is below 1 and fixed by the word's tail after n digits),
+    so a memo hit raises OrbitBudgetExceeded exactly when a fresh orbit would."""
+    w = field.memo("d_beta_one", lambda: d_beta(field.one(), cap))
+    if len(w.pre) + w.period_len() > cap:
+        raise OrbitBudgetExceeded(f"orbit of {field.one()!r} did not close within {cap} states")
+    return w
 
 
 def d_beta_star(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
@@ -62,17 +66,12 @@ def d_beta_star(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     If d_beta(1) = d_1 ... d_q 0^inf (finite, q the last nonzero position)
     this is (d_1 ... d_{q-1} (d_q - 1))^inf; otherwise d_beta(1) itself.
     """
-    if "d_beta_star" not in field._cache:
-        w = d_beta_one(field, cap)
-        if w.is_finite():
-            if w.is_zero():
-                raise InvariantViolation("d_beta(1) cannot be the zero word")
-            block = list(w.pre)
-            block[-1] -= 1
-            field._cache["d_beta_star"] = Word((), block)
-        else:
-            field._cache["d_beta_star"] = w
-    return field._cache["d_beta_star"]
+    w = d_beta_one(field, cap)
+    if not w.is_finite():
+        return w
+    if w.is_zero():
+        raise InvariantViolation("d_beta(1) cannot be the zero word")
+    return field.memo("d_beta_star", lambda: Word((), w.pre[:-1] + (w.pre[-1] - 1,)))
 
 
 def is_admissible(field: BetaField, w: Word) -> bool:
@@ -98,16 +97,14 @@ def nu(field: BetaField, w: Word) -> FieldElement:
     w_1 ... w_m the value (w_1 + (w_2 + ... (w_m) / beta ...) / beta) / beta
     takes one O(d) division by beta per digit.  The period's block value
     v gives the tail beta^{-m} v / (1 - beta^{-p}) by geometric summation,
-    with 1 / (1 - beta^{-p}) cached per period length p.
+    with 1 / (1 - beta^{-p}) memoized per period length p.
     """
     acc = _horner_inverse_beta(field, w.pre)
     if w.period:
         p = len(w.period)
-        key = ("geom_inverse", p)
-        if key not in field._cache:
-            field._cache[key] = (field.one() - field.beta_power(-p)).inverse()
+        geom = field.memo(("geom_inverse", p), lambda: (1 - field.beta_power(-p)).inverse())
         block = _horner_inverse_beta(field, w.period)
-        acc = acc + block * field._cache[key] * field.beta_power(-len(w.pre))
+        acc = acc + block * geom * field.beta_power(-len(w.pre))
     return acc
 
 
@@ -164,24 +161,17 @@ def xi(field: BetaField, n: int) -> FieldElement:
     """Value of the (n-1)-shifted quasi-greedy expansion of 1."""
     if n < 1:
         raise ValueError("xi is defined for n >= 1")
-    key = ("xi", n)
-    if key not in field._cache:
-        field._cache[key] = nu(field, d_beta_star(field).shift(n - 1))
-    return field._cache[key]
+    return field.memo(("xi", n), lambda: nu(field, d_beta_star(field).shift(n - 1)))
 
 
 def t_orbit_of_one(field: BetaField, upto: int) -> list[FieldElement]:
-    """[T^0(1), T^1(1), ..., T^upto(1)], cached incrementally."""
-    orbit: tuple[FieldElement, ...] = field._cache.get("t_orbit_one", (field.one(),))
-    if len(orbit) <= upto:
-        # extend a private copy and publish it whole, so concurrent callers
-        # never see (or append to) a half-built orbit
-        grown = list(orbit)
-        while len(grown) <= upto:
-            grown.append(t_map(grown[-1])[1])
-        orbit = tuple(grown)
-        field._cache["t_orbit_one"] = orbit
-    return list(orbit[: upto + 1])
+    """[T^0(1), T^1(1), ..., T^upto(1)], memoized entry by entry."""
+    return [field.memo_chain("t_orbit_one", j, field.one, _t_step) for j in range(upto + 1)]
+
+
+def _t_step(x: FieldElement) -> FieldElement:
+    """T(x) alone, the state half of t_map."""
+    return t_map(x)[1]
 
 
 def xi_t_power(field: BetaField, n: int) -> int:

@@ -19,6 +19,11 @@ pair of integers over that denominator times 2^(k t).  Since beta > 1
 both ends of the bracket are positive, so each step takes two products.
 BetaField.floor_nums is the one floor decision on integer numerators;
 FieldElement.floor and the shift radix system's tau both call it.
+
+Values derived from the field alone (powers of beta, floor(beta), the
+unit-disk profile; in expansion.py d_beta(1), xi, the T-orbit of 1) live
+in one per-field memo behind BetaField.memo, which publishes each entry
+with dict.setdefault: every thread gets the first value built.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from . import polys
 from .errors import (
@@ -38,6 +44,8 @@ from .errors import (
 
 _REFINE_CAP = 10**6
 
+_V = TypeVar("_V")
+
 
 class BetaField:
     """The number field Q(beta), beta the largest real root > 1 of p.
@@ -45,8 +53,9 @@ class BetaField:
     The isolating interval only ever shrinks; refinement swaps in a new
     dyadic bracket (lo, hi, k) with one assignment, under a lock, so
     concurrent readers always observe a valid bracket and concurrent
-    refinements each halve it.  Everything else is immutable after
-    construction.
+    refinements each halve it.  The memo only ever gains entries, and an
+    entry never changes once published.  Everything else is immutable
+    after construction.
     """
 
     def __init__(self, coeffs: Sequence[int]):
@@ -68,7 +77,7 @@ class BetaField:
             )
         self._bracket = self._isolate_largest_root()
         self._refine_lock = threading.Lock()
-        self._cache: dict = {}
+        self._memo: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -150,6 +159,28 @@ class BetaField:
         # the lock cannot be pickled; a copy is rebuilt from p alone
         return BetaField, (self.coeffs,)
 
+    def memo(self, key: Hashable, build: Callable[[], _V]) -> _V:
+        """The value for key; on a miss build() runs, and dict.setdefault
+        publishes the first result built, which every caller then gets
+        (the keys hash in C, so setdefault is one atomic step)."""
+        if key in self._memo:
+            return self._memo[key]
+        return self._memo.setdefault(key, build())
+
+    def memo_chain(self, name: str, n: int, start: Callable[[], _V], step: Callable[[_V], _V]) -> _V:
+        """Entry n of the chain x_0 = start(), x_{m+1} = step(x_m) for n >= 0,
+        or x_{m-1} = step(x_m) for n <= 0, memoized as (name, m) for every m
+        between 0 and n; built from the nearest memoized entry."""
+        unit = 1 if n > 0 else -1
+        m = n
+        while m and (name, m) not in self._memo:
+            m -= unit
+        x = self.memo((name, m), start)
+        while m != n:
+            m += unit
+            x = self.memo((name, m), partial(step, x))
+        return x
+
     def zero(self) -> "FieldElement":
         return FieldElement(self, (Fraction(0),) * self.degree)
 
@@ -172,29 +203,16 @@ class BetaField:
         return FieldElement(self, coords)
 
     def beta_inverse(self) -> "FieldElement":
-        """1/beta, cached."""
-        if "beta_inverse" not in self._cache:
-            self._cache["beta_inverse"] = self.one().div_beta()
-        return self._cache["beta_inverse"]
+        """1/beta."""
+        return self.beta_power(-1)
 
     def beta_power(self, n: int) -> "FieldElement":
-        """beta^n for any integer n, cached; built from the nearest cached
-        power between 0 and n by O(d) shifts."""
-        step = 1 if n > 0 else -1
-        m = n
-        while m and ("beta_power", m) not in self._cache:
-            m -= step
-        acc = self._cache[("beta_power", m)] if m else self.one()
-        while m != n:
-            m += step
-            acc = acc.mul_beta() if step > 0 else acc.div_beta()
-            self._cache[("beta_power", m)] = acc
-        return acc
+        """beta^n for any integer n, by O(d) shifts from the nearest memoized power."""
+        step = FieldElement.mul_beta if n > 0 else FieldElement.div_beta
+        return self.memo_chain("beta_power", n, self.one, step)
 
     def floor_beta(self) -> int:
-        if "floor_beta" not in self._cache:
-            self._cache["floor_beta"] = self.beta().floor()
-        return self._cache["floor_beta"]
+        return self.memo("floor_beta", lambda: self.beta().floor())
 
 
 def make_field(coeffs: Sequence[int]) -> BetaField:
@@ -439,9 +457,7 @@ class FieldElement:
 
 def unit_disk_profile(field: BetaField) -> tuple[int, int, int]:
     """(inside, on, outside) root counts of p relative to the unit circle."""
-    if "disk_profile" not in field._cache:
-        field._cache["disk_profile"] = polys.unit_disk_root_profile(field.poly)
-    return field._cache["disk_profile"]
+    return field.memo("disk_profile", partial(polys.unit_disk_root_profile, field.poly))
 
 
 def is_pisot(field: BetaField) -> bool:

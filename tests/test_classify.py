@@ -376,3 +376,18 @@ def test_budget_records_name_their_cap():
     assert [e.claim for e in closure.evidence if e.rule == "closure-budget"] == [
         "vector closure exceeded 5 nodes"
     ]
+
+
+def test_report_does_not_depend_on_earlier_calls():
+    # d_beta(1) is memoized per field; a memo hit must still honour the
+    # caller's orbit budget, whichever budget built the entry
+    fresh_small = classify(make_field((2, 3, 1)), orbit_cap=3).to_json()
+    fresh_full = classify(make_field((2, 3, 1))).to_json()
+    assert '"d_beta_1": ""' in fresh_small
+    assert '"d_beta_1": "2 1 0 1 2"' in fresh_full
+    f = make_field((2, 3, 1))
+    assert classify(f).to_json() == fresh_full
+    assert classify(f, orbit_cap=3).to_json() == fresh_small
+    g = make_field((2, 3, 1))
+    assert classify(g, orbit_cap=3).to_json() == fresh_small
+    assert classify(g).to_json() == fresh_full

@@ -21,7 +21,7 @@ from betafin.expansion import (
     xi,
     xi_t_power,
 )
-from betafin.field import make_field
+from betafin.field import make_field, unit_disk_profile
 from betafin.words import Word, format_word, lex_cmp
 
 TRIB = make_field((1, 1, 1))
@@ -223,10 +223,30 @@ def test_orbit_budget():
         d_beta(TRIB.from_coords((Q(1, 97), Q(1, 89), Q(1, 83))), cap=5)
 
 
+def memo_answers(field):
+    """One request for every memo entry of a field, as (key, value) pairs;
+    a T-orbit list gives one pair per entry."""
+    out = []
+    for n in range(41):
+        out += [(("orbit", n, j), x) for j, x in enumerate(t_orbit_of_one(field, n))]
+        out += [(("power", n), field.beta_power(n)), (("power", -n), field.beta_power(-n))]
+        if n:
+            out.append((("xi", n), xi(field, n)))
+    out += [
+        ("d_beta_one", d_beta_one(field)),
+        ("d_beta_star", d_beta_star(field)),
+        ("floor_beta", field.floor_beta()),
+        ("disk_profile", unit_disk_profile(field)),
+    ]
+    return out
+
+
 def test_t_orbit_of_one_under_threads():
     # d_beta(1) is infinite here, so a duplicated orbit entry would shift
-    # every later entry instead of hiding among trailing zeros
-    expect = [x.coords for x in t_orbit_of_one(make_field((-2, 3, 5)), 40)]
+    # every later entry instead of hiding among trailing zeros; every
+    # thread must get the single-thread answers, and every request for a
+    # key the same object
+    expect = memo_answers(make_field((-2, 3, 5)))
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -237,8 +257,7 @@ def test_t_orbit_of_one_under_threads():
 
             def worker():
                 start.wait(timeout=60)
-                for upto in range(41):
-                    results.append((upto, t_orbit_of_one(field, upto)))
+                results.append(memo_answers(field))
 
             threads = [threading.Thread(target=worker) for _ in range(8)]
             for th in threads:
@@ -246,10 +265,12 @@ def test_t_orbit_of_one_under_threads():
             for th in threads:
                 th.join(timeout=60)
                 assert not th.is_alive()
-            assert len(results) == 8 * 41
-            for upto, orbit in results:
-                assert [x.coords for x in orbit] == expect[: upto + 1]
-            assert [x.coords for x in t_orbit_of_one(field, 40)] == expect
+            assert len(results) == 8
+            first = memo_answers(field)
+            assert first == expect
+            for got in results:
+                assert got == expect
+                assert all(x is y for (_, x), (_, y) in zip(got, first))
     finally:
         sys.setswitchinterval(old_interval)
 
