@@ -3,7 +3,9 @@
 Subcommands: expand (beta-expansion of a field element), srs (orbit
 graph, Q/P sets, F membership), classify (property report), and
 verify-family (batch checks of the cubic family x^3 - 2tx^2 + 2tx - t).
-Flags can also come from a JSON config file; explicit flags win.
+Each subcommand takes only the flags it reads.  A JSON config file can
+supply defaults for the chosen subcommand's flags; explicit flags win, and
+a key the subcommand does not take is rejected like an unknown flag.
 Exit status 0 means every requested assertion passed.
 """
 
@@ -83,11 +85,10 @@ def _parse_vec(text: str) -> tuple[int, ...]:
 
 def cmd_expand(args) -> int:
     field = parse_poly(args.poly)
-    spec = args.x_coords if args.x_coords is not None else args.x
-    if spec is None:
-        print("expand needs --x or --x-coords", file=sys.stderr)
+    if args.x is None:
+        print("expand needs --x", file=sys.stderr)
         return 2
-    x = parse_element(field, spec)
+    x = parse_element(field, args.x)
     exp = beta_expand(x, cap=args.budget_orbit)
     reconstructed = exp.value(field)
     ok = reconstructed == x
@@ -141,12 +142,9 @@ def cmd_srs(args) -> int:
             for v in P:
                 print(" ", ",".join(map(str, v)))
         return 0
-    if args.action == "graph":
-        fmt = "dot" if args.format in ("text", "dot") else "json"
-        print(export_graph(graph, fmt))
-        return 0
-    print(f"unknown srs action {args.action!r}", file=sys.stderr)
-    return 2
+    # the parser admits graph as the only other action
+    print(export_graph(graph, "json" if args.format == "json" else "dot"))
+    return 0
 
 
 def cmd_classify(args) -> int:
@@ -248,39 +246,50 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file of default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--poly", help="polynomial: symbolic or comma separated low-to-high")
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-        p.add_argument("--budget-orbit", type=int, default=DEFAULT_ORBIT_CAP)
-        p.add_argument("--budget-closure", type=int, default=DEFAULT_CLOSURE_CAP)
-        p.add_argument("--n-sweep", type=int, default=DEFAULT_N_SWEEP)
+    flags = {
+        "--poly": dict(help="polynomial: symbolic or comma separated low-to-high"),
+        "--budget-orbit": dict(type=int, default=DEFAULT_ORBIT_CAP),
+        "--budget-closure": dict(type=int, default=DEFAULT_CLOSURE_CAP),
+        "--n-sweep": dict(type=int, default=DEFAULT_N_SWEEP),
+    }
 
-    p = sub.add_parser("expand", help="beta-expansion of a field element")
-    common(p)
-    p.add_argument("--x", help="rational coordinates or 'L:digits' literal")
-    p.add_argument("--x-coords", help="rational coordinates q0,q1,...")
-    p.set_defaults(func=cmd_expand)
+    def add(name, func, summary, *names, formats=("text", "json")):
+        """A subcommand taking exactly the named shared flags and --format."""
+        p = sub.add_parser(name, help=summary)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("srs", help="shift radix system queries")
+    p = add("expand", cmd_expand, "beta-expansion of a field element", "--poly", "--budget-orbit")
+    p.add_argument("--x", help="rational coordinates q0,q1,... or 'L:digits' literal")
+
+    p = add(
+        "srs", cmd_srs, "shift radix system queries",
+        "--poly", "--budget-orbit", "--budget-closure", formats=("text", "json", "dot"),
+    )
     p.add_argument("action", choices=("graph", "qset", "pset", "fcheck"))
-    common(p)
     p.add_argument("--vec", help="integer vector l1,l2,...")
-    p.set_defaults(func=cmd_srs)
 
-    p = sub.add_parser("classify", help="finiteness property report")
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    add(
+        "classify", cmd_classify, "finiteness property report",
+        "--poly", "--budget-orbit", "--budget-closure", "--n-sweep",
+    )
 
-    p = sub.add_parser("verify-family", help="batch checks for x^3-2tx^2+2tx-t")
-    common(p)
+    p = add(
+        "verify-family", cmd_verify_family, "batch checks for x^3-2tx^2+2tx-t",
+        "--budget-orbit", "--budget-closure", "--n-sweep",
+    )
     p.add_argument("--t-min", type=int, default=2)
     p.add_argument("--t-max", type=int, default=10)
-    p.set_defaults(func=cmd_verify_family)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # --config=FILE is the same flag as --config FILE
+    argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" in argv:
         # lift config values into argv right after the subcommand, so any
         # explicit flags (parsed later) win
@@ -297,13 +306,13 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         del argv[idx : idx + 2]
         sub_idx = next((i for i, a in enumerate(argv) if not a.startswith("-")), 0)
-        injected: list[str] = []
-        for key, value in defaults.items():
-            injected += [f"--{key}", str(value)]
+        # one token per key, so a key the subcommand does not take is
+        # reported by name and a value may start with "-"
+        injected = [f"--{key}={value}" for key, value in defaults.items()]
         argv = argv[: sub_idx + 1] + injected + argv[sub_idx + 1 :]
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "poly", None) is None and args.command != "verify-family":
+    if "poly" in args and args.poly is None:
         print("missing --poly", file=sys.stderr)
         return 2
     try:

@@ -17,8 +17,10 @@ Horner in integers on it: the coordinates become integer numerators over
 their common denominator, and after t Horner steps the enclosure is a
 pair of integers over that denominator times 2^(k t).  Since beta > 1
 both ends of the bracket are positive, so each step takes two products.
-BetaField.floor_nums is the one floor decision on integer numerators;
-FieldElement.floor and the shift radix system's tau both call it.
+BetaField._settle is the one loop that refines the bracket until a
+decision holds on the enclosure.  FieldElement.sign runs it, and so does
+BetaField.floor_nums, the one floor decision on integer numerators, which
+FieldElement.floor and the shift radix system's tau both call.
 
 Values derived from the field alone (powers of beta, floor(beta), the
 unit-disk profile; in expansion.py d_beta(1), xi, the T-orbit of 1) live
@@ -128,20 +130,34 @@ class BetaField:
             else:
                 self._bracket = (lo << 1, mid, k + 1)
 
+    def _settle(self, nums: Sequence[int], decide: Callable[[int, int, int], _V | None]) -> _V:
+        """The first non-None decide(a, b, s), where [a / 2^s, b / 2^s]
+        encloses sum_i nums[i] beta^i; the bracket is halved between tries.
+
+        This is the package's one refinement loop: sign and floor_nums
+        run it.  The enclosure shrinks to the value, so the loop ends once
+        decide settles every narrow enough enclosure.
+        """
+        for _ in range(_REFINE_CAP):
+            verdict = decide(*_horner(nums, self._bracket))
+            if verdict is not None:
+                return verdict
+            self.refine()
+        raise InvariantViolation("refinement exceeded the safety cap")
+
     def floor_nums(self, nums: Sequence[int], den: int) -> int:
         """Exact floor of (sum_i nums[i] beta^i) / den, den > 0.
 
-        This is the package's one floor decision: interval Horner on the
-        dyadic bracket, refined while the enclosure straddles an integer.
+        This is the package's one floor decision: settled once the
+        enclosure no longer straddles an integer.
         """
-        for _ in range(_REFINE_CAP):
-            vlo, vhi, s = _horner(nums, self._bracket)
+
+        def decide(vlo: int, vhi: int, s: int) -> int | None:
             scale = den << s
             k = vhi // scale
-            if vlo // scale == k:
-                return k
-            self.refine()
-        raise InvariantViolation("floor refinement exceeded the safety cap")
+            return k if vlo // scale == k else None
+
+        return self._settle(nums, decide)
 
     def poly_str(self) -> str:
         return polys.format_poly(self._int_poly)
@@ -227,6 +243,15 @@ def make_field(coeffs: Sequence[int]) -> BetaField:
 
 def _sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
+
+
+def _enclosure_sign(vlo: int, vhi: int, s: int) -> int | None:
+    """The sign of a value enclosed in [vlo, vhi] / 2^s, None while 0 is inside."""
+    if vlo > 0:
+        return 1
+    if vhi < 0:
+        return -1
+    return None
 
 
 def _horner(nums: Sequence[int], bracket: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -425,16 +450,7 @@ class FieldElement:
             return 0
         if self.is_rational():
             return _sign(self.coords[0])
-        nums, _ = self._numerators()
-        field = self.field
-        for _ in range(_REFINE_CAP):
-            vlo, vhi, _ = _horner(nums, field._bracket)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            field.refine()
-        raise InvariantViolation("sign refinement exceeded the safety cap")
+        return self.field._settle(self._numerators()[0], _enclosure_sign)
 
     def floor(self) -> int:
         """Exact integer part."""

@@ -26,6 +26,7 @@ from .expansion import (
     beta_expand,
     big_l,
     d_beta,
+    d_beta_one,
     d_beta_star,
     frac_part,
     is_admissible,
@@ -226,6 +227,9 @@ def add_one(
     if x.sign() < 0:
         raise OutOfRange("add_one needs x >= 0")
     field = x.field
+    # free_blocks, is_admissible and xi read d_beta_star with the default
+    # budget; the orbit of 1 counts against this call's cap first
+    d_beta_one(field, cap)
     ell = big_l(x + 1)
     lx = big_l(x)
     base = beta_expand(x, cap)

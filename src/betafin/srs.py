@@ -147,9 +147,7 @@ def in_f_beta(srs: ShiftRadixSystem, vec: SrsVector, cap: int = DEFAULT_ORBIT_CA
     return verdict[vec]
 
 
-def tau_preimages(
-    srs: ShiftRadixSystem, vec: SrsVector, restrict: set[SrsVector] | None = None
-) -> set[SrsVector]:
+def tau_preimages(srs: ShiftRadixSystem, vec: SrsVector) -> set[SrsVector]:
     """All integer vectors l with tau(l) = vec.
 
     A preimage is (x, vec_1, ..., vec_{d-2}) and x solves
@@ -178,8 +176,6 @@ def tau_preimages(
         if srs.tau(cand) != vec:
             raise InvariantViolation("preimage interval produced a non-preimage")
         out.add(cand)
-    if restrict is not None:
-        out &= restrict
     return out
 
 
@@ -237,17 +233,6 @@ class F1Certificate:
     r0_complete: bool
     preimage_closure_ok: bool
     diagnostic: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "p_set": sorted(list(v) for v in self.p_set),
-            "delta": self.delta,
-            "r0": sorted(list(v) for v in self.r0),
-            "r0_complete": self.r0_complete,
-            "preimage_closure_ok": self.preimage_closure_ok,
-            "diagnostic": self.diagnostic,
-        }
 
 
 def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_ORBIT_CAP) -> F1Certificate:

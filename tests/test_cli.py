@@ -65,7 +65,7 @@ def test_expand_family_example(capsys):
     )
     coords = ",".join(str(c) for c in x.coords)
     code, out, _ = run(
-        capsys, "expand", "--poly", "x^3-4x^2+4x-2", "--x-coords=" + coords,
+        capsys, "expand", "--poly", "x^3-4x^2+4x-2", "--x=" + coords,
         "--format", "json",
     )
     assert code == 0
@@ -141,12 +141,21 @@ def test_error_exit_codes(capsys):
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"poly": "x^3-x^2-x-1", "format": "json"}))
-    code, out, _ = run(capsys, "--config", str(cfg), "classify")
-    assert code == 0
-    assert json.loads(out)["F"] == "proven"
+    for argv in (("--config", str(cfg), "classify"), ("--config=" + str(cfg), "classify")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["F"] == "proven"
     # explicit flags win over the config file
     code, out, _ = run(capsys, "--config", str(cfg), "classify", "--poly", "x^3-4x^2+4x-2")
     assert json.loads(out)["PF"] == "refuted"
+
+
+def test_config_value_may_start_with_minus(tmp_path, capsys):
+    # the comma form of a polynomial starts with "-"; it must not read as a flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"poly": "-2,4,-4,1", "format": "json"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "classify")
+    assert code == 0 and json.loads(out)["poly"] == "x^3-4x^2+4x-2"
 
 
 @pytest.mark.parametrize(
@@ -158,7 +167,7 @@ def test_config_file(tmp_path, capsys):
         ("--config", "{dir}/malformed.json", "classify", "--poly", "x^2-x-1"),
         ("--config", "{dir}/list.json", "classify", "--poly", "x^2-x-1"),
         ("expand", "--poly", "x^2-x-1", "--x", "1/0"),
-        ("expand", "--poly", "x^2-x-1", "--x-coords", "1/0"),
+        ("expand", "--poly", "x^2-x-1", "--x=1/0"),
     ],
 )
 def test_bad_input_exits_2_without_traceback(argv, tmp_path, capsys):
@@ -179,6 +188,41 @@ def test_removed_box_pad_option_is_rejected(tmp_path, capsys):
         main(["--config", str(cfg), "classify"])
     assert exc.value.code == 2
     assert "--box-pad" in capsys.readouterr().err
+
+
+EXPAND = ("expand", "--poly", "x^3-4x^2+4x-2", "--x", "1")
+CLASSIFY = ("classify", "--poly", "x^3-4x^2+4x-2")
+SRS = ("srs", "qset", "--poly", "x^3-4x^2+4x-2")
+FAMILY = ("verify-family", "--t-min", "2", "--t-max", "2")
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["argv", "config"])
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (EXPAND, "x-coords", "1"),
+        (EXPAND, "n-sweep", "7"),
+        (EXPAND, "budget-closure", "3"),
+        (SRS, "n-sweep", "7"),
+        (FAMILY, "poly", "nonsense"),
+        (EXPAND, "format", "dot"),
+        (CLASSIFY, "format", "dot"),
+        (FAMILY, "format", "dot"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+)
+def test_subcommand_rejects_flags_it_does_not_read(argv, key, value, via_config, tmp_path, capsys):
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ("--config", str(cfg)) + argv
+    else:
+        argv += (f"--{key}", value)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--{key}" in err and "Traceback" not in err
 
 
 def test_expand_determinism(capsys):

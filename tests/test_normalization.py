@@ -3,10 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from betafin.errors import NotAdmissible, OutOfRange
+from betafin.errors import NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
     is_finite_expansion,
     beta_expand,
+    d_beta_one,
     d_beta_star,
     frac_part,
     nu,
@@ -174,6 +175,21 @@ def test_add_one_random_elements():
 def test_add_one_rejects_negative():
     with pytest.raises(OutOfRange):
         add_one(TRIB.from_rational(-1))
+
+
+def test_add_one_bounds_the_orbit_of_one_by_its_cap():
+    # d_beta(1) of x^3-x^2-3x-2 has 6 orbit states; a cap of 3 must stop
+    # add_one as it stops d_beta_one, on a fresh field and after a hit
+    for warm in (False, True):
+        f = make_field((2, 3, 1))
+        if warm:
+            assert d_beta_one(f) == d_beta_one(f, 6)
+        with pytest.raises(OrbitBudgetExceeded):
+            d_beta_one(f, 3)
+        with pytest.raises(OrbitBudgetExceeded):
+            add_one(f.from_rational(0), cap=3)
+    expansion, witness = add_one(f.from_rational(0), cap=6)
+    assert witness.verified and expansion == beta_expand(f.one())
 
 
 def test_witness_for_natural():
