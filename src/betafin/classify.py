@@ -37,8 +37,8 @@ from .errors import (
     NotUnit,
     OrbitBudgetExceeded,
 )
-from .expansion import DEFAULT_ORBIT_CAP, big_l, d_beta_one, is_finite_expansion, t_map
-from .field import BetaField, FieldElement, cubic_pisot_criterion, is_pisot, unit_disk_profile
+from .expansion import DEFAULT_ORBIT_CAP, _t_step, big_l, d_beta_one, is_finite_expansion
+from .field import BetaField, cubic_pisot_criterion, is_pisot, unit_disk_profile
 from .srs import DEFAULT_CLOSURE_CAP, ShiftRadixSystem, f1_certificate, q_set
 from .walk import walk
 from .words import Word, format_word
@@ -420,10 +420,6 @@ def _find_infinite_natural(
             "orbit-budget", "budget exceeded",
         )
     return refuter
-
-
-def _t_step(x: FieldElement) -> FieldElement:
-    return t_map(x)[1]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Command line front end.
 
-Subcommands: expand (beta-expansion of a field element), srs (orbit
-graph, Q/P sets, F membership), classify (property report), and
-verify-family (batch checks of the cubic family x^3 - 2tx^2 + 2tx - t).
-Each subcommand takes only the flags it reads.  A JSON config file can
-supply defaults for the chosen subcommand's flags; explicit flags win, and
-a key the subcommand does not take is rejected like an unknown flag.
-Exit status 0 means every requested assertion passed.
+Subcommands: expand (beta-expansion of a field element), srs with one
+action each for the orbit graph (graph), the Q and P sets (qset, pset) and
+F membership (fcheck), classify (property report), and verify-family
+(batch checks of the cubic family x^3 - 2tx^2 + 2tx - t).  Each leaf
+command (a subcommand, or srs and its action) takes only the flags it
+reads, and they follow it.  A JSON config file can supply defaults for the
+leaf command's flags; explicit flags win, and a key the leaf command does
+not take is rejected like an unknown flag.  Exit status 0 means every
+requested assertion passed.
 """
 
 from __future__ import annotations
@@ -85,10 +87,10 @@ def _parse_vec(text: str) -> tuple[int, ...]:
 
 def cmd_expand(args) -> int:
     field = parse_poly(args.poly)
-    if args.x is None:
-        print("expand needs --x", file=sys.stderr)
-        return 2
     x = parse_element(field, args.x)
+    # is_admissible reads d_beta_star with the default budget; the orbit of 1
+    # counts against --budget-orbit first
+    d1 = d_beta_one(field, args.budget_orbit)
     exp = beta_expand(x, cap=args.budget_orbit)
     reconstructed = exp.value(field)
     ok = reconstructed == x
@@ -98,7 +100,7 @@ def cmd_expand(args) -> int:
         "word": format_word(exp.word),
         "finite": exp.is_finite(),
         "admissible": is_admissible(field, exp.word),
-        "d_beta_1": format_word(d_beta_one(field)),
+        "d_beta_1": format_word(d1),
         "reconstruction_ok": ok,
     }
     if args.format == "json":
@@ -113,37 +115,43 @@ def cmd_expand(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_srs(args) -> int:
-    field = parse_poly(args.poly)
-    srs = ShiftRadixSystem(field)
-    if args.action == "fcheck":
-        if not args.vec:
-            print("fcheck needs --vec", file=sys.stderr)
-            return 2
-        vec = _parse_vec(args.vec)
-        member = in_f_beta(srs, vec, cap=args.budget_orbit)
-        print(f"{vec} {'in F_beta (reaches zero)' if member else 'not in F_beta (cycle)'}")
-        return 0
-    graph = q_set(srs, cap=args.budget_closure)
-    if args.action == "qset":
-        if args.format == "json":
-            print(json.dumps({"count": graph.node_count(), "nodes": [list(v) for v in graph.nodes]}))
-        else:
-            print(f"#Q = {graph.node_count()}")
-            for v in graph.nodes:
-                print(" ", ",".join(map(str, v)))
-        return 0
-    if args.action == "pset":
-        P = sorted(graph.p_nodes)
-        if args.format == "json":
-            print(json.dumps({"p_set": [list(v) for v in P]}))
-        else:
-            print(f"#P = {len(P)}")
-            for v in P:
-                print(" ", ",".join(map(str, v)))
-        return 0
-    # the parser admits graph as the only other action
-    print(export_graph(graph, "json" if args.format == "json" else "dot"))
+def _q_graph(args):
+    return q_set(ShiftRadixSystem(parse_poly(args.poly)), cap=args.budget_closure)
+
+
+def cmd_srs_graph(args) -> int:
+    print(export_graph(_q_graph(args), args.format))
+    return 0
+
+
+def _print_vectors(name: str, vectors) -> None:
+    print(f"#{name} = {len(vectors)}")
+    for v in vectors:
+        print(" ", ",".join(map(str, v)))
+
+
+def cmd_srs_qset(args) -> int:
+    nodes = _q_graph(args).nodes
+    if args.format == "json":
+        print(json.dumps({"count": len(nodes), "nodes": [list(v) for v in nodes]}))
+    else:
+        _print_vectors("Q", nodes)
+    return 0
+
+
+def cmd_srs_pset(args) -> int:
+    P = sorted(_q_graph(args).p_nodes)
+    if args.format == "json":
+        print(json.dumps({"p_set": [list(v) for v in P]}))
+    else:
+        _print_vectors("P", P)
+    return 0
+
+
+def cmd_srs_fcheck(args) -> int:
+    srs = ShiftRadixSystem(parse_poly(args.poly))
+    member = in_f_beta(srs, args.vec, cap=args.budget_orbit)
+    print(f"{args.vec} {'in F_beta (reaches zero)' if member else 'not in F_beta (cycle)'}")
     return 0
 
 
@@ -247,38 +255,47 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags = {
-        "--poly": dict(help="polynomial: symbolic or comma separated low-to-high"),
+        "--poly": dict(required=True, help="polynomial: symbolic or comma separated low-to-high"),
         "--budget-orbit": dict(type=int, default=DEFAULT_ORBIT_CAP),
         "--budget-closure": dict(type=int, default=DEFAULT_CLOSURE_CAP),
         "--n-sweep": dict(type=int, default=DEFAULT_N_SWEEP),
     }
 
-    def add(name, func, summary, *names, formats=("text", "json")):
-        """A subcommand taking exactly the named shared flags and --format."""
-        p = sub.add_parser(name, help=summary)
+    def add(subs, name, func, summary, *names, formats=("text", "json")):
+        """A leaf command taking exactly the named shared flags and, unless
+        formats is empty, --format (defaulting to the first format)."""
+        p = subs.add_parser(name, help=summary)
         for flag in names:
             p.add_argument(flag, **flags[flag])
-        p.add_argument("--format", choices=formats, default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.set_defaults(func=func)
         return p
 
-    p = add("expand", cmd_expand, "beta-expansion of a field element", "--poly", "--budget-orbit")
-    p.add_argument("--x", help="rational coordinates q0,q1,... or 'L:digits' literal")
+    p = add(sub, "expand", cmd_expand, "beta-expansion of a field element", "--poly", "--budget-orbit")
+    p.add_argument("--x", required=True, help="rational coordinates q0,q1,... or 'L:digits' literal")
 
-    p = add(
-        "srs", cmd_srs, "shift radix system queries",
-        "--poly", "--budget-orbit", "--budget-closure", formats=("text", "json", "dot"),
+    srs = sub.add_parser("srs", help="shift radix system queries")
+    actions = srs.add_subparsers(dest="action", required=True)
+    add(
+        actions, "graph", cmd_srs_graph, "tau-graph of Q",
+        "--poly", "--budget-closure", formats=("dot", "json"),
     )
-    p.add_argument("action", choices=("graph", "qset", "pset", "fcheck"))
-    p.add_argument("--vec", help="integer vector l1,l2,...")
+    add(actions, "qset", cmd_srs_qset, "the closure set Q", "--poly", "--budget-closure")
+    add(actions, "pset", cmd_srs_pset, "the tau-periodic set P", "--poly", "--budget-closure")
+    p = add(
+        actions, "fcheck", cmd_srs_fcheck, "membership in F_beta",
+        "--poly", "--budget-orbit", formats=(),
+    )
+    p.add_argument("--vec", required=True, type=_parse_vec, help="integer vector l1,l2,...")
 
     add(
-        "classify", cmd_classify, "finiteness property report",
+        sub, "classify", cmd_classify, "finiteness property report",
         "--poly", "--budget-orbit", "--budget-closure", "--n-sweep",
     )
 
     p = add(
-        "verify-family", cmd_verify_family, "batch checks for x^3-2tx^2+2tx-t",
+        sub, "verify-family", cmd_verify_family, "batch checks for x^3-2tx^2+2tx-t",
         "--budget-orbit", "--budget-closure", "--n-sweep",
     )
     p.add_argument("--t-min", type=int, default=2)
@@ -291,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     # --config=FILE is the same flag as --config FILE
     argv = [p for a in argv for p in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" in argv:
-        # lift config values into argv right after the subcommand, so any
+        # lift config values into argv right after the leaf command, so any
         # explicit flags (parsed later) win
         idx = argv.index("--config")
         try:
@@ -305,16 +322,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: --config: {exc}", file=sys.stderr)
             return 2
         del argv[idx : idx + 2]
-        sub_idx = next((i for i, a in enumerate(argv) if not a.startswith("-")), 0)
-        # one token per key, so a key the subcommand does not take is
+        # the leaf command is the subcommand, or "srs <action>"
+        leaf = next((i for i, a in enumerate(argv) if not a.startswith("-")), 0) + 1
+        if argv[leaf - 1 : leaf] == ["srs"]:
+            leaf += 1
+        # one token per key, so a key the leaf command does not take is
         # reported by name and a value may start with "-"
         injected = [f"--{key}={value}" for key, value in defaults.items()]
-        argv = argv[: sub_idx + 1] + injected + argv[sub_idx + 1 :]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "poly" in args and args.poly is None:
-        print("missing --poly", file=sys.stderr)
-        return 2
+        argv = argv[:leaf] + injected + argv[leaf:]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BetaFinError as exc:

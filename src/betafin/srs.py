@@ -279,7 +279,7 @@ def floor_beta_plus_one_finite(srs: ShiftRadixSystem, cap: int = DEFAULT_ORBIT_C
         raise GoldenRatioPrecondition("needs beta >= (1+sqrt(5))/2")
     neg_li = tuple(-c for c in srs.initial_vector())
     vec_side = in_f_beta(srs, neg_li, cap)
-    digit_side = is_finite_expansion(field.from_rational(field.floor_beta() + 1))
+    digit_side = is_finite_expansion(field.from_rational(field.floor_beta() + 1), cap)
     if vec_side != digit_side:
         raise InvariantViolation("vector and digit sides of the floor(beta)+1 test disagree")
     return vec_side

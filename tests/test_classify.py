@@ -281,13 +281,13 @@ def test_classify_refutes_f1_by_the_sweep():
 def test_natural_sweep_steps_each_state_once(monkeypatch):
     classify_module = importlib.import_module("betafin.classify")
     args = []
-    original = classify_module.t_map
+    original = classify_module._t_step
 
-    def counting_t_map(x):
+    def counting_t_step(x):
         args.append(x)
         return original(x)
 
-    monkeypatch.setattr(classify_module, "t_map", counting_t_map)
+    monkeypatch.setattr(classify_module, "_t_step", counting_t_step)
     f = make_field((4, -4, 5))  # (a,b,c) = (5,-4,4): no refuter, every N walked
     report = PropertyReport(poly=f.poly_str())
     assert _find_infinite_natural(f, 40, 100_000, report) is None

@@ -1,10 +1,13 @@
+import argparse
 import io
 import json
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
-from betafin.cli import main, parse_element, parse_poly
+from betafin.cli import build_parser, main, parse_element, parse_poly
 from betafin.field import make_field
 
 
@@ -134,8 +137,22 @@ def test_verify_family_rejects_t1(capsys):
 def test_error_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "--poly", "x^2-3x+2")
     assert code == 1 and "Reducible" in err
-    code, _, err = run(capsys, "expand", "--poly", "x^3-4x^2+4x-2")
-    assert code == 2
+    # a required flag left out is argparse's usage error, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--poly", "x^3-4x^2+4x-2"])
+    assert exc.value.code == 2
+    assert "--x" in capsys.readouterr().err
+    # srs flags follow the action
+    with pytest.raises(SystemExit) as exc:
+        main(["srs", "--poly", "x^3-4x^2+4x-2", "qset"])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    # --budget-orbit bounds the orbit of 1 (d_beta(1) = 2 1 0 1 2), not
+    # only the orbit of x = 0
+    code, out, err = run(
+        capsys, "expand", "--poly", "x^3-x^2-3x-2", "--x", "0", "--budget-orbit", "3"
+    )
+    assert code == 1 and out == "" and err.startswith("error: OrbitBudgetExceeded")
 
 
 def test_config_file(tmp_path, capsys):
@@ -148,6 +165,10 @@ def test_config_file(tmp_path, capsys):
     # explicit flags win over the config file
     code, out, _ = run(capsys, "--config", str(cfg), "classify", "--poly", "x^3-4x^2+4x-2")
     assert json.loads(out)["PF"] == "refuted"
+    # for srs the keys go after the action
+    cfg.write_text(json.dumps({"poly": "x^3-4x^2+4x-2", "vec": "1,1"}))
+    code, out, _ = run(capsys, "--config", str(cfg), "srs", "fcheck")
+    assert code == 0 and out == "(1, 1) not in F_beta (cycle)\n"
 
 
 def test_config_value_may_start_with_minus(tmp_path, capsys):
@@ -193,6 +214,9 @@ def test_removed_box_pad_option_is_rejected(tmp_path, capsys):
 EXPAND = ("expand", "--poly", "x^3-4x^2+4x-2", "--x", "1")
 CLASSIFY = ("classify", "--poly", "x^3-4x^2+4x-2")
 SRS = ("srs", "qset", "--poly", "x^3-4x^2+4x-2")
+PSET = ("srs", "pset", "--poly", "x^3-4x^2+4x-2")
+GRAPH = ("srs", "graph", "--poly", "x^3-4x^2+4x-2")
+FCHECK = ("srs", "fcheck", "--poly", "x^3-4x^2+4x-2", "--vec", "1,1")
 FAMILY = ("verify-family", "--t-min", "2", "--t-max", "2")
 
 
@@ -208,6 +232,12 @@ FAMILY = ("verify-family", "--t-min", "2", "--t-max", "2")
         (EXPAND, "format", "dot"),
         (CLASSIFY, "format", "dot"),
         (FAMILY, "format", "dot"),
+        (SRS, "vec", "9,9"),
+        (SRS, "budget-orbit", "1"),
+        (PSET, "format", "dot"),
+        (GRAPH, "format", "text"),
+        (FCHECK, "budget-closure", "1"),
+        (FCHECK, "format", "json"),
     ],
     ids=lambda a: a[0] if isinstance(a, tuple) else a,
 )
@@ -223,6 +253,37 @@ def test_subcommand_rejects_flags_it_does_not_read(argv, key, value, via_config,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--{key}" in err and "Traceback" not in err
+
+
+def _leaf_parsers(parser, prefix=()):
+    """(command words, parser) for every leaf command of the CLI."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, prefix + (name,))
+
+
+def test_readme_flag_bullets_match_the_parsers():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    bullets = readme.split("takes only the flags it reads", 1)[1].split("\n* ", 1)[0]
+    documented = {}
+    for leaf, flags in re.findall(r"^  \* `([a-z -]+)`: (.*(?:\n    .*)*)", bullets, re.M):
+        documented[leaf] = {
+            opt: tuple(choices.split(",")) if choices else None
+            for opt, choices in re.findall(r"`(--[a-z-]+)(?: \{([a-z,]+)\})?`", flags)
+        }
+    accepted = {
+        leaf: {
+            opt: tuple(action.choices) if action.choices else None
+            for action in p._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        }
+        for leaf, p in _leaf_parsers(build_parser())
+    }
+    assert documented == accepted
 
 
 def test_expand_determinism(capsys):

@@ -6,7 +6,12 @@ from fractions import Fraction as Q
 import pytest
 
 from betafin import polys as P
-from betafin.errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
+from betafin.errors import (
+    ClosureBudgetExceeded,
+    GoldenRatioPrecondition,
+    InvariantViolation,
+    OrbitBudgetExceeded,
+)
 from betafin.expansion import is_finite_expansion, t_map, t_orbit_of_one
 from betafin.field import make_field
 from betafin.srs import (
@@ -460,6 +465,12 @@ def test_floor_beta_plus_one():
     assert s21.tau((1, 0)) == (0, 1)
     with pytest.raises(GoldenRatioPrecondition):
         floor_beta_plus_one_finite(srs_for(make_field((1, 1, 0))))  # beta ~ 1.32
+    # cap bounds both sides: the vector side settles within 3 states, the
+    # digit orbit of 2 does not
+    with pytest.raises(OrbitBudgetExceeded):
+        is_finite_expansion(TRIB.from_rational(2), 3)
+    with pytest.raises(OrbitBudgetExceeded):
+        floor_beta_plus_one_finite(srs_for(TRIB), cap=3)
 
 
 def test_budget_errors():
