@@ -407,7 +407,7 @@ def _find_infinite_natural(
         start = x * field.beta_power(-big_l(x))
         try:
             walk(_t_step, start, reaches_zero, set(), orbit_cap)
-        except ClosureBudgetExceeded:
+        except OrbitBudgetExceeded:
             skipped.append(n)
             continue
         if not reaches_zero[start]:

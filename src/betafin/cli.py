@@ -85,6 +85,21 @@ def _parse_vec(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(","))
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, so a bad budget is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def cmd_expand(args) -> int:
     field = parse_poly(args.poly)
     x = parse_element(field, args.x)
@@ -256,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     flags = {
         "--poly": dict(required=True, help="polynomial: symbolic or comma separated low-to-high"),
-        "--budget-orbit": dict(type=int, default=DEFAULT_ORBIT_CAP),
-        "--budget-closure": dict(type=int, default=DEFAULT_CLOSURE_CAP),
-        "--n-sweep": dict(type=int, default=DEFAULT_N_SWEEP),
+        "--budget-orbit": dict(type=_int_at_least(1), default=DEFAULT_ORBIT_CAP),
+        "--budget-closure": dict(type=_int_at_least(1), default=DEFAULT_CLOSURE_CAP),
+        "--n-sweep": dict(type=_int_at_least(0), default=DEFAULT_N_SWEEP),
     }
 
     def add(subs, name, func, summary, *names, formats=("text", "json")):

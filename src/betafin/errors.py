@@ -22,12 +22,12 @@ class OutOfRange(BetaFinError):
 
 
 class OrbitBudgetExceeded(BetaFinError):
-    """A digit orbit did not close within its state budget."""
+    """A digit orbit or a reach-zero walk did not close within its state
+    budget."""
 
 
 class ClosureBudgetExceeded(BetaFinError):
-    """A vector closure or a reach-zero walk did not stabilize within its
-    node budget."""
+    """A vector closure did not stabilize within its node budget."""
 
 
 class NotAdmissible(BetaFinError):

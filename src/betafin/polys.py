@@ -75,20 +75,6 @@ def rem(p: Poly, q: Poly) -> Poly:
     return divmod_poly(p, q)[1]
 
 
-def monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    return scale(p, Fraction(1, 1) / p[-1])
-
-
-def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = p, q
-    while b:
-        a, b = b, rem(a, b)
-    return monic(a)
-
-
 def derivative(p: Poly) -> Poly:
     return poly(i * c for i, c in enumerate(p) if i > 0)
 
@@ -112,15 +98,6 @@ def eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
         prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
         vlo, vhi = min(prods) + c, max(prods) + c
     return vlo, vhi
-
-
-def reverse(p: Poly) -> Poly:
-    """The reciprocal polynomial z^deg(p) * p(1/z)."""
-    return poly(reversed(p))
-
-
-def is_squarefree(p: Poly) -> bool:
-    return degree(gcd(p, derivative(p))) <= 0
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -340,15 +317,6 @@ def symmetric_sign_counts(M: list[list[Fraction]]) -> tuple[int, int, int]:
     return pos, neg, zeros
 
 
-def _strip_root(p: Poly, r: int) -> tuple[Poly, int]:
-    count = 0
-    q = poly((-r, 1))
-    while p and eval_at(p, r) == 0:
-        p = divmod_poly(p, q)[0]
-        count += 1
-    return p, count
-
-
 def palindromic_u_transform(g: Poly) -> Poly:
     """Write a palindromic even-degree g as x^m * h(x + 1/x); return h.
 
@@ -369,47 +337,30 @@ def palindromic_u_transform(g: Poly) -> Poly:
 
 
 def unit_disk_root_profile(p: Poly) -> tuple[int, int, int]:
-    """(inside, on, outside) root counts of squarefree p w.r.t. |z| = 1.
+    """(inside, on, outside) root counts of p w.r.t. |z| = 1.
 
-    The reciprocal-pair part gcd(p, reverse(p)) is handled by locating
-    circle roots through the x + 1/x substitution; the coprime part goes
-    through the Schur-Cohn form.
+    p must be monic, irreducible over Q and of degree at least 2, as
+    every field polynomial is (make_field proves it).  Then p has neither
+    1 nor -1 as a root, and two cases cover every p:
+
+    - p is palindromic.  Its roots come in pairs z, 1/z, its degree is
+      even (a palindromic p of odd degree has the root -1), and p is
+      x^m * h(x + 1/x).  A pair on the circle is a root of h in (-2, 2),
+      counted by Sturm: h is irreducible too, so squarefree, and
+      h(+-2) != 0.  The other roots split evenly inside and outside.
+    - Any other p shares no root with its reciprocal: an irreducible p
+      that does divides it, so equals it or its negative, and a p equal
+      to minus its reciprocal has the root 1.  A root on the circle would
+      be shared (its reciprocal is its conjugate), so none lies there,
+      and the Schur-Cohn form is nonsingular with signature
+      outside - inside.
     """
-    p = monic(p)
     n = degree(p)
-    if n <= 0:
-        return 0, 0, 0
-    if not is_squarefree(p):
-        raise ValueError("unit_disk_root_profile requires a squarefree polynomial")
-    g = gcd(p, reverse(p))
-    q = divmod_poly(p, g)[0] if degree(g) > 0 else p
-
-    on = 0
-    inside_g = 0
-    if degree(g) > 0:
-        g0, e1 = _strip_root(g, 1)
-        g0, e2 = _strip_root(g0, -1)
-        on += e1 + e2
-        if degree(g0) > 0:
-            h = palindromic_u_transform(monic(g0))
-            if eval_at(h, 2) == 0 or eval_at(h, -2) == 0:
-                # u = +-2 corresponds to x = +-1, stripped above
-                raise ValueError("unexpected root of u-transform at +-2")
-            circle_pairs = count_real_roots(h, -2, 2)
-            on += 2 * circle_pairs
-            inside_g = (degree(g0) - 2 * circle_pairs) // 2
-
-    inside_q = outside_q = 0
-    if degree(q) > 0:
-        H = schur_cohn_matrix(q)
-        pos, negk, zeros = symmetric_sign_counts(H)
-        if zeros != 0:
-            raise ValueError("singular Schur-Cohn form on the coprime part")
-        dq = degree(q)
-        # signature = outside - inside and pos + neg = dq here
-        outside_q = (dq + (pos - negk)) // 2
-        inside_q = dq - outside_q
-
-    inside = inside_g + inside_q
-    outside = n - inside - on
-    return inside, on, outside
+    if p == p[::-1]:
+        on = 2 * count_real_roots(palindromic_u_transform(p), -2, 2)
+        return (n - on) // 2, on, (n - on) // 2
+    pos, negk, zeros = symmetric_sign_counts(schur_cohn_matrix(p))
+    if zeros != 0:
+        raise ValueError("singular Schur-Cohn form: p shares a root with its reciprocal")
+    outside = (n + pos - negk) // 2
+    return n - outside, 0, outside

@@ -21,7 +21,12 @@ import json
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import ClosureBudgetExceeded, GoldenRatioPrecondition, InvariantViolation
+from .errors import (
+    ClosureBudgetExceeded,
+    GoldenRatioPrecondition,
+    InvariantViolation,
+    OrbitBudgetExceeded,
+)
 from .expansion import DEFAULT_ORBIT_CAP, is_finite_expansion
 from .field import BetaField, FieldElement
 from .walk import closure, walk
@@ -246,7 +251,7 @@ def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_ORBIT_CAP) -> F1Ce
         closure_ok = all(tau_preimages(srs, p) <= P for p in P)
         r0, complete = v_box_set(srs, d)
         r0_in_f = all(in_f_beta(srs, v, walk_cap) for v in r0)
-    except ClosureBudgetExceeded as exc:
+    except (ClosureBudgetExceeded, OrbitBudgetExceeded) as exc:
         return F1Certificate(
             "unknown", frozenset(), 0, frozenset(), False, False, f"budget: {exc}"
         )

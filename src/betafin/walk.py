@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, TypeVar
 
-from .errors import ClosureBudgetExceeded
+from .errors import ClosureBudgetExceeded, OrbitBudgetExceeded
 
 Node = TypeVar("Node", bound=Hashable)
 
@@ -55,7 +55,7 @@ def walk(
 
     Every node of the path gets its reach-zero verdict, a cycle the walk
     closes is added to cycles, and the path is returned.  A path longer
-    than cap raises ClosureBudgetExceeded and records no verdict, so cap bounds
+    than cap raises OrbitBudgetExceeded and records no verdict, so cap bounds
     the new nodes one walk steps: nodes settled by earlier walks on the
     same verdict map are not counted again.
     """
@@ -66,7 +66,7 @@ def walk(
         on_path[cur] = len(path)
         path.append(cur)
         if len(path) > cap:
-            raise ClosureBudgetExceeded(f"walk exceeded {cap} new states")
+            raise OrbitBudgetExceeded(f"walk exceeded {cap} new states")
         cur = step(cur)
     if cur in on_path:
         cycles.update(path[on_path[cur]:])

@@ -153,6 +153,11 @@ def test_error_exit_codes(capsys):
         capsys, "expand", "--poly", "x^3-x^2-3x-2", "--x", "0", "--budget-orbit", "3"
     )
     assert code == 1 and out == "" and err.startswith("error: OrbitBudgetExceeded")
+    # fcheck's walk spends the orbit budget, and names it
+    code, out, err = run(
+        capsys, "srs", "fcheck", "--poly", "x^3-4x^2+4x-2", "--vec", "0,1", "--budget-orbit", "2"
+    )
+    assert code == 1 and out == "" and err.startswith("error: OrbitBudgetExceeded")
 
 
 def test_config_file(tmp_path, capsys):
@@ -242,6 +247,31 @@ FAMILY = ("verify-family", "--t-min", "2", "--t-max", "2")
     ids=lambda a: a[0] if isinstance(a, tuple) else a,
 )
 def test_subcommand_rejects_flags_it_does_not_read(argv, key, value, via_config, tmp_path, capsys):
+    _assert_usage_error(argv, key, value, via_config, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["argv", "config"])
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (SRS, "budget-closure", "-1"),
+        (SRS, "budget-closure", "0"),
+        (FCHECK, "budget-orbit", "0"),
+        (CLASSIFY, "budget-orbit", "-3"),
+        (CLASSIFY, "n-sweep", "-1"),
+        (CLASSIFY, "n-sweep", "many"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+)
+def test_bad_budget_is_a_usage_error(argv, key, value, via_config, tmp_path, capsys):
+    # budgets are integers >= 1 and --n-sweep an integer >= 0, checked when
+    # the arguments are parsed
+    _assert_usage_error(argv, key, value, via_config, tmp_path, capsys)
+
+
+def _assert_usage_error(argv, key, value, via_config, tmp_path, capsys):
+    """argv with --key value, from the command line or from --config,
+    exits 2 with a usage message naming the flag."""
     if via_config:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))

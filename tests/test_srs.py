@@ -451,6 +451,14 @@ def test_f1_certificate_unknown_is_not_refuted():
     assert cert.p_set == frozenset({(1,)})
 
 
+def test_f1_certificate_spent_walk_budget_is_unknown():
+    # the walks of the box vectors spend the orbit budget: unknown, and
+    # the diagnostic says why
+    cert = f1_certificate(q_set(srs_for(make_field((2, -4, 4)))), 1)
+    assert cert.verdict == "unknown"
+    assert cert.diagnostic.startswith("budget: ")
+
+
 def test_floor_beta_plus_one():
     assert floor_beta_plus_one_finite(srs_for(TRIB))
     for t in (2, 3):
@@ -476,7 +484,7 @@ def test_floor_beta_plus_one():
 def test_budget_errors():
     with pytest.raises(ClosureBudgetExceeded):
         q_set(srs_for(family(2)), cap=3)
-    with pytest.raises(ClosureBudgetExceeded):
+    with pytest.raises(OrbitBudgetExceeded):
         in_f_beta(srs_for(family(2)), (0, 1), cap=2)
     with pytest.raises(ClosureBudgetExceeded):
         v_box_set(srs_for(family(2)), 1, cap=2)
