@@ -10,6 +10,7 @@ from .errors import (
     CascadeOverrun,
     ClosureBudgetExceeded,
     F1Unknown,
+    FactorBudgetExceeded,
     FieldMismatch,
     GoldenRatioPrecondition,
     InvariantViolation,

@@ -135,7 +135,7 @@ def floor_beta_cubic(a: int, b: int, c: int) -> int:
     raise NotApplicable("d_beta(1) is finite; use the exact floor instead")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Evidence:
     claim: str
     rule: str
@@ -145,7 +145,7 @@ class Evidence:
         return {"claim": self.claim, "rule": self.rule, "cite": self.cite}
 
 
-@dataclass
+@dataclass(slots=True)
 class PropertyReport:
     poly: str
     pisot: str = UNKNOWN

@@ -30,6 +30,11 @@ class ClosureBudgetExceeded(BetaFinError):
     """A vector closure did not stabilize within its node budget."""
 
 
+class FactorBudgetExceeded(BetaFinError):
+    """Kronecker's factor search did not decide irreducibility within its
+    budget of divisor choices."""
+
+
 class NotAdmissible(BetaFinError):
     """A digit word fails the lexicographic admissibility condition."""
 

@@ -12,7 +12,11 @@ proves p irreducible over Q at every degree (polys.least_factor) and
 raises Reducible, naming a factor, when it is not.
 
 The isolating interval is a dyadic bracket (lo, hi, k), meaning
-[lo / 2^k, hi / 2^k] with integers lo < hi.  Sign and floor run interval
+[lo / 2^k, hi / 2^k] with integers lo < hi.  It is found by bisection on
+dyadic points n / 2^k with a Sturm chain of integer polynomials: the sign
+of a member c at n / 2^k is that of the integer c(n / 2^k) 2^(k deg c),
+one integer Horner.  The unit-disk profile (Schur-Cohn) also runs in
+integers, on the integer coefficients of p.  Sign and floor run interval
 Horner in integers on it: the coordinates become integer numerators over
 their common denominator, and after t Horner steps the enclosure is a
 pair of integers over that denominator times 2^(k t).  Since beta > 1
@@ -84,31 +88,42 @@ class BetaField:
     # -- construction helpers ------------------------------------------------
 
     def _isolate_largest_root(self) -> tuple[int, int, int]:
-        p = self.poly
-        bound = Fraction(1) + max(Fraction(1), max(abs(c) for c in p[:-1]))
-        lo, hi = Fraction(1), bound
-        # one Sturm chain; the sign variations at lo and hi carry over
-        # from step to step, and V(a) - V(b) counts the roots in (a, b]
+        """Bisect [1, 1 + max(1, |a_i|)] on dyadic points until it holds
+        beta alone; returned as a reduced dyadic bracket."""
+        p = self._int_poly
+        # one Sturm chain of integer polynomials; the sign variations at lo
+        # and hi carry over from step to step, and V(a) - V(b) counts the
+        # roots in (a, b]
         chain = polys.sturm_chain(p)
-        vlo, vhi = polys.sturm_variations(chain, lo), polys.sturm_variations(chain, hi)
+
+        def variations(n: int, k: int) -> int:
+            # the sign of c(n / 2^k) is that of the integer c(n / 2^k) 2^(k deg c)
+            values = [_horner(c, (n, n, k))[0] for c in chain]
+            if values[0] == 0:
+                raise InvariantViolation("rational point is a root of an irreducible p")
+            return polys.sign_variations(values)
+
+        lo, hi, k = 1, 1 + max(1, max(abs(c) for c in p[:-1])), 0
+        vlo, vhi = variations(lo, k), variations(hi, k)
         if vlo == vhi:
             raise NoRootAboveOne(f"{self.poly_str()} has no real root above 1")
         while True:
-            mid = (lo + hi) / 2
-            vmid = polys.sturm_variations(chain, mid)
+            mid = lo + hi  # the midpoint over 2^(k+1)
+            lo, hi, k = lo << 1, hi << 1, k + 1
+            vmid = variations(mid, k)
             if vmid > vhi:
                 lo, vlo = mid, vmid
             else:
                 hi, vhi = mid, vmid
-            if lo > 1 and vlo - vhi == 1:
+            if lo > 1 << k and vlo - vhi == 1:
                 break
+        while k and not (lo | hi) & 1:
+            lo, hi, k = lo >> 1, hi >> 1, k - 1
         # p is monic and beta its largest real root, so p < 0 at lo and
         # p > 0 at hi: refinement keeps the half where p changes sign
-        if not polys.eval_at(p, lo) < 0 < polys.eval_at(p, hi):
+        if not _horner(p, (lo, lo, k))[0] < 0 < _horner(p, (hi, hi, k))[0]:
             raise InvariantViolation("isolating interval lost its sign change")
-        # bisection from integer ends gives dyadic ends
-        k = max(lo.denominator, hi.denominator).bit_length() - 1
-        return int(lo * (1 << k)), int(hi * (1 << k)), k
+        return lo, hi, k
 
     # -- public surface ------------------------------------------------------
 
@@ -473,7 +488,7 @@ class FieldElement:
 
 def unit_disk_profile(field: BetaField) -> tuple[int, int, int]:
     """(inside, on, outside) root counts of p relative to the unit circle."""
-    return field.memo("disk_profile", partial(polys.unit_disk_root_profile, field.poly))
+    return field.memo("disk_profile", partial(polys.unit_disk_root_profile, field._int_poly))
 
 
 def is_pisot(field: BetaField) -> bool:

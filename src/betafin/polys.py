@@ -1,7 +1,11 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-Polynomials are dense little-endian tuples of Fraction; the empty tuple
-is the zero polynomial.  Everything here is exact: no floating point.
+Polynomials are dense little-endian tuples of rationals (Fraction or
+int); the empty tuple is the zero polynomial.  The ring operations build
+Fraction tuples.  The per-field work runs in plain integers: each Sturm
+chain member is scaled to a primitive integer polynomial, and the
+Schur-Cohn form, its characteristic polynomial and their sign counts are
+integer throughout.  Everything here is exact: no floating point.
 """
 
 from __future__ import annotations
@@ -9,6 +13,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .errors import FactorBudgetExceeded, InvariantViolation
 
 Poly = tuple[Fraction, ...]
 
@@ -79,9 +85,9 @@ def derivative(p: Poly) -> Poly:
     return poly(i * c for i, c in enumerate(p) if i > 0)
 
 
-def eval_at(p: Poly, x) -> Fraction:
-    x = Fraction(x)
-    acc = Fraction(0)
+def eval_at(p: Poly, x):
+    """p(x) for a rational x; an int when p and x are integral."""
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -100,18 +106,51 @@ def eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fracti
     return vlo, vhi
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence p, p', -rem(...), ... of a squarefree polynomial."""
-    chain = [p, derivative(p)]
-    while chain[-1]:
-        r = rem(chain[-2], chain[-1])
+def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
+    """Sturm sequence p, p', -rem(...), ... of a squarefree polynomial of
+    positive degree, each member scaled by a positive rational to a
+    primitive integer polynomial.  The scaling leaves every sign, and so
+    every variation count, unchanged, and the chain is built in integers:
+    a positive multiple of a remainder has the same sign pattern."""
+    chain = [_primitive(p), _primitive(derivative(p))]
+    while len(chain[-1]) > 1:
+        r = _positive_rem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(neg(r))
-    return [c for c in chain if c]
+        chain.append(_primitive(neg(r)))
+    return chain
 
 
-def _variations(values: Sequence[Fraction]) -> int:
+def _primitive(p: Poly) -> tuple[int, ...]:
+    """Nonzero p times the positive rational that makes it a primitive
+    integer polynomial."""
+    den = math.lcm(*(c.denominator for c in p))
+    nums = [int(c * den) for c in p]
+    g = math.gcd(*nums)
+    return tuple(n // g for n in nums)
+
+
+def _positive_rem(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """|lc(b)|^e rem(a, b) for integer polynomials, e >= 0: each step
+    scales the running remainder by |lc(b)| > 0 and then cancels its top
+    coefficient against b."""
+    r = list(a)
+    db = len(b) - 1
+    lead = abs(b[-1])
+    sign = 1 if b[-1] > 0 else -1
+    for i in range(len(r) - 1, db - 1, -1):
+        c = sign * r[i]
+        if c:
+            r = [lead * v for v in r]
+            for j, bj in enumerate(b):
+                r[i - db + j] -= c * bj
+    while r and not r[-1]:
+        r.pop()
+    return tuple(r)
+
+
+def sign_variations(values: Sequence) -> int:
+    """Sign changes along a sequence of rationals, zeros skipped."""
     signs = [v for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
@@ -122,7 +161,7 @@ def sturm_variations(chain: list[Poly], x) -> int:
     values = [eval_at(c, x) for c in chain]
     if values[0] == 0:
         raise ValueError("Sturm endpoints must not be roots")
-    return _variations(values)
+    return sign_variations(values)
 
 
 def count_real_roots(p: Poly, lo, hi) -> int:
@@ -132,6 +171,12 @@ def count_real_roots(p: Poly, lo, hi) -> int:
     """
     chain = sturm_chain(p)
     return sturm_variations(chain, lo) - sturm_variations(chain, hi)
+
+
+# divisor choices one least_factor call may try, about 1 s of search; the
+# polynomials of the tests (at most 11,142 choices), demos, README and the
+# cubic and quartic grids use far fewer
+_KRONECKER_CAP = 100_000
 
 
 def _divisors(n: int) -> list[int]:
@@ -170,31 +215,42 @@ def least_factor(p: Sequence[int]) -> tuple[int, ...] | None:
     the choice made so far.  A candidate is kept only if it divides p
     exactly.  The first factor found has the least degree, so it is
     irreducible.  The search runs in integer arithmetic.
+
+    The search is exponential in the degree and in the number of
+    divisors, so it tries at most _KRONECKER_CAP divisor choices over all
+    k and raises FactorBudgetExceeded past that.
     """
     p = tuple(int(c) for c in p)
-    roots = integer_roots(poly(p))
+    roots = integer_roots(p)
     if roots:
         return (-roots[0], 1)
     xs: list[int] = []
     divisors: list[list[int]] = []
+    budget = [_KRONECKER_CAP]
     for k in range(2, (len(p) - 1) // 2 + 1):
         while len(xs) < k:
             i = len(xs)
             x = (i + 1) // 2 if i % 2 else -(i // 2)
             xs.append(x)
             divisors.append(_divisors(int(eval_at(p, x))))
-        g = _kronecker(p, k, xs, divisors, [])
+        g = _kronecker(p, k, xs, divisors, [], budget)
         if g is not None:
             return g
     return None
 
 
 def _kronecker(
-    p: tuple[int, ...], k: int, xs: list[int], divisors: list[list[int]], diag: list[int]
+    p: tuple[int, ...],
+    k: int,
+    xs: list[int],
+    divisors: list[list[int]],
+    diag: list[int],
+    budget: list[int],
 ) -> tuple[int, ...] | None:
     """Depth-first over g(xs[m]) in divisors[m] for a monic degree-k
     factor g, where diag[j] is the divided difference h[xs[j], ..., xs[m-1]]
-    of h = g - x^k: the Newton coefficients of h on the points in reverse."""
+    of h = g - x^k: the Newton coefficients of h on the points in reverse.
+    budget[0] counts down the divisor choices still allowed."""
     m = len(diag)
     if m == k:
         h = [diag[0]]
@@ -205,6 +261,12 @@ def _kronecker(
         return g if _divides(g, p) else None
     x = xs[m]
     for y in divisors[m]:
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise FactorBudgetExceeded(
+                f"Kronecker's search tried {_KRONECKER_CAP} divisor choices "
+                f"for {format_poly(p)} without deciding it"
+            )
         new = [y - x**k]  # h[xs[m]], then h[xs[j], ..., xs[m]] for j = m-1 .. 0
         for j in range(m - 1, -1, -1):
             q, r = divmod(new[-1] - diag[j], x - xs[j])
@@ -212,7 +274,7 @@ def _kronecker(
                 break
             new.append(q)
         else:
-            g = _kronecker(p, k, xs, divisors, new[::-1])
+            g = _kronecker(p, k, xs, divisors, new[::-1], budget)
             if g is not None:
                 return g
     return None
@@ -249,47 +311,66 @@ def format_poly(p: Sequence[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def schur_cohn_matrix(p: Poly) -> list[list[Fraction]]:
-    """The symmetric Schur-Cohn form of p.
+def _integers(values: Iterable) -> list[int]:
+    """The values as ints; ValueError unless every one is integral."""
+    values = list(values)
+    ints = [int(v) for v in values]
+    if ints != values:
+        raise ValueError("expected integer coefficients")
+    return ints
+
+
+def schur_cohn_matrix(p: Poly) -> list[list[int]]:
+    """The symmetric Schur-Cohn form of an integer polynomial p.
 
     H[j][k] = sum_m (a_{j-m} a_{k-m} - a_{n-j+m} a_{n-k+m});  its signature
     is (#roots outside unit circle) - (#roots inside) when p and its
     reciprocal are coprime, and it is singular otherwise.
     """
     n = degree(p)
-    a = list(p) + [Fraction(0)]
+    a = _integers(p)
 
-    def coef(i: int) -> Fraction:
-        return a[i] if 0 <= i <= n else Fraction(0)
+    def coef(i: int) -> int:
+        return a[i] if 0 <= i <= n else 0
 
-    H = [[Fraction(0)] * n for _ in range(n)]
+    H = [[0] * n for _ in range(n)]
     for j in range(n):
         for k in range(n):
-            s = Fraction(0)
+            s = 0
             for m in range(min(j, k) + 1):
                 s += coef(j - m) * coef(k - m) - coef(n - j + m) * coef(n - k + m)
             H[j][k] = s
     return H
 
 
-def charpoly(M: list[list[Fraction]]) -> Poly:
-    """Characteristic polynomial det(xI - M) by Faddeev-LeVerrier."""
+def charpoly(M: list[list[int]]) -> tuple[int, ...]:
+    """Characteristic polynomial det(xI - M) of an integer matrix by
+    Faddeev-LeVerrier, in integers.
+
+    With M_0 = I, M_k = M M_{k-1} + c_{n-k+1} I, each coefficient is
+    c_{n-k} = -tr(M M_{k-1}) / k.  The c_i of an integer matrix are
+    integers, so by induction every M_k is integral and each division is
+    exact; a remainder raises.
+    """
+    M = [_integers(row) for row in M]
     n = len(M)
-    cs = [Fraction(0)] * (n + 1)
-    cs[n] = Fraction(1)
-    Mk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    cs = [0] * (n + 1)
+    cs[n] = 1
+    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         Mk = _mat_mul(M, Mk)
-        t = sum(Mk[i][i] for i in range(n))
-        cs[n - k] = -t / k
+        c, r = divmod(-sum(Mk[i][i] for i in range(n)), k)
+        if r:
+            raise InvariantViolation(f"Faddeev-LeVerrier trace not divisible by {k}")
+        cs[n - k] = c
         for i in range(n):
-            Mk[i][i] += cs[n - k]
-    return poly(cs)
+            Mk[i][i] += c
+    return tuple(cs)
 
 
-def _mat_mul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
+def _mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
     n = len(A)
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
             if A[i][k]:
@@ -299,8 +380,9 @@ def _mat_mul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Frac
     return out
 
 
-def symmetric_sign_counts(M: list[list[Fraction]]) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts of a symmetric matrix.
+def symmetric_sign_counts(M: list[list[int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of a symmetric integer
+    matrix.
 
     Descartes' rule of signs is exact on the characteristic polynomial
     because a symmetric matrix has a real spectrum.
@@ -311,9 +393,9 @@ def symmetric_sign_counts(M: list[list[Fraction]]) -> tuple[int, int, int]:
     while cs and cs[0] == 0:
         cs.pop(0)
         zeros += 1
-    pos = _variations(cs)
+    pos = sign_variations(cs)
     neg_cs = [c if i % 2 == 0 else -c for i, c in enumerate(cs)]
-    neg = _variations(neg_cs)
+    neg = sign_variations(neg_cs)
     return pos, neg, zeros
 
 
@@ -339,9 +421,10 @@ def palindromic_u_transform(g: Poly) -> Poly:
 def unit_disk_root_profile(p: Poly) -> tuple[int, int, int]:
     """(inside, on, outside) root counts of p w.r.t. |z| = 1.
 
-    p must be monic, irreducible over Q and of degree at least 2, as
-    every field polynomial is (make_field proves it).  Then p has neither
-    1 nor -1 as a root, and two cases cover every p:
+    p must be monic with integer coefficients, irreducible over Q and of
+    degree at least 2, as every field polynomial is (make_field proves
+    it).  Then p has neither 1 nor -1 as a root, and two cases cover
+    every p:
 
     - p is palindromic.  Its roots come in pairs z, 1/z, its degree is
       even (a palindromic p of odd degree has the root -1), and p is

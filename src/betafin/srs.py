@@ -155,26 +155,30 @@ def in_f_beta(srs: ShiftRadixSystem, vec: SrsVector, cap: int = DEFAULT_ORBIT_CA
 def tau_preimages(srs: ShiftRadixSystem, vec: SrsVector) -> set[SrsVector]:
     """All integer vectors l with tau(l) = vec.
 
-    A preimage is (x, vec_1, ..., vec_{d-2}) and x solves
-    floor(value(l)) = -vec_{d-1}; the value is affine in x with the
-    nonzero slope r_1, so x ranges over an explicit integer interval.
+    A preimage is l = (x, v_1, ..., v_{d-2}) for vec = (v_1, ..., v_{d-1}),
+    and x solves -v_{d-1} <= r . l < 1 - v_{d-1}.  Since beta r_1 = a_0
+    and beta r_j = a_{j-1} + r_{j-1}, multiplying by beta gives
+    -w <= x a_0 < beta - w for w = v_{d-1} beta + sum_m v_m a_m
+    + r . (v_1, ..., v_{d-2}, 0) in Z[beta].  So x ranges over an integer
+    interval whose ends are floors of w and w - beta over |a_0|, decided
+    on integer numerators.
     """
     srs._check(vec)
+    field = srs.field
+    a = field.coeffs
     fixed = vec[:-1]
-    target = -vec[-1]
-    r1 = srs.r[0]
-    const = srs.value((0,) + fixed)
-    # target <= x*r1 + const < target + 1
-    lo_val = (srs.field.from_rational(target) - const) / r1
-    hi_val = (srs.field.from_rational(target + 1) - const) / r1
-    if r1.sign() > 0:
-        lo_int = -(-lo_val).floor()
-        hi_int = -(-hi_val).floor() - 1
+    w = srs._numerators(fixed + (0,))
+    w[0] += sum(map(mul, fixed, a[1:]))
+    w[1] += vec[-1]
+    w_minus_beta = w.copy()
+    w_minus_beta[1] -= 1
+    if a[0] > 0:
+        lo_int = -field.floor_nums(w, a[0])
+        hi_int = -field.floor_nums(w_minus_beta, a[0]) - 1
     else:
-        lo_val, hi_val = hi_val, lo_val
-        # here the inequality flips to open at the left end
-        lo_int = lo_val.floor() + 1
-        hi_int = hi_val.floor()
+        # w - beta < x |a_0| <= w
+        lo_int = field.floor_nums(w_minus_beta, -a[0]) + 1
+        hi_int = field.floor_nums(w, -a[0])
     out: set[SrsVector] = set()
     for x in range(lo_int, hi_int + 1):
         cand = (x,) + fixed

@@ -158,6 +158,9 @@ def test_error_exit_codes(capsys):
         capsys, "srs", "fcheck", "--poly", "x^3-4x^2+4x-2", "--vec", "0,1", "--budget-orbit", "2"
     )
     assert code == 1 and out == "" and err.startswith("error: OrbitBudgetExceeded")
+    # Kronecker's factor search has a fixed budget of divisor choices
+    code, out, err = run(capsys, "classify", "--poly", "x^10+720720")
+    assert code == 1 and out == "" and err.startswith("error: FactorBudgetExceeded")
 
 
 def test_config_file(tmp_path, capsys):

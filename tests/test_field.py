@@ -214,6 +214,26 @@ def test_pisot_grid_matches_cubic_criterion():
                 assert is_pisot(f) == cubic_pisot_criterion(a, b, c), (a, b, c)
 
 
+def test_isolating_interval_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    tested = 0
+    while tested < 80:
+        d = rng.randint(2, 7)
+        try:
+            f = make_field([rng.randint(-5, 5) for _ in range(d)])
+        except (NoRootAboveOne, Reducible):
+            continue
+        tested += 1
+        p = sympy.Poly([int(c) for c in reversed(f._int_poly)], x)
+        lo, hi = (sympy.Rational(q.numerator, q.denominator) for q in f.interval)
+        # sympy's exact count: one root in [lo, hi], none above
+        assert p.count_roots(lo, hi) == 1 and p.count_roots(hi, None) == 0, f
+        real = [z for z in p.nroots(n=60, maxsteps=200) if z.is_real]
+        assert lo < max(real) < hi, f
+
+
 # -- the integer kernel against a Fraction oracle ------------------------------
 #
 # Each field comes with a hand bracket (lo, hi) holding its largest real

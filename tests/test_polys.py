@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
 
 from betafin import polys as P
-from betafin.errors import BetaFinError
+from betafin.errors import BetaFinError, FactorBudgetExceeded
 from betafin.field import make_field
 
 
@@ -108,6 +109,15 @@ def test_least_factor_matches_sympy():
             assert len(g) - 1 == min(f.degree() for f, _ in factors), (p, g)
 
 
+def test_least_factor_search_is_bounded():
+    # x^10 + 720720: 240 divisors of the constant term make Kronecker's
+    # search run for about a minute without a budget
+    start = time.perf_counter()
+    with pytest.raises(FactorBudgetExceeded):
+        P.least_factor((720720,) + (0,) * 9 + (1,))
+    assert time.perf_counter() - start < 5
+
+
 def test_format_poly():
     assert P.format_poly((-1, -1, 0, 1)) == "x^3-x-1"
     assert P.format_poly((2, -4, 4, -2, 1)) == "x^4-2x^3+4x^2-4x+2"
@@ -122,6 +132,20 @@ def test_charpoly_and_inertia():
     assert P.symmetric_sign_counts(M2) == (1, 1, 0)
     M3 = [[Q(0), Q(0)], [Q(0), Q(-3)]]
     assert P.symmetric_sign_counts(M3) == (0, 1, 1)
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(20261018)
+    for n in range(2, 8):
+        for _ in range(6):
+            M = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    M[i][j] = M[j][i] = rng.randint(-30, 30)
+            expect = sympy.Matrix(M).charpoly(x).all_coeffs()[::-1]
+            assert P.charpoly(M) == tuple(int(c) for c in expect), M
 
 
 def _nroots_profile(p, sympy):

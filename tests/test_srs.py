@@ -7,6 +7,7 @@ import pytest
 
 from betafin import polys as P
 from betafin.errors import (
+    BetaFinError,
     ClosureBudgetExceeded,
     GoldenRatioPrecondition,
     InvariantViolation,
@@ -353,6 +354,39 @@ def test_tau_preimages():
                 below = (xs[0] - 1,) + m[:-1]
                 above = (xs[-1] + 1,) + m[:-1]
                 assert ss.tau(below) != m and ss.tau(above) != m
+
+
+def _preimage_window(field, vec):
+    """W with |x| <= W for every preimage (x, vec_1, ..., vec_{d-2}) of
+    vec: x r_1 + c lies in [t, t + 1) for t = -vec_{d-1} and
+    c = sum_{j>=2} vec_{j-1} r_j, where |r_1| = |a_0| / beta and
+    |r_j| <= sum_i |a_{j-i}| beta^{-i}; the field's bracket [lo, hi]
+    bounds beta."""
+    a = field.coeffs
+    lo, hi = field.interval
+    r = [sum(abs(a[j - i]) / lo**i for i in range(1, j + 1)) for j in range(1, len(a))]
+    c = sum(abs(v) * rj for v, rj in zip(vec[:-1], r[1:]))
+    return math.ceil((abs(vec[-1]) + 1 + c) * hi / abs(a[0])) + 1
+
+
+def test_tau_preimages_match_brute_force():
+    rng = random.Random(20261018)
+    fields = {1: 0, -1: 0}
+    while min(fields.values()) < 15:
+        d = rng.randint(2, 5)
+        coeffs = [rng.choice((-1, 1)) * rng.randint(1, 4)] + [rng.randint(-4, 4) for _ in range(d - 1)]
+        try:
+            s = srs_for(make_field(coeffs))
+        except BetaFinError:
+            continue
+        fields[1 if coeffs[0] > 0 else -1] += 1
+        for i in range(4):
+            vec = tuple(rng.randint(-3, 3) for _ in range(s.dim))
+            if i % 2:
+                vec = s.tau(vec)  # one with a preimage
+            w = _preimage_window(s.field, vec)
+            brute = {(x,) + vec[:-1] for x in range(-w, w + 1)}
+            assert tau_preimages(s, vec) == {v for v in brute if s.tau(v) == vec}, (coeffs, vec)
 
 
 def test_delta():
