@@ -32,7 +32,8 @@ class ClosureBudgetExceeded(BetaFinError):
 
 class FactorBudgetExceeded(BetaFinError):
     """Kronecker's factor search did not decide irreducibility within its
-    budget of divisor choices."""
+    budget of divisor choices, or listing the divisors of an integer it
+    needs took more trial divisions than allowed."""
 
 
 class NotAdmissible(BetaFinError):

@@ -13,11 +13,11 @@ raises Reducible, naming a factor, when it is not.
 
 The isolating interval is a dyadic bracket (lo, hi, k), meaning
 [lo / 2^k, hi / 2^k] with integers lo < hi.  It is found by bisection on
-dyadic points n / 2^k with a Sturm chain of integer polynomials: the sign
-of a member c at n / 2^k is that of the integer c(n / 2^k) 2^(k deg c),
-one integer Horner.  The unit-disk profile (Schur-Cohn) also runs in
-integers, on the integer coefficients of p.  Sign and floor run interval
-Horner in integers on it: the coordinates become integer numerators over
+dyadic points n / 2^k with a Sturm chain of integer polynomials
+(polys.sturm_variations).  The unit-disk profile (Schur-Cohn) also runs
+in integers, on p itself: BetaField.poly is p's integer coefficient
+tuple.  Sign and floor run polys.horner, the package's one integer
+Horner, on the bracket: the coordinates become integer numerators over
 their common denominator, and after t Horner steps the enclosure is a
 pair of integers over that denominator times 2^(k t).  Since beta > 1
 both ends of the bracket are positive, so each step takes two products.
@@ -25,6 +25,8 @@ BetaField._settle is the one loop that refines the bracket until a
 decision holds on the enclosure.  FieldElement.sign runs it, and so does
 BetaField.floor_nums, the one floor decision on integer numerators, which
 FieldElement.floor and the shift radix system's tau both call.
+FieldElement.inverse runs Cayley-Hamilton on the integer matrix of
+multiplication by the element's numerators.
 
 Values derived from the field alone (powers of beta, floor(beta), the
 unit-disk profile; in expansion.py d_beta(1), xi, the T-orbit of 1) live
@@ -47,6 +49,7 @@ from .errors import (
     NoRootAboveOne,
     Reducible,
 )
+from .polys import horner
 
 _REFINE_CAP = 10**6
 
@@ -72,11 +75,9 @@ class BetaField:
             raise Reducible("constant term a_0 must be nonzero (x divides p)")
         self.coeffs = coeffs
         self.degree = len(coeffs)
-        # p(x) = -a_0 - a_1 x - ... - a_{d-1} x^{d-1} + x^d, low to high,
-        # in integers for the integer Horner and as a Fraction polynomial
-        self._int_poly = tuple(-a for a in coeffs) + (1,)
-        self.poly = polys.poly(self._int_poly)
-        factor = polys.least_factor(self._int_poly)
+        # p(x) = -a_0 - a_1 x - ... - a_{d-1} x^{d-1} + x^d, low to high
+        self.poly = tuple(-a for a in coeffs) + (1,)
+        factor = polys.least_factor(self.poly)
         if factor is not None:
             raise Reducible(
                 f"{self.poly_str()} factors over Q: {polys.format_poly(factor)} divides it"
@@ -90,27 +91,20 @@ class BetaField:
     def _isolate_largest_root(self) -> tuple[int, int, int]:
         """Bisect [1, 1 + max(1, |a_i|)] on dyadic points until it holds
         beta alone; returned as a reduced dyadic bracket."""
-        p = self._int_poly
+        p = self.poly
         # one Sturm chain of integer polynomials; the sign variations at lo
         # and hi carry over from step to step, and V(a) - V(b) counts the
         # roots in (a, b]
         chain = polys.sturm_chain(p)
-
-        def variations(n: int, k: int) -> int:
-            # the sign of c(n / 2^k) is that of the integer c(n / 2^k) 2^(k deg c)
-            values = [_horner(c, (n, n, k))[0] for c in chain]
-            if values[0] == 0:
-                raise InvariantViolation("rational point is a root of an irreducible p")
-            return polys.sign_variations(values)
-
         lo, hi, k = 1, 1 + max(1, max(abs(c) for c in p[:-1])), 0
-        vlo, vhi = variations(lo, k), variations(hi, k)
+        vlo = polys.sturm_variations(chain, lo, k)
+        vhi = polys.sturm_variations(chain, hi, k)
         if vlo == vhi:
             raise NoRootAboveOne(f"{self.poly_str()} has no real root above 1")
         while True:
             mid = lo + hi  # the midpoint over 2^(k+1)
             lo, hi, k = lo << 1, hi << 1, k + 1
-            vmid = variations(mid, k)
+            vmid = polys.sturm_variations(chain, mid, k)
             if vmid > vhi:
                 lo, vlo = mid, vmid
             else:
@@ -121,7 +115,7 @@ class BetaField:
             lo, hi, k = lo >> 1, hi >> 1, k - 1
         # p is monic and beta its largest real root, so p < 0 at lo and
         # p > 0 at hi: refinement keeps the half where p changes sign
-        if not _horner(p, (lo, lo, k))[0] < 0 < _horner(p, (hi, hi, k))[0]:
+        if not horner(p, (lo, lo, k))[0] < 0 < horner(p, (hi, hi, k))[0]:
             raise InvariantViolation("isolating interval lost its sign change")
         return lo, hi, k
 
@@ -137,7 +131,7 @@ class BetaField:
         with self._refine_lock:
             lo, hi, k = self._bracket
             mid = lo + hi  # the midpoint over 2^(k+1)
-            v, _, _ = _horner(self._int_poly, (mid, mid, k + 1))
+            v, _, _ = horner(self.poly, (mid, mid, k + 1))
             if v == 0:
                 raise InvariantViolation("rational midpoint is a root of an irreducible p")
             if v < 0:
@@ -154,7 +148,7 @@ class BetaField:
         decide settles every narrow enough enclosure.
         """
         for _ in range(_REFINE_CAP):
-            verdict = decide(*_horner(nums, self._bracket))
+            verdict = decide(*horner(nums, self._bracket))
             if verdict is not None:
                 return verdict
             self.refine()
@@ -175,7 +169,7 @@ class BetaField:
         return self._settle(nums, decide)
 
     def poly_str(self) -> str:
-        return polys.format_poly(self._int_poly)
+        return polys.format_poly(self.poly)
 
     def __repr__(self) -> str:
         return f"BetaField({self.poly_str()})"
@@ -267,26 +261,6 @@ def _enclosure_sign(vlo: int, vhi: int, s: int) -> int | None:
     if vhi < 0:
         return -1
     return None
-
-
-def _horner(nums: Sequence[int], bracket: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Interval Horner of sum_i nums[i] x^i over x in the bracket
-    [lo / 2^k, hi / 2^k], 0 < lo <= hi, in integers.
-
-    Returns (a, b, s) with the enclosure [a / 2^s, b / 2^s], s = k t for
-    t = len(nums) - 1 Horner steps.  With both ends positive the low end
-    of [a, b] * [lo, hi] is a * lo or a * hi by the sign of a, and the
-    high end likewise, so each step takes two products.
-    """
-    lo, hi, k = bracket
-    a = b = nums[-1]
-    s = 0
-    for n in nums[-2::-1]:
-        s += k
-        c = n << s
-        a = (a * lo if a >= 0 else a * hi) + c
-        b = (b * hi if b >= 0 else b * lo) + c
-    return a, b, s
 
 
 class FieldElement:
@@ -406,26 +380,32 @@ class FieldElement:
         return FieldElement(self.field, coords)
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by Cayley-Hamilton in integers.
+
+        Write self = n / den with n in Z[beta].  Multiplication by n has
+        the integer matrix M whose columns are n, n beta, ...,
+        n beta^{d-1}; with det(xI - M) = x^d + c_{d-1} x^{d-1} + ... + c_0,
+        M annihilates it, so n (n^{d-1} + c_{d-1} n^{d-2} + ... + c_1)
+        = -c_0.  c_0 = +-N(n) is nonzero because p is irreducible.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return self.field.from_rational(1 / self.coords[0])
-        a = polys.poly(self.coords)
-        p = self.field.poly
-        # s*a + t*p = g; g must be a nonzero constant by irreducibility
-        r0, r1 = p, a
-        s0, s1 = polys.poly(()), polys.poly((1,))
-        while r1:
-            q, r = polys.divmod_poly(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, polys.sub(s0, polys.mul(q, s1))
-        if polys.degree(r0) != 0:
-            raise InvariantViolation("common factor found; field polynomial not irreducible")
-        inv = polys.scale(s0, Fraction(1) / r0[0])
-        inv = polys.rem(inv, p)
-        coords = list(inv) + [Fraction(0)] * (self.field.degree - len(inv))
-        return FieldElement(self.field, coords)
+        den = math.lcm(*(c.denominator for c in self.coords))
+        cols = [FieldElement(self.field, [c * den for c in self.coords])]
+        for _ in range(1, self.field.degree):
+            cols.append(cols[-1].mul_beta())
+        M = [[c.numerator for c in row] for row in zip(*(col.coords for col in cols))]
+        cs = polys.charpoly(M)
+        if cs[0] == 0:
+            raise InvariantViolation("an element of norm zero; field polynomial not irreducible")
+        # Horner in n on integer vectors: v = n v + c for c = c_{d-1}, ..., c_1
+        v = [1] + [0] * (self.field.degree - 1)
+        for c in cs[-2:0:-1]:
+            v = [sum(m * x for m, x in zip(row, v)) for row in M]
+            v[0] += c
+        return FieldElement(self.field, [Fraction(-den * x, cs[0]) for x in v])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -488,7 +468,7 @@ class FieldElement:
 
 def unit_disk_profile(field: BetaField) -> tuple[int, int, int]:
     """(inside, on, outside) root counts of p relative to the unit circle."""
-    return field.memo("disk_profile", partial(polys.unit_disk_root_profile, field._int_poly))
+    return field.memo("disk_profile", partial(polys.unit_disk_root_profile, field.poly))
 
 
 def is_pisot(field: BetaField) -> bool:

@@ -1,91 +1,24 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic in integers.
 
-Polynomials are dense little-endian tuples of rationals (Fraction or
-int); the empty tuple is the zero polynomial.  The ring operations build
-Fraction tuples.  The per-field work runs in plain integers: each Sturm
-chain member is scaled to a primitive integer polynomial, and the
-Schur-Cohn form, its characteristic polynomial and their sign counts are
-integer throughout.  Everything here is exact: no floating point.
+Polynomials are dense little-endian tuples of integers; the empty tuple
+is the zero polynomial.  Sturm chains, the Schur-Cohn form, its
+characteristic polynomial and their sign counts are built and evaluated
+in integers: a Sturm chain member is scaled to a primitive integer
+polynomial, and its sign at a dyadic point n / 2^k is that of one
+integer Horner (horner).  Everything here is exact: no floating point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import FactorBudgetExceeded, InvariantViolation
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 
 
-def poly(coeffs: Iterable) -> Poly:
-    """Build a polynomial, trimming trailing zero coefficients."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def degree(p: Poly) -> int:
-    """Degree of p; -1 for the zero polynomial."""
-    return len(p) - 1
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-
-
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
-
-
-def scale(p: Poly, s) -> Poly:
-    return poly(c * Fraction(s) for c in p)
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return poly(out)
-
-
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq = degree(q)
-    lead = q[-1]
-    for i in range(len(r) - 1, dq - 1, -1):
-        if r[i] == 0:
-            continue
-        c = r[i] / lead
-        quo[i - dq] = c
-        for j, b in enumerate(q):
-            r[i - dq + j] -= c * b
-    return poly(quo), poly(r)
-
-
-def rem(p: Poly, q: Poly) -> Poly:
-    return divmod_poly(p, q)[1]
-
-
-def derivative(p: Poly) -> Poly:
-    return poly(i * c for i, c in enumerate(p) if i > 0)
-
-
-def eval_at(p: Poly, x):
+def eval_at(p: Sequence, x):
     """p(x) for a rational x; an int when p and x are integral."""
     acc = 0
     for c in reversed(p):
@@ -93,41 +26,61 @@ def eval_at(p: Poly, x):
     return acc
 
 
-def eval_interval(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of p([lo, hi]) by interval Horner evaluation.
+def eval_interval(p: Sequence, lo, hi) -> tuple:
+    """Enclosure of p([lo, hi]) for rational p, lo and hi, by interval
+    Horner evaluation.
 
-    The field kernel runs the same Horner in integers on its dyadic
-    bracket; this Fraction form is the tests' reference for it.
+    The field kernel runs horner on its dyadic bracket in integers; this
+    rational form is the tests' reference for it.
     """
-    vlo = vhi = p[-1] if p else Fraction(0)
+    vlo = vhi = p[-1] if p else 0
     for c in reversed(p[:-1]):
         prods = (vlo * lo, vlo * hi, vhi * lo, vhi * hi)
         vlo, vhi = min(prods) + c, max(prods) + c
     return vlo, vhi
 
 
-def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
-    """Sturm sequence p, p', -rem(...), ... of a squarefree polynomial of
-    positive degree, each member scaled by a positive rational to a
-    primitive integer polynomial.  The scaling leaves every sign, and so
-    every variation count, unchanged, and the chain is built in integers:
-    a positive multiple of a remainder has the same sign pattern."""
-    chain = [_primitive(p), _primitive(derivative(p))]
+def horner(nums: Sequence[int], bracket: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Interval Horner of sum_i nums[i] x^i over x in the bracket
+    [lo / 2^k, hi / 2^k], 0 < lo <= hi, in integers.
+
+    Returns (a, b, s) with the enclosure [a / 2^s, b / 2^s], s = k t for
+    t = len(nums) - 1 Horner steps.  With both ends positive the low end
+    of [a, b] * [lo, hi] is a * lo or a * hi by the sign of a, and the
+    high end likewise, so each step takes two products.  A point bracket
+    (n, n, k) is exact for any sign of n: a = b is the integer
+    p(n / 2^k) 2^s.
+    """
+    lo, hi, k = bracket
+    a = b = nums[-1]
+    s = 0
+    for n in nums[-2::-1]:
+        s += k
+        c = n << s
+        a = (a * lo if a >= 0 else a * hi) + c
+        b = (b * hi if b >= 0 else b * lo) + c
+    return a, b, s
+
+
+def sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm sequence p, p', -rem(...), ... of a squarefree integer
+    polynomial of positive degree, built in integers: each member is a
+    positive multiple of the rational one (_positive_rem, then division
+    by the gcd of the coefficients), so every sign, and so every
+    variation count, is unchanged."""
+    chain = [_primitive(p), _primitive([i * c for i, c in enumerate(p)][1:])]
     while len(chain[-1]) > 1:
         r = _positive_rem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(_primitive(neg(r)))
+        chain.append(_primitive([-c for c in r]))
     return chain
 
 
-def _primitive(p: Poly) -> tuple[int, ...]:
-    """Nonzero p times the positive rational that makes it a primitive
-    integer polynomial."""
-    den = math.lcm(*(c.denominator for c in p))
-    nums = [int(c * den) for c in p]
-    g = math.gcd(*nums)
-    return tuple(n // g for n in nums)
+def _primitive(p: Sequence[int]) -> Poly:
+    """A nonzero integer polynomial divided by the gcd of its coefficients."""
+    g = math.gcd(*p)
+    return tuple(c // g for c in p)
 
 
 def _positive_rem(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -155,22 +108,24 @@ def sign_variations(values: Sequence) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def sturm_variations(chain: list[Poly], x) -> int:
-    """Sign variations of a Sturm chain at x; x must not be a root of
-    chain[0]."""
-    values = [eval_at(c, x) for c in chain]
+def sturm_variations(chain: list[Poly], n: int, k: int) -> int:
+    """Sign variations of a Sturm chain at the dyadic point n / 2^k, each
+    member's sign read off one integer horner; InvariantViolation when
+    the point is a root of chain[0], which callers rule out."""
+    values = [horner(c, (n, n, k))[0] for c in chain]
     if values[0] == 0:
-        raise ValueError("Sturm endpoints must not be roots")
+        raise InvariantViolation(f"the Sturm point {n}/2^{k} is a root")
     return sign_variations(values)
 
 
-def count_real_roots(p: Poly, lo, hi) -> int:
-    """Number of distinct real roots of squarefree p in (lo, hi].
+def count_real_roots(p: Poly, lo: int, hi: int) -> int:
+    """Number of distinct real roots of squarefree integer p in (lo, hi]
+    for integers lo < hi.
 
     Requires p(lo) != 0 and p(hi) != 0 (callers arrange this).
     """
     chain = sturm_chain(p)
-    return sturm_variations(chain, lo) - sturm_variations(chain, hi)
+    return sturm_variations(chain, lo, 0) - sturm_variations(chain, hi, 0)
 
 
 # divisor choices one least_factor call may try, about 1 s of search; the
@@ -178,12 +133,24 @@ def count_real_roots(p: Poly, lo, hi) -> int:
 # cubic and quartic grids use far fewer
 _KRONECKER_CAP = 100_000
 
+# trial divisions one _divisors call may make, about 0.1 s, so |n| up to
+# 10^12; the polynomials of the tests (at most 849, x^10+720720 at x = 2),
+# demos, README and both grids need far fewer
+_DIVISOR_CAP = 1_000_000
+
 
 def _divisors(n: int) -> list[int]:
-    """The positive and negative divisors of a nonzero integer."""
+    """The positive and negative divisors of a nonzero integer, by trial
+    division up to sqrt(|n|); FactorBudgetExceeded when that takes more
+    than _DIVISOR_CAP steps."""
     n = abs(n)
+    root = math.isqrt(n)
+    if root > _DIVISOR_CAP:
+        raise FactorBudgetExceeded(
+            f"listing the divisors of {n} takes more than {_DIVISOR_CAP} trial divisions"
+        )
     out: list[int] = []
-    for a in range(1, math.isqrt(n) + 1):
+    for a in range(1, root + 1):
         if n % a == 0:
             out += [a] if a * a == n else [a, n // a]
     return out + [-a for a in out]
@@ -195,9 +162,9 @@ def integer_roots(p: Poly) -> list[int]:
         return []
     const = p[0]
     if const == 0:
-        roots = integer_roots(poly(p[1:]))
+        roots = integer_roots(p[1:])
         return sorted(set(roots) | {0})
-    return sorted(r for r in _divisors(int(const)) if eval_at(p, r) == 0)
+    return sorted(r for r in _divisors(const) if eval_at(p, r) == 0)
 
 
 def least_factor(p: Sequence[int]) -> tuple[int, ...] | None:
@@ -327,7 +294,7 @@ def schur_cohn_matrix(p: Poly) -> list[list[int]]:
     is (#roots outside unit circle) - (#roots inside) when p and its
     reciprocal are coprime, and it is singular otherwise.
     """
-    n = degree(p)
+    n = len(p) - 1
     a = _integers(p)
 
     def coef(i: int) -> int:
@@ -400,22 +367,28 @@ def symmetric_sign_counts(M: list[list[int]]) -> tuple[int, int, int]:
 
 
 def palindromic_u_transform(g: Poly) -> Poly:
-    """Write a palindromic even-degree g as x^m * h(x + 1/x); return h.
+    """Write a palindromic even-degree integer g as x^m * h(x + 1/x);
+    return h.
 
     Uses the recursion C_0 = 2, C_1 = u, C_{k+1} = u C_k - C_{k-1} for
-    x^k + x^{-k} = C_k(x + 1/x).
+    x^k + x^{-k} = C_k(x + 1/x).  Each C_k is monic of degree k, so h has
+    degree m and leading coefficient g[2m].
     """
-    n = degree(g)
+    n = len(g) - 1
     if n % 2 != 0 or any(g[i] != g[n - i] for i in range(n + 1)):
         raise ValueError("not a palindromic polynomial of even degree")
     m = n // 2
-    C: list[Poly] = [poly((2,)), poly((0, 1))]
+    C = [[2], [0, 1]]
     for _ in range(2, m + 1):
-        C.append(sub(mul(poly((0, 1)), C[-1]), C[-2]))
-    h = poly((g[m],))
+        nxt = [0] + C[-1]
+        for i, c in enumerate(C[-2]):
+            nxt[i] -= c
+        C.append(nxt)
+    h = [g[m]] + [0] * m
     for k in range(1, m + 1):
-        h = add(h, scale(C[k], g[m + k]))
-    return h
+        for i, c in enumerate(C[k]):
+            h[i] += g[m + k] * c
+    return tuple(h)
 
 
 def unit_disk_root_profile(p: Poly) -> tuple[int, int, int]:
@@ -438,7 +411,7 @@ def unit_disk_root_profile(p: Poly) -> tuple[int, int, int]:
       and the Schur-Cohn form is nonsingular with signature
       outside - inside.
     """
-    n = degree(p)
+    n = len(p) - 1
     if p == p[::-1]:
         on = 2 * count_real_roots(palindromic_u_transform(p), -2, 2)
         return (n - on) // 2, on, (n - on) // 2

@@ -199,9 +199,13 @@ def tau_orbit_vectors(srs: ShiftRadixSystem, cap: int = DEFAULT_ORBIT_CAP) -> li
 
 
 def v_box_set(
-    srs: ShiftRadixSystem, delta_bound: int, cap: int = DEFAULT_CLOSURE_CAP
+    srs: ShiftRadixSystem,
+    delta_bound: int,
+    cap: int = DEFAULT_CLOSURE_CAP,
+    walk_cap: int = DEFAULT_ORBIT_CAP,
 ) -> tuple[set[SrsVector], bool]:
-    """Members of V inside the delta-box, with a completeness flag.
+    """Members of V inside the delta-box, with a completeness flag; cap
+    bounds the box closure and walk_cap the orbit walk.
 
     V is the set of finite sums -sum omega_n s_n over the orbit vectors
     s_n.  When the s_n all have the same coordinate sign, partial sums
@@ -212,7 +216,7 @@ def v_box_set(
     """
     if delta_bound < 0:
         raise ValueError("delta must be >= 0")
-    S = tau_orbit_vectors(srs)
+    S = tau_orbit_vectors(srs, walk_cap)
     zero = (0,) * srs.dim
     if delta_bound == 0 or not S:
         # the box holds only the zero vector, which is always a member
@@ -247,13 +251,14 @@ class F1Certificate:
 def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_ORBIT_CAP) -> F1Certificate:
     """Check the sufficient condition on the closure graph: every preimage
     of a P vector stays in P, and the delta-box slice of V reaches zero
-    under tau."""
+    under tau.  walk_cap bounds each tau walk, the orbit of the initial
+    vector included; a spent budget gives "unknown"."""
     srs = graph.srs
     P = graph.p_nodes
     d = delta(P)
     try:
         closure_ok = all(tau_preimages(srs, p) <= P for p in P)
-        r0, complete = v_box_set(srs, d)
+        r0, complete = v_box_set(srs, d, walk_cap=walk_cap)
         r0_in_f = all(in_f_beta(srs, v, walk_cap) for v in r0)
     except (ClosureBudgetExceeded, OrbitBudgetExceeded) as exc:
         return F1Certificate(

@@ -161,6 +161,9 @@ def test_error_exit_codes(capsys):
     # Kronecker's factor search has a fixed budget of divisor choices
     code, out, err = run(capsys, "classify", "--poly", "x^10+720720")
     assert code == 1 and out == "" and err.startswith("error: FactorBudgetExceeded")
+    # and so does the trial division that lists the divisors of a_0
+    code, out, err = run(capsys, "classify", "--poly", "x^3-1000000000000000001")
+    assert code == 1 and out == "" and err.startswith("error: FactorBudgetExceeded")
 
 
 def test_config_file(tmp_path, capsys):

@@ -26,9 +26,8 @@ def family(t):
     return (t, -2 * t, 2 * t)
 
 
-def bisect_oracle(poly_coeffs, lo, hi, width=Q(1, 1000)):
+def bisect_oracle(p, lo, hi, width=Q(1, 1000)):
     """Independent root bracket by plain rational bisection on p."""
-    p = P.poly(poly_coeffs)
     lo, hi = Q(lo), Q(hi)
     assert P.eval_at(p, lo) * P.eval_at(p, hi) < 0
     while hi - lo > width:
@@ -63,9 +62,9 @@ def test_make_field_errors():
         make_field((-2, 3))  # (x-1)(x-2)
     with pytest.raises(Reducible):
         make_field((0, 1, 1))  # zero constant term
-    prod = P.mul(P.poly((-1, -1, 1)), P.poly((-2, 0, 1)))
+    # (x^2-x-1)(x^2-2) = x^4-x^3-3x^2+2x+2
     with pytest.raises(Reducible):
-        make_field([-int(c) for c in prod[:-1]])
+        make_field((-2, -2, 3, 1))
 
 
 def test_reducible_quintic_names_its_factor():
@@ -180,13 +179,26 @@ def test_division_and_powers():
     assert x / x == f.one()
     assert b ** (-3) == f.beta_inverse() ** 3
     assert b**4 * b ** (-4) == f.one()
+    # random elements of degree 2-7 fields, x^5-x-1 and the palindromic
+    # x^4-x^3-x^2-x+1 among them
+    rng = random.Random(11)
+    for coeffs in [*KERNEL_FIELDS, (-1, 1, 1, 1), (1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0)]:
+        f = make_field(coeffs)
+        for _ in range(15):
+            x = f.from_coords([Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(f.degree)])
+            if not x.is_zero():
+                assert x * x.inverse() == 1, (coeffs, x)
+        q = f.from_rational(Q(-3, 7))
+        assert q.inverse() == f.from_rational(Q(-7, 3)) and q * q.inverse() == 1
+        with pytest.raises(ZeroDivisionError):
+            f.zero().inverse()
 
 
 def test_is_pisot_examples():
     assert is_pisot(make_field(family(2)))
     assert is_pisot(make_field(MINIMAL_PISOT))
     # derived oracle: x^2-3x+1 has roots in (0,1) and (2,3) by sign changes
-    p = P.poly((1, -3, 1))
+    p = (1, -3, 1)
     assert P.eval_at(p, 0) > 0 > P.eval_at(p, 1)
     assert P.eval_at(p, 2) < 0 < P.eval_at(p, 3)
     assert is_pisot(make_field((-1, 3)))
@@ -226,7 +238,7 @@ def test_isolating_interval_matches_sympy():
         except (NoRootAboveOne, Reducible):
             continue
         tested += 1
-        p = sympy.Poly([int(c) for c in reversed(f._int_poly)], x)
+        p = sympy.Poly(list(reversed(f.poly)), x)
         lo, hi = (sympy.Rational(q.numerator, q.denominator) for q in f.interval)
         # sympy's exact count: one root in [lo, hi], none above
         assert p.count_roots(lo, hi) == 1 and p.count_roots(hi, None) == 0, f
@@ -257,12 +269,11 @@ KERNEL_FIELDS = {
 def oracle_enclosure(field, coords, done):
     """The first Fraction enclosure of the element's value, over ever
     narrower oracle brackets of beta, for which done(vlo, vhi) holds."""
-    p = P.poly(field.poly)
+    p = field.poly
     lo, hi = KERNEL_FIELDS[field.coeffs]
     assert P.eval_at(p, lo) < 0 < P.eval_at(p, hi)
-    value = P.poly(coords)
     while True:
-        vlo, vhi = P.eval_interval(value, lo, hi)
+        vlo, vhi = P.eval_interval(coords, lo, hi)
         if done(vlo, vhi):
             return vlo, vhi
         mid = (lo + hi) / 2
@@ -344,7 +355,7 @@ def test_sign_and_floor_under_threads():
                 assert not th.is_alive()
             assert results == [expect] * 8
             # the bracket still isolates beta, and each refinement halves it
-            p = P.poly(field.poly)
+            p = field.poly
             lo, hi = field.interval
             assert P.eval_at(p, lo) < 0 < P.eval_at(p, hi)
             for _ in range(3):
