@@ -8,6 +8,7 @@
 from betafin import (
     add_one,
     beta_expand,
+    carry_step,
     d_beta_star,
     free_blocks,
     frac_part,
@@ -27,14 +28,14 @@ fb = free_blocks(trib, w)
 print("word:", format_word(w))
 print("block boundaries:", fb.boundaries(6), "...")
 
-# x is the value with that digit string; watch the carry chain for x+1
+# x is the value with that digit string (L(x) = 9); x + 1 increments
+# digit 9, between the boundaries k_1 = 2 and k_2 = 10, and the cascade
+# repairs it in one round
 b = trib.beta()
 x = b**8 + b**6 + b**5 + b**3 + b**2 + 1
-trace = []
-expansion, witness = add_one(x, _trace=trace)
+expansion, witness = add_one(x)
 print("\nx + 1 expands as: L =", expansion.exponent, "digits =", format_word(expansion.word))
-for i, step in enumerate(trace):
-    print(f"  carry round {i + 1}: {format_word(step)}")
+print(f"  carry round 1: {format_word(carry_step(trib, w, fb, 9, w.shift(9), fb.locate(9)))}")
 print("witness: theta =", witness.theta, "omegas =", witness.omegas,
       "| verified:", witness.verified)
 print("agrees with the direct expansion:",

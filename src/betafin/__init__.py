@@ -34,12 +34,14 @@ from .field import (
 from .words import Word, format_word, lex_cmp, parse_word, subtract
 from .expansion import (
     Expansion,
+    FreeBlockDecomposition,
     beta_expand,
     big_l,
     d_beta,
     d_beta_one,
     d_beta_star,
     frac_part,
+    free_blocks,
     is_admissible,
     is_finite_expansion,
     nu,
@@ -49,11 +51,9 @@ from .expansion import (
     xi_t_power,
 )
 from .normalization import (
-    FreeBlockDecomposition,
     KeyWitness,
     add_one,
     carry_step,
-    free_blocks,
     witness_for_natural,
 )
 from .srs import (

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import (
     ClosureBudgetExceeded,
@@ -101,7 +100,7 @@ def bassino_case(a: int, b: int, c: int) -> str:
 
     Case III searches k in [2, a-2] with e_k <= b+c < e_{k-1} for
     e_k = 1 - a + (a-2)/k, then tests the defining inequality, all in
-    exact rational arithmetic.
+    integers: the bounds on b+c are multiplied through by k and k-1.
     """
     if not cubic_pisot_criterion(a, b, c):
         raise NotCubicPisot(f"(a,b,c)=({a},{b},{c}) fails the Pisot criterion")
@@ -110,13 +109,10 @@ def bassino_case(a: int, b: int, c: int) -> str:
     if -a < b <= 0 and b + c < 0:
         return CASE_II
     if b <= -a:
-        bc = Fraction(b + c)
-
-        def e(k: int) -> Fraction:
-            return 1 - a + Fraction(a - 2, k)
-
+        bc = b + c
         for k in range(2, a - 1):
-            if e(k) <= bc < e(k - 1):
+            # j * e_j = j (1 - a) + a - 2, scaled by j = k and j = k - 1
+            if k * (1 - a) + a - 2 <= k * bc and (k - 1) * bc < (k - 1) * (1 - a) + a - 2:
                 if b * (k - 1) + c * (k - 2) > (k - 2) - (k - 1) * a:
                     return CASE_III
                 break
@@ -361,7 +357,7 @@ def classify(
 
     # ---- (F1) --------------------------------------------------------------
     if graph is not None and (report.f1 == UNKNOWN or report.pf == UNKNOWN):
-        cert = f1_certificate(graph, orbit_cap)
+        cert = f1_certificate(graph, orbit_cap, closure_cap)
         if cert.verdict == PROVEN:
             _set_verdict(
                 report, "f1", PROVEN,

@@ -212,7 +212,7 @@ def _family_checks(t: int, args) -> list[tuple[str, bool]]:
     checks.append(("Q is the 27-vector set", set(graph.nodes) == FAMILY_Q))
     checks.append(("P = {(1,1)}", graph.p_nodes == frozenset({(1, 1)})))
     checks.append(("tau-preimage closure of (1,1)", tau_preimages(srs, (1, 1)) == {(1, 1)}))
-    cert = f1_certificate(graph, args.budget_orbit)
+    cert = f1_certificate(graph, args.budget_orbit, args.budget_closure)
     checks.append(("R0 inside F", all(in_f_beta(srs, v) for v in cert.r0)))
     checks.append(("F1 certificate proven", cert.verdict == "proven"))
     report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep)

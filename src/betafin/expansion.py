@@ -6,15 +6,19 @@ exact state hashing, so every expansion comes back as an eventually
 periodic Word together with its preperiod and period.  The quasi-greedy
 expansion of 1 is the yardstick for Parry's admissibility condition:
 a word is realizable iff every shift stays lexicographically below it.
+The free-block scan decides that condition: it cuts an admissible word
+into maximal prefixes of the quasi-greedy word, each closed by a
+strictly smaller digit, and `is_admissible` is whether the scan
+completes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantViolation, OrbitBudgetExceeded, OutOfRange
+from .errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from .field import BetaField, FieldElement
-from .words import Word, format_word, lex_cmp
+from .words import Word, compare_window, format_word
 
 # bounds digit orbits here and shift radix system walks (--budget-orbit)
 DEFAULT_ORBIT_CAP = 100_000
@@ -74,19 +78,95 @@ def d_beta_star(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     return field.memo("d_beta_star", lambda: Word((), w.pre[:-1] + (w.pre[-1] - 1,)))
 
 
+@dataclass(frozen=True, slots=True)
+class FreeBlockDecomposition:
+    """Block boundaries k_1 < k_2 < ... of an admissible word.
+
+    Eventually the gaps repeat: head holds the explicit boundaries and
+    cycle_gaps the gap cycle that continues forever after them.
+    """
+
+    head: tuple[int, ...]
+    cycle_gaps: tuple[int, ...]
+
+    def k(self, i: int) -> int:
+        """The i-th boundary, 1-based; k(0) = 0."""
+        if i < 0:
+            raise ValueError("block index must be >= 0")
+        if i == 0:
+            return 0
+        if i <= len(self.head):
+            return self.head[i - 1]
+        base = self.head[-1] if self.head else 0
+        m = i - len(self.head)
+        full, part = divmod(m, len(self.cycle_gaps))
+        return base + full * sum(self.cycle_gaps) + sum(self.cycle_gaps[:part])
+
+    def locate(self, ell: int) -> int:
+        """The index i with k(i) < ell <= k(i+1)."""
+        if ell < 1:
+            raise ValueError("position must be >= 1")
+        i = 0
+        while self.k(i + 1) < ell:
+            i += 1
+        return i
+
+    def boundaries(self, count: int) -> list[int]:
+        return [self.k(i) for i in range(1, count + 1)]
+
+
+def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
+    """Decompose an admissible word into its free blocks.
+
+    The scan walks block by block: inside a block the word copies the
+    quasi-greedy expansion d* of 1 and the block closes at the first
+    strictly smaller digit.  An upward deviation, or a tail that never
+    deviates, is exactly a failure of admissibility.
+
+    Comparing the shifts at block starts with d* is enough: a shift that
+    starts m digits into a block copies d* shifted by m and then drops
+    below it, and every shift of d* is <= d*, so that shift is below d*
+    as well.  Raises NotAdmissible when some shift is not below d*.
+    """
+    dstar = d_beta_star(field)
+    prelen = len(w.pre)
+    plen = w.period_len()
+    ks: list[int] = []
+    seen: dict[int, int] = {}
+    s = 0
+    while len(ks) <= prelen + plen + 2:
+        if s >= prelen:
+            key = (s - prelen) % plen
+            if key in seen:
+                start = seen[key]
+                bounds = [0] + ks
+                gaps = (b - a for a, b in zip(bounds[start:], bounds[start + 1:]))
+                return FreeBlockDecomposition(tuple(ks[:start]), tuple(gaps))
+            seen[key] = len(ks)
+        suffix = w.shift(s)
+        # the block is digits s+1 .. s+j: the first j-1 copy d*, digit s+j is smaller
+        for j in range(1, compare_window(suffix, dstar) + 2):
+            a, b = suffix.digit(j - 1), dstar.digit(j - 1)
+            if a > b:
+                raise NotAdmissible(f"digit above the quasi-greedy bound at position {s + j}")
+            if a < b:
+                break
+        else:
+            raise NotAdmissible(f"shift at position {s} coincides with the quasi-greedy word")
+        s += j
+        ks.append(s)
+    raise InvariantViolation("free block scan failed to close a gap cycle")
+
+
 def is_admissible(field: BetaField, w: Word) -> bool:
     """Parry's condition: every shift of w is lexicographically below
-    the quasi-greedy expansion of 1.
-
-    Only preperiod + period many shifts are distinct, and each comparison
-    is decided on a finite window, so the check is exact.
-    """
+    the quasi-greedy expansion of 1, decided by the free-block scan."""
     if w.has_negative_digit():
         raise ValueError("admissibility is defined for nonnegative digit words")
-    dstar = d_beta_star(field)
-    for n in range(len(w.pre) + w.period_len()):
-        if lex_cmp(w.shift(n), dstar) >= 0:
-            return False
+    try:
+        free_blocks(field, w)
+    except NotAdmissible:
+        return False
     return True
 
 

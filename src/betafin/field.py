@@ -217,10 +217,7 @@ class BetaField:
         return FieldElement(self, coords)
 
     def from_coords(self, coords: Iterable) -> "FieldElement":
-        cs = tuple(Fraction(c) for c in coords)
-        if len(cs) != self.degree:
-            raise ValueError(f"expected {self.degree} coordinates, got {len(cs)}")
-        return FieldElement(self, cs)
+        return FieldElement(self, coords)
 
     def beta(self) -> "FieldElement":
         coords = [Fraction(0)] * self.degree
@@ -273,6 +270,8 @@ class FieldElement:
         self.coords = tuple(
             c if type(c) is Fraction else Fraction(c) for c in coords
         )
+        if len(self.coords) != field.degree:
+            raise ValueError(f"expected {field.degree} coordinates, got {len(self.coords)}")
 
     # -- representation ------------------------------------------------------
 

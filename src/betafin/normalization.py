@@ -1,9 +1,10 @@
-"""Digit normalization: free blocks, the carry rewrite, and x -> x+1.
+"""Digit normalization: the carry rewrite and x -> x+1.
 
 An admissible word factors uniquely into maximal prefixes of the
 quasi-greedy expansion of 1, each closed by a strictly smaller digit
-(its "free blocks").  Incrementing a digit generally breaks
-admissibility; the carry rewrite repairs it by bumping the digit at the
+(its "free blocks"; the scan lives in expansion, beside the quasi-greedy
+word it reads, and is re-exported here).  Incrementing a digit generally
+breaks admissibility; the carry rewrite repairs it by bumping the digit at the
 enclosing block boundary and subtracting the quasi-greedy word from the
 tail, preserving the value exactly.  Iterating the rewrite from the
 innermost block outward normalizes the expansion of x + 1 and, as a by
@@ -19,15 +20,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CascadeOverrun, InvariantViolation, NotAdmissible, OutOfRange
+from .errors import CascadeOverrun, InvariantViolation, OutOfRange
 from .expansion import (
     DEFAULT_ORBIT_CAP,
     Expansion,
+    FreeBlockDecomposition,
     beta_expand,
     big_l,
     d_beta,
     d_beta_one,
     d_beta_star,
+    free_blocks,
     frac_part,
     is_admissible,
     nu,
@@ -36,89 +39,7 @@ from .expansion import (
     xi_t_power,
 )
 from .field import BetaField, FieldElement
-from .words import Word, compare_window, subtract
-
-
-@dataclass(frozen=True, slots=True)
-class FreeBlockDecomposition:
-    """Block boundaries k_1 < k_2 < ... of an admissible word.
-
-    Eventually the gaps repeat: head holds the explicit boundaries and
-    cycle_gaps the gap cycle that continues forever after them.
-    """
-
-    head: tuple[int, ...]
-    cycle_gaps: tuple[int, ...]
-
-    def k(self, i: int) -> int:
-        """The i-th boundary, 1-based; k(0) = 0."""
-        if i < 0:
-            raise ValueError("block index must be >= 0")
-        if i == 0:
-            return 0
-        if i <= len(self.head):
-            return self.head[i - 1]
-        base = self.head[-1] if self.head else 0
-        m = i - len(self.head)
-        full, part = divmod(m, len(self.cycle_gaps))
-        return base + full * sum(self.cycle_gaps) + sum(self.cycle_gaps[:part])
-
-    def locate(self, ell: int) -> int:
-        """The index i with k(i) < ell <= k(i+1)."""
-        if ell < 1:
-            raise ValueError("position must be >= 1")
-        i = 0
-        while self.k(i + 1) < ell:
-            i += 1
-        return i
-
-    def boundaries(self, count: int) -> list[int]:
-        return [self.k(i) for i in range(1, count + 1)]
-
-
-def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
-    """Decompose an admissible word into its free blocks.
-
-    The scan walks block by block: inside a block the word copies the
-    quasi-greedy expansion of 1 and the block closes at the first
-    strictly smaller digit.  An upward deviation, or a tail that never
-    deviates, is exactly a failure of admissibility.
-    """
-    dstar = d_beta_star(field)
-    prelen = len(w.pre)
-    plen = w.period_len()
-    ks: list[int] = []
-    seen: dict[int, int] = {}
-    s = 0
-    while len(ks) <= prelen + plen + 2:
-        if s >= prelen:
-            key = (s - prelen) % plen
-            if key in seen:
-                start = seen[key]
-                gaps = []
-                prev = ks[start - 1] if start > 0 else 0
-                for kv in ks[start:]:
-                    gaps.append(kv - prev)
-                    prev = kv
-                return FreeBlockDecomposition(tuple(ks[:start]), tuple(gaps))
-            seen[key] = len(ks)
-        suffix = w.shift(s)
-        bound = compare_window(suffix, dstar) + 1
-        j = None
-        for idx in range(bound):
-            a, b = suffix.digit(idx), dstar.digit(idx)
-            if a != b:
-                if a > b:
-                    raise NotAdmissible(
-                        f"digit above the quasi-greedy bound at position {s + idx + 1}"
-                    )
-                j = idx + 1
-                break
-        if j is None:
-            raise NotAdmissible(f"shift at position {s} coincides with the quasi-greedy word")
-        ks.append(s + j)
-        s += j
-    raise InvariantViolation("free block scan failed to close a gap cycle")
+from .words import Word, subtract
 
 
 def carry_step(
@@ -213,9 +134,7 @@ def _assemble_witness(
     return KeyWitness(theta, om, lhs, rhs, verified=(lhs == rhs))
 
 
-def add_one(
-    x: FieldElement, cap: int = DEFAULT_ORBIT_CAP, _trace: list | None = None
-) -> tuple[Expansion, KeyWitness]:
+def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, KeyWitness]:
     """Expansion of x + 1 computed from the expansion of x by carry
     propagation, together with the exact difference certificate.
 
@@ -231,9 +150,8 @@ def add_one(
     # budget; the orbit of 1 counts against this call's cap first
     d_beta_one(field, cap)
     ell = big_l(x + 1)
-    lx = big_l(x)
     base = beta_expand(x, cap)
-    c = base.word.prepend((0,) * (ell - lx))
+    c = base.word.prepend((0,) * (ell - base.exponent))
     blocks = free_blocks(field, c)
     i = blocks.locate(ell)
     theta = 1 if ell < blocks.k(i + 1) else 0
@@ -253,9 +171,7 @@ def add_one(
             raise CascadeOverrun("carry cascade exceeded its proven bound")
         cur = i - n
         m = ell - blocks.k(cur) + 1
-        rewrite = carry_step(field, c, blocks, ell, tail, cur)
-        if _trace is not None:
-            _trace.append(rewrite)
+        carry_step(field, c, blocks, ell, tail, cur)
         step_theta = theta if n == 0 else 0
         y = step_theta + y - xi(field, m)
         if y.sign() < 0 or (y - 1).sign() >= 0:

@@ -248,17 +248,22 @@ class F1Certificate:
     diagnostic: str = ""
 
 
-def f1_certificate(graph: OrbitGraph, walk_cap: int = DEFAULT_ORBIT_CAP) -> F1Certificate:
+def f1_certificate(
+    graph: OrbitGraph,
+    walk_cap: int = DEFAULT_ORBIT_CAP,
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
+) -> F1Certificate:
     """Check the sufficient condition on the closure graph: every preimage
     of a P vector stays in P, and the delta-box slice of V reaches zero
     under tau.  walk_cap bounds each tau walk, the orbit of the initial
-    vector included; a spent budget gives "unknown"."""
+    vector included, and closure_cap the box closure; a spent budget
+    gives "unknown"."""
     srs = graph.srs
     P = graph.p_nodes
     d = delta(P)
     try:
         closure_ok = all(tau_preimages(srs, p) <= P for p in P)
-        r0, complete = v_box_set(srs, d, walk_cap=walk_cap)
+        r0, complete = v_box_set(srs, d, closure_cap, walk_cap)
         r0_in_f = all(in_f_beta(srs, v, walk_cap) for v in r0)
     except (ClosureBudgetExceeded, OrbitBudgetExceeded) as exc:
         return F1Certificate(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
@@ -86,12 +86,6 @@ class Word:
 
     def prepend(self, head: Iterable[int]) -> "Word":
         return Word(tuple(head) + self.pre, self.period)
-
-    def __iter__(self) -> Iterator[int]:
-        i = 0
-        while True:
-            yield self.digit(i)
-            i += 1
 
 
 def compare_window(a: Word, b: Word) -> int:

@@ -167,14 +167,51 @@ def _admissible_oracle(field, w):
     return True
 
 
+# bases whose d_beta(1) is infinite, so d*_beta = d_beta(1), with that word
+INFINITE_D1 = {
+    "x^2-3x+1": (make_field((-1, 3)), "2 (1)"),
+    "x^2-4x+2": (make_field((-2, 4)), "3 (1)"),
+    "x^3-4x^2+2": (make_field((-2, 0, 4)), "3 3 (1)"),
+}
+
+
+def _spliced_word(rng, dstar):
+    """Prefixes of d* back to back, then one digit moved by +-1."""
+    longest = len(dstar.pre) + 2 * dstar.period_len()
+
+    def prefixes(count):
+        return [d for _ in range(count) for d in dstar.digits(rng.randint(0, longest))]
+
+    pre, period = prefixes(rng.randint(0, 3)), prefixes(rng.randint(0, 2))
+    digits = pre + period
+    if digits:
+        i = rng.randrange(len(digits))
+        digits[i] += 1 if digits[i] == 0 else rng.choice((-1, 1))
+    return Word(digits[: len(pre)], digits[len(pre):])
+
+
 def test_ac06_admissibility_oracle_equivalence():
     rng = random.Random(20260810)
-    for name, f in CATALOG.items():
+    fields = dict(CATALOG)
+    for name, (f, dstar) in INFINITE_D1.items():
+        assert not d_beta_one(f).is_finite(), name
+        assert format_word(d_beta_star(f)) == dstar, name
+        fields[name] = f
+    total = admissible = 0
+    for name, f in fields.items():
         bound = f.floor_beta()
-        for _ in range(1000):
-            w = _random_word(rng, bound)
-            assert is_admissible(f, w) == _admissible_oracle(f, w), (name, w)
-    print("AC6 PASS admissibility agrees with the window comparator on 4x1000 words")
+        words = [_random_word(rng, bound) for _ in range(1000)]
+        words += [_random_word(rng, bound + 1) for _ in range(1000)]
+        words += [_spliced_word(rng, d_beta_star(f)) for _ in range(1000)]
+        verdicts = [is_admissible(f, w) for w in words]
+        for w, verdict in zip(words, verdicts):
+            assert verdict == _admissible_oracle(f, w), (name, w)
+        # the spliced words straddle the boundary: both verdicts occur
+        assert 0 < sum(verdicts[2000:]) < 1000, name
+        total += len(words)
+        admissible += sum(verdicts)
+    print(f"AC6 PASS admissibility agrees with the window comparator on {total} words "
+          f"over {len(fields)} fields ({admissible} admissible)")
 
 
 def test_ac07_pisot_grid():

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,28 @@ def test_bassino_cases():
     assert bassino_case(1, 1, 1) == FINITE
     with pytest.raises(NotCubicPisot):
         bassino_case(3, -1, -1)  # fails the Pisot criterion
+
+
+def test_bassino_case_iii_matches_rational_bounds():
+    # the case III search in its published rational form, e_k = 1 - a + (a-2)/k
+    def case_iii(a, b, c):
+        def e(k):
+            return 1 - a + Fraction(a - 2, k)
+
+        for k in range(2, a - 1):
+            if e(k) <= b + c < e(k - 1):
+                return b * (k - 1) + c * (k - 2) > (k - 2) - (k - 1) * a
+        return False
+
+    checked = 0
+    for a in range(1, 31):
+        for b in range(-30, -a + 1):
+            for c in range(-30, 31):
+                if cubic_pisot_criterion(a, b, c):
+                    expect = CASE_III if case_iii(a, b, c) else FINITE
+                    assert bassino_case(a, b, c) == expect, (a, b, c)
+                    checked += expect == CASE_III
+    assert checked > 100
 
 
 def test_bassino_matches_direct_digit_computation():

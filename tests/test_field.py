@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from betafin import polys as P
 from betafin.errors import FieldMismatch, NoRootAboveOne, Reducible
 from betafin.field import (
+    FieldElement,
     cubic_pisot_criterion,
     is_pisot,
     make_field,
@@ -375,3 +376,14 @@ def test_field_and_elements_pickle():
     f2, x2 = pickle.loads(pickle.dumps((f, x)))
     assert f2 == f and x2 == x and x2.field is f2
     assert (x2.sign(), x2.floor()) == (x.sign(), x.floor())
+
+
+def test_field_element_checks_coordinate_count():
+    # a short vector used to lose coordinates in + and == without an error
+    f = make_field(TRIBONACCI)
+    for coords in ([2], [], [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            FieldElement(f, coords)
+        with pytest.raises(ValueError):
+            f.from_coords(coords)
+    assert FieldElement(f, [2, 0, 0]) == f.from_rational(2)

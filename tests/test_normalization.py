@@ -137,10 +137,16 @@ def test_add_one_family_two():
 def test_add_one_tribonacci_worked_chain():
     b = TRIB.beta()
     x = b**8 + b**6 + b**5 + b**3 + b**2 + 1
-    trace = []
-    e, wit = add_one(x, _trace=trace)
-    assert len(trace) == 1
-    assert trace[0] == subtract(Word((), ()), d_beta_star(TRIB).shift(7)).prepend(
+    e, wit = add_one(x)
+    # one cascade round, so one subtracted xi value
+    assert sum(wit.omegas) == 1
+    # that round's rewrite: digit 9 of x's word, between k_1 and k_2, is incremented
+    base = beta_expand(x)
+    assert base.exponent == 9
+    fb = free_blocks(TRIB, base.word)
+    assert fb.locate(9) == 1
+    rewrite = carry_step(TRIB, base.word, fb, 9, base.word.shift(9), 1)
+    assert rewrite == subtract(Word((), ()), d_beta_star(TRIB).shift(7)).prepend(
         (1, 1, 0, 0, 0, 0, 0, 0, 1)
     )
     assert e.word.digits(9) == [1, 1, 0, 0, 0, 0, 0, 0, 0]

@@ -497,6 +497,18 @@ def test_f1_certificate_spent_walk_budget_is_unknown():
     assert cert.diagnostic.startswith("budget: ")
 
 
+def test_f1_certificate_spent_closure_budget_is_unknown():
+    # family t=2: delta 1 and a box slice of 4 vectors
+    graph = q_set(srs_for(family(2)))
+    r0, complete = v_box_set(graph.srs, delta(graph.p_nodes))
+    assert len(r0) == 4 and complete
+    cert = f1_certificate(graph, closure_cap=1)
+    assert cert.verdict == "unknown"
+    assert cert.diagnostic.startswith("budget: ")
+    assert "1 nodes" in cert.diagnostic
+    assert f1_certificate(graph, closure_cap=4).verdict == "proven"
+
+
 def test_floor_beta_plus_one():
     assert floor_beta_plus_one_finite(srs_for(TRIB))
     for t in (2, 3):
