@@ -16,10 +16,12 @@ Refutation routes worth noting:
     both refutes (PF);
   * any natural number with an infinite expansion refutes (F1); the
     first candidate tried is floor(beta) + 1.  N has a finite expansion
-    iff its digit orbit (the T-orbit of beta^{-L(N)} N) reaches 0, so the
-    sweep over N runs the same shared-verdict reach-zero walk as the SRS
-    closure, over field elements instead of integer vectors: a state
-    reached from several N is stepped once.
+    iff the T-orbit of its fractional part frac(N) reaches 0.  frac(N)
+    lies in Z[beta] and in [0, 1), so the conjugacy maps it to an integer
+    vector, and the sweep over N runs tau from that vector with the same
+    shared-verdict reach-zero walk as the SRS closure, over a verdict map
+    seeded with Q's: a vector reached from several N is stepped once.
+    Only frac(N) itself is computed on field elements.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .errors import (
     NotUnit,
     OrbitBudgetExceeded,
 )
-from .expansion import DEFAULT_ORBIT_CAP, _t_step, big_l, d_beta_one, is_finite_expansion
+from .expansion import DEFAULT_ORBIT_CAP, d_beta_one, frac_part, is_finite_expansion
 from .field import BetaField, cubic_pisot_criterion, is_pisot, unit_disk_profile
-from .srs import DEFAULT_CLOSURE_CAP, ShiftRadixSystem, f1_certificate, q_set
+from .srs import DEFAULT_CLOSURE_CAP, OrbitGraph, ShiftRadixSystem, f1_certificate, q_set
 from .walk import walk
 from .words import Word, format_word
 
@@ -234,6 +236,18 @@ def classify(
     The rules read the coefficients and conjugates of p, which is beta's
     minimal polynomial: make_field proves p irreducible.
     """
+    return _classify(field, orbit_cap, closure_cap, n_sweep)
+
+
+def _classify(
+    field: BetaField,
+    orbit_cap: int,
+    closure_cap: int,
+    n_sweep: int,
+    graph: OrbitGraph | None = None,
+) -> PropertyReport:
+    """classify, reusing graph when the caller already built Q with
+    q_set(ShiftRadixSystem(field), closure_cap)."""
     report = PropertyReport(poly=field.poly_str())
 
     pisot = is_pisot(field)
@@ -293,14 +307,13 @@ def classify(
             )
 
     # ---- SRS data: refutes (F) via nonzero tau-cycles, certifies (F1) ----
-    srs = ShiftRadixSystem(field)
-    graph = None
     try:
-        graph = q_set(srs, closure_cap)
+        if graph is None:
+            graph = q_set(ShiftRadixSystem(field), closure_cap)
         P = graph.p_nodes
         if P and report.f != REFUTED:
             wit = min(P)
-            x0 = srs.frac_value(wit)
+            x0 = graph.srs.frac_value(wit)
             if is_finite_expansion(x0, orbit_cap):
                 raise InvariantViolation("tau-periodic vector mapped to a finite expansion")
             _set_verdict(
@@ -367,7 +380,7 @@ def classify(
                 "preimage-closed P and delta-box slice of V inside F give (F1)",
             )
     if report.f1 == UNKNOWN:
-        refuter = _find_infinite_natural(field, n_sweep, orbit_cap, report)
+        refuter = _find_infinite_natural(field, n_sweep, orbit_cap, report, graph)
         if refuter is not None:
             _set_verdict(
                 report, "f1", REFUTED,
@@ -380,39 +393,58 @@ def classify(
 
 
 def _find_infinite_natural(
-    field: BetaField, n_sweep: int, orbit_cap: int, report: PropertyReport
+    field: BetaField,
+    n_sweep: int,
+    orbit_cap: int,
+    report: PropertyReport,
+    graph: OrbitGraph | None = None,
 ) -> int | None:
     """The first candidate N with an infinite expansion, or None.
 
-    N has a finite expansion iff the T-orbit of beta^{-L(N)} N reaches 0,
-    so the sweep is one reach-zero walk per N over a verdict map shared by
-    all N: each orbit state is stepped once.  orbit_cap bounds the new
-    states one N walks; an N over it is skipped, never decided, and the
-    skipped N are named in an evidence record.  The map starts afresh once
-    it holds more than orbit_cap states, so the sweep never holds more than
-    about twice orbit_cap; states dropped then are stepped again.
+    N has a finite expansion iff the T-orbit of its fractional part
+    frac(N) = T^{L(N)}(beta^{-L(N)} N), an element of Z[beta] in [0, 1),
+    reaches 0.  frac(N) is computed on field elements (frac_part) and
+    mapped to its integer SRS vector (ShiftRadixSystem.frac_vector), and
+    tau, conjugate to T there, walks the vector to zero or a cycle.  All N
+    share one verdict map, seeded with Q's verdicts when graph is given,
+    so each vector is stepped once, the nodes of Q not at all; the graph
+    itself is not changed.
+
+    orbit_cap bounds the new vectors one N walks (the L(N) steps inside
+    frac_part are not counted); an N over it is skipped, never decided,
+    and the skipped N are named in an evidence record.  The map goes
+    back to the seed once it holds more than orbit_cap entries beyond
+    it, so the sweep never holds more than the seed plus about twice
+    orbit_cap; vectors dropped then are stepped again.
     """
-    zero = field.zero()
-    reaches_zero = {zero: True}
+    srs = graph.srs if graph is not None else ShiftRadixSystem(field)
+    zero = (0,) * srs.dim
+    seed = {**graph.in_f, zero: True} if graph is not None else {zero: True}
+    reaches_zero = dict(seed)
     skipped: list[int] = []
     refuter = None
     for n in dict.fromkeys([field.floor_beta() + 1, *range(1, n_sweep + 1)]):
-        if len(reaches_zero) > orbit_cap:
-            reaches_zero = {zero: True}
-        x = field.from_rational(n)
-        start = x * field.beta_power(-big_l(x))
+        if len(reaches_zero) > len(seed) + orbit_cap:
+            reaches_zero = dict(seed)
+        y = frac_part(field.from_rational(n))
         try:
-            walk(_t_step, start, reaches_zero, set(), orbit_cap)
+            vec = srs.frac_vector(y)
+        except ValueError:
+            raise InvariantViolation(f"frac({n}) = {y!r} lies outside Z[beta]") from None
+        if srs.frac_value(vec) != y:
+            raise InvariantViolation(f"frac_value({vec}) is not frac({n}) = {y!r}")
+        try:
+            walk(srs.tau, vec, reaches_zero, set(), orbit_cap)
         except OrbitBudgetExceeded:
             skipped.append(n)
             continue
-        if not reaches_zero[start]:
+        if not reaches_zero[vec]:
             refuter = n
             break
     if skipped:
         report.add(
-            f"N = {', '.join(map(str, skipped))} skipped: each digit orbit "
-            f"exceeded {orbit_cap} new states",
+            f"N = {', '.join(map(str, skipped))} skipped: each tau-orbit of "
+            f"frac(N) exceeded {orbit_cap} new vectors",
             "orbit-budget", "budget exceeded",
         )
     return refuter

@@ -20,7 +20,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .classify import DEFAULT_N_SWEEP, REFUTED, classify
+from .classify import DEFAULT_N_SWEEP, REFUTED, _classify, classify
 from .errors import BetaFinError
 from .expansion import DEFAULT_ORBIT_CAP, beta_expand, d_beta_one, is_admissible, nu
 from .field import BetaField, FieldElement, is_pisot, make_field
@@ -213,12 +213,13 @@ def _family_checks(t: int, args) -> list[tuple[str, bool]]:
     checks.append(("P = {(1,1)}", graph.p_nodes == frozenset({(1, 1)})))
     checks.append(("tau-preimage closure of (1,1)", tau_preimages(srs, (1, 1)) == {(1, 1)}))
     cert = f1_certificate(graph, args.budget_orbit, args.budget_closure)
-    checks.append(("R0 inside F", all(in_f_beta(srs, v) for v in cert.r0)))
+    checks.append(("R0 inside F", all(in_f_beta(srs, v, args.budget_orbit) for v in cert.r0)))
     checks.append(("F1 certificate proven", cert.verdict == "proven"))
-    report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep)
+    report = _classify(field, args.budget_orbit, args.budget_closure, args.n_sweep, graph)
     checks.append(("PF refuted", report.pf == REFUTED))
     expected_d1 = Word((2 * t - 2, 2 * t - 2, t - 1, 0, 0, t), ())
-    checks.append(("d_beta(1) = (2t-2)(2t-2)(t-1)00t", d_beta_one(field) == expected_d1))
+    d1 = d_beta_one(field, args.budget_orbit)
+    checks.append(("d_beta(1) = (2t-2)(2t-2)(t-1)00t", d1 == expected_d1))
     checks.append(("floor(beta) = 2t-2", field.floor_beta() == 2 * t - 2))
 
     lam = srs.value

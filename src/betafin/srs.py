@@ -5,14 +5,14 @@ Integer vectors l in Z^{d-1} evolve by tau(l) = (l_2, ..., l_{d-1},
 coefficients.  Every r_j lies in Z[beta], so r . l is one integer dot
 product, floored by the field's integer floor kernel
 BetaField.floor_nums.  The fractional value map conjugates tau to the
-beta-transformation on Z[beta] intersected with [0, 1), which turns
-digit finiteness questions into reachability questions on integer
-vectors: F collects the vectors whose tau-orbit hits zero, Q the closure
-of the initial vector under tau and its dual, and P the nonzero
-tau-periodic points of Q.  The finiteness certificate checks the two
-conditions (preimage closure of P, and the delta-box slice of V landing
-in F) whose conjunction is sufficient for every natural number to have a
-finite expansion.
+beta-transformation on Z[beta] intersected with [0, 1), and frac_vector
+inverts it there, which turns digit finiteness questions into
+reachability questions on integer vectors: F collects the vectors whose
+tau-orbit hits zero, Q the closure of the initial vector under tau and
+its dual, and P the nonzero tau-periodic points of Q.  The finiteness
+certificate checks the two conditions (preimage closure of P, and the
+delta-box slice of V landing in F) whose conjunction is sufficient for
+every natural number to have a finite expansion.
 """
 
 from __future__ import annotations
@@ -79,6 +79,31 @@ class ShiftRadixSystem:
     def frac_value(self, vec: SrsVector) -> FieldElement:
         v = self.value(vec)
         return v - v.floor()
+
+    def frac_vector(self, y: FieldElement) -> SrsVector:
+        """The inverse of frac_value: the vector l with frac(r . l) = y,
+        for y in Z[beta] with 0 <= y < 1.
+
+        r_j is beta^{d-j} plus lower powers, so {1, r_1, ..., r_{d-1}} is
+        a unit-triangular Z-basis of Z[beta], and y = c + r . l has exactly
+        one integer solution.  Back-substitution reads l_j off the
+        beta^{d-j} coordinate, top down; then frac(r . l) = y because
+        0 <= y < 1.  Raises ValueError when a coordinate of y is not an
+        integer.
+        """
+        if any(c.denominator != 1 for c in y.coords):
+            raise ValueError(f"{y!r} is not in Z[beta]")
+        rest = [c.numerator for c in y.coords]
+        a = self.field.coeffs
+        d = self.field.degree
+        vec = []
+        for j in range(1, d):
+            # R_j = beta^{d-j} - sum_{m < d-j} a_{m+j} beta^m
+            lj = rest[d - j]
+            for m in range(d - j):
+                rest[m] += lj * a[m + j]
+            vec.append(lj)
+        return tuple(vec)
 
     def tau(self, vec: SrsVector) -> SrsVector:
         return vec[1:] + (-self.field.floor_nums(self._numerators(vec), 1),)

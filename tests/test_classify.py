@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from betafin.classify import (
+    DEFAULT_N_SWEEP,
     _find_infinite_natural,
     CASE_I,
     CASE_II,
@@ -26,10 +27,11 @@ from betafin.classify import (
     hollander_type,
     pf_shape,
 )
-from betafin.errors import NotApplicable, NotCubicPisot, NotUnit
-from betafin.expansion import beta_expand, d_beta_one, is_finite_expansion
+from betafin.errors import InvariantViolation, NotApplicable, NotCubicPisot, NotUnit
+from betafin.expansion import DEFAULT_ORBIT_CAP, d_beta, d_beta_one, frac_part, is_finite_expansion
 from betafin.field import cubic_pisot_criterion, make_field
 from betafin.errors import NoRootAboveOne, Reducible
+from betafin.srs import ShiftRadixSystem, q_set
 
 TRIB = make_field((1, 1, 1))
 
@@ -281,18 +283,38 @@ def _linear_scan(field, n_sweep):
     return None
 
 
-# (a, b, c) of x^3 - ax^2 - bx - c with the first N <= 40 outside Fin, or None
+def _q_graph(field):
+    return q_set(ShiftRadixSystem(field))
+
+
+# (a, b, c) of x^3 - ax^2 - bx - c with the first N <= 40 outside Fin, or
+# None: grid fields with small and large refuters, and fields where no N up
+# to 40 refutes, (F1) proven or open
 @pytest.mark.parametrize(
     "abc, refuter",
-    [((1, 3, 2), 7), ((2, 5, 3), 24), ((3, 1, -2), 4), ((5, -4, 4), None), ((1, 1, 1), None), ((4, -4, 2), None)],
+    [
+        ((1, 3, 2), 7), ((2, 5, 3), 24), ((3, 1, -2), 4),
+        ((5, -4, 4), None), ((1, 1, 1), None), ((4, -4, 2), None),
+        ((4, 7, 4), 11), ((4, 8, 5), 12), ((5, -3, 4), 10), ((5, 1, 5), 17),
+        ((5, 7, 6), 32), ((6, -5, 5), 27), ((6, -4, 5), 11), ((6, -3, 5), 17),
+        ((7, -6, 6), 31), ((7, -3, 6), 21), ((7, 2, 7), 23), ((8, -4, 7), 23),
+        ((8, 2, 8), 26),
+        ((4, 0, -2), None), ((3, 6, 4), None), ((7, 1, 7), None),
+        ((8, -6, 7), None), ((7, -7, 4), None), ((7, 0, -1), None),
+        ((8, 5, 2), None), ((7, -2, 3), None), ((6, 7, 3), None),
+        ((5, 6, 2), None), ((4, 5, 2), None), ((2, 1, -1), 3),
+        ((3, 0, -1), None),
+    ],
 )
 def test_natural_sweep_matches_linear_scan(abc, refuter):
     a, b, c = abc
     f = make_field((c, b, a))
-    report = PropertyReport(poly=f.poly_str())
-    found = _find_infinite_natural(f, 40, 100_000, report)
-    assert found == refuter == _linear_scan(f, 40)
-    assert report.evidence == []
+    assert _linear_scan(f, 40) == refuter
+    # the sweep as classify runs it (seeded with Q's verdicts) and unseeded
+    for graph in (_q_graph(f), None):
+        report = PropertyReport(poly=f.poly_str())
+        assert _find_infinite_natural(f, 40, 100_000, report, graph) == refuter
+        assert report.evidence == []
 
 
 def test_classify_refutes_f1_by_the_sweep():
@@ -302,31 +324,33 @@ def test_classify_refutes_f1_by_the_sweep():
 
 
 def test_natural_sweep_steps_each_state_once(monkeypatch):
-    classify_module = importlib.import_module("betafin.classify")
+    srs_module = importlib.import_module("betafin.srs")
     args = []
-    original = classify_module._t_step
+    original = srs_module.ShiftRadixSystem.tau
 
-    def counting_t_step(x):
-        args.append(x)
-        return original(x)
+    def counting_tau(self, vec):
+        args.append(vec)
+        return original(self, vec)
 
-    monkeypatch.setattr(classify_module, "_t_step", counting_t_step)
+    monkeypatch.setattr(srs_module.ShiftRadixSystem, "tau", counting_tau)
     f = make_field((4, -4, 5))  # (a,b,c) = (5,-4,4): no refuter, every N walked
     report = PropertyReport(poly=f.poly_str())
     assert _find_infinite_natural(f, 40, 100_000, report) is None
     assert len(args) == len(set(args))
-    # walked one N at a time, the orbits would step far more states
+    # walked one N at a time, the tau-orbits of the frac(N) vectors would
+    # step one vector per nonzero state of the T-orbit of frac(N)
     per_n = 0
     for n in range(1, 41):
-        word = beta_expand(f.from_rational(n)).word
+        word = d_beta(frac_part(f.from_rational(n)))
         per_n += len(word.pre) + len(word.period)
     assert len(args) < per_n
 
 
 @pytest.mark.parametrize("abc, cap, refuter", [((2, 5, 3), 40, 24), ((4, -4, 2), 30, None)])
 def test_natural_sweep_memory_stays_within_twice_the_cap(monkeypatch, abc, cap, refuter):
-    # the sweep steps more than cap distinct states in all, yet no single N
-    # walks more than cap new ones: the shared map must start afresh
+    # the sweep steps more than cap distinct vectors in all, yet no single N
+    # walks more than cap new ones: the shared map, seeded with zero alone,
+    # must start afresh
     classify_module = importlib.import_module("betafin.classify")
     held = []
     original = classify_module.walk
@@ -347,13 +371,62 @@ def test_natural_sweep_memory_stays_within_twice_the_cap(monkeypatch, abc, cap, 
     assert max(held) <= 2 * cap + 1
 
 
+def test_natural_sweep_resets_to_q_verdicts(monkeypatch):
+    # seeded with Q's verdicts, the map goes back to them once it holds more
+    # than cap entries beyond them, and Q's own map is never written
+    classify_module = importlib.import_module("betafin.classify")
+    starts, held = [], []
+    original = classify_module.walk
+
+    def recording_walk(step, start, verdict, cycles, walk_cap):
+        starts.append(dict(verdict))
+        try:
+            return original(step, start, verdict, cycles, walk_cap)
+        finally:
+            held.append(len(verdict))
+
+    monkeypatch.setattr(classify_module, "walk", recording_walk)
+    f = make_field((2, -4, 4))  # (a,b,c) = (4,-4,2): Q holds 27 vectors, zero included
+    graph = _q_graph(f)
+    q_verdicts = dict(graph.in_f)
+    cap = 20
+    report = PropertyReport(poly=f.poly_str())
+    assert _find_infinite_natural(f, 40, cap, report, graph) is None
+    assert report.evidence == []
+    assert graph.in_f == q_verdicts
+    assert max(held) > len(q_verdicts) + cap
+    assert max(held) <= len(q_verdicts) + 2 * cap
+    resets = [v for v, prev in zip(starts[1:], held) if len(v) < prev]
+    assert resets and all(v == q_verdicts for v in resets)
+
+
+@pytest.mark.parametrize(
+    "bad_frac, message",
+    [
+        # not in Z[beta]
+        (lambda y: y + Fraction(1, 2), "outside Z"),
+        # in Z[beta] but not in [0, 1), so its vector's frac_value differs
+        (lambda y: y + 1, "is not frac"),
+    ],
+)
+def test_natural_sweep_checks_the_frac_vector(monkeypatch, bad_frac, message):
+    classify_module = importlib.import_module("betafin.classify")
+    original = classify_module.frac_part
+    monkeypatch.setattr(classify_module, "frac_part", lambda x: bad_frac(original(x)))
+    f = make_field((4, -4, 5))
+    with pytest.raises(InvariantViolation, match=message):
+        _find_infinite_natural(f, 40, 100_000, PropertyReport(poly=f.poly_str()))
+
+
 def test_natural_sweep_skip_is_recorded_not_refuted():
-    # at full budget N = 7 refutes (F1); with 5 states per N it is skipped
-    rep = classify(make_field((2, 3, 1)), orbit_cap=5)
+    # at full budget N = 7 refutes (F1).  With Q over its closure budget the
+    # sweep starts from zero's verdict alone, and 5 new vectors per N are
+    # too few for N = 7, so it is skipped
+    rep = classify(make_field((2, 3, 1)), orbit_cap=5, closure_cap=5)
     assert rep.f1 == UNKNOWN
     skips = [e for e in rep.evidence if e.rule == "orbit-budget" and "skipped" in e.claim]
     assert len(skips) == 1
-    assert "7," in skips[0].claim and "exceeded 5 new states" in skips[0].claim
+    assert " 7," in skips[0].claim and "exceeded 5 new vectors" in skips[0].claim
     assert not any(e.rule == "natural-sweep" for e in rep.evidence)
 
 
@@ -361,17 +434,48 @@ def test_small_orbit_cap_leaves_tau_cycle_check_unknown():
     # at orbit_cap 3 the digit orbit of the tau-cycle witness does not
     # close, so the check that would refute (F) cannot run
     f = make_field((2, 3, 1))
-    small = classify(f, orbit_cap=3)
-    checks = [e for e in small.evidence
-              if e.rule == "orbit-budget" and "tau-cycle check" in e.claim]
-    assert len(checks) == 1 and "exceeded 3 states" in checks[0].claim
-    assert small.f == UNKNOWN
-    assert not any(e.rule == "tau-cycle-witness" for e in small.evidence)
     full = classify(f)
     assert full.f == REFUTED
-    for prop in ("pisot", "f", "pf", "f1"):
-        got = getattr(small, prop)
-        assert got == UNKNOWN or got == getattr(full, prop), prop
+    for n_sweep, f_verdict in ((6, UNKNOWN), (200, REFUTED)):
+        small = classify(f, orbit_cap=3, n_sweep=n_sweep)
+        checks = [e for e in small.evidence
+                  if e.rule == "orbit-budget" and "tau-cycle check" in e.claim]
+        assert len(checks) == 1 and "exceeded 3 states" in checks[0].claim
+        assert not any(e.rule == "tau-cycle-witness" for e in small.evidence)
+        # N = 7 refutes (F1) through the vectors Q settled; (F) then
+        # follows by the inclusion chain alone
+        assert small.f == f_verdict
+        if f_verdict == REFUTED:
+            chain = [e for e in small.evidence if e.claim == "not f from not pf"]
+            assert chain and chain[0].rule == "inclusion-chain"
+        for prop in ("pisot", "f", "pf", "f1"):
+            got = getattr(small, prop)
+            assert got == UNKNOWN or got == getattr(full, prop), prop
+
+
+def test_pf_proven_fields_have_no_sweep_refuter():
+    # where (PF) is proven and (F1) follows from it by the inclusion chain
+    # alone, a refuting N would contradict (PF); the full sweep finds none
+    checked = 0
+    for a in range(1, 9):
+        for b in range(-8, 9):
+            for c in range(-8, 9):
+                if c == 0 or not cubic_pisot_criterion(a, b, c):
+                    continue
+                try:
+                    f = make_field((c, b, a))
+                except (Reducible, NoRootAboveOne):
+                    continue
+                rep = classify(f, n_sweep=0)
+                if rep.pf != PROVEN or not any(e.claim == "f1 from pf" for e in rep.evidence):
+                    continue
+                report = PropertyReport(poly=f.poly_str())
+                found = _find_infinite_natural(
+                    f, DEFAULT_N_SWEEP, DEFAULT_ORBIT_CAP, report, _q_graph(f)
+                )
+                assert found is None and report.evidence == [], (a, b, c)
+                checked += 1
+    assert checked == 35
 
 
 def test_quintic_gets_its_refutations():

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import re
@@ -126,6 +127,23 @@ def test_verify_family(capsys):
     data = json.loads(out)
     assert data[0]["pass"] is True
     assert data[0]["checks"]["Q is the 27-vector set"] is True
+
+
+def test_verify_family_builds_q_once_per_t(monkeypatch, capsys):
+    # the package exports functions named like its modules, so reach the
+    # modules through importlib rather than attribute access
+    calls = []
+    original = importlib.import_module("betafin.srs").q_set
+
+    def counting_q_set(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name in ("betafin.srs", "betafin.classify", "betafin.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "q_set", counting_q_set)
+    code, out, _ = run(capsys, "verify-family", "--t-min", "2", "--t-max", "3")
+    assert code == 0 and out == "t=2: PASS\nt=3: PASS\n"
+    assert len(calls) == 2
 
 
 def test_verify_family_rejects_t1(capsys):
