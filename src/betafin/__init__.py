@@ -12,7 +12,6 @@ from .errors import (
     F1Unknown,
     FactorBudgetExceeded,
     FieldMismatch,
-    GoldenRatioPrecondition,
     InvariantViolation,
     NoRootAboveOne,
     NotAdmissible,
@@ -63,7 +62,6 @@ from .srs import (
     delta,
     export_graph,
     f1_certificate,
-    floor_beta_plus_one_finite,
     in_f_beta,
     q_set,
     tau_orbit_vectors,

@@ -62,7 +62,3 @@ class NotUnit(BetaFinError):
 
 class F1Unknown(BetaFinError):
     """A check needs a settled (F1) verdict but it is unknown."""
-
-
-class GoldenRatioPrecondition(BetaFinError):
-    """beta must be at least (1+sqrt(5))/2 for this operation."""

@@ -6,6 +6,15 @@ exact state hashing, so every expansion comes back as an eventually
 periodic Word together with its preperiod and period.  The quasi-greedy
 expansion of 1 is the yardstick for Parry's admissibility condition:
 a word is realizable iff every shift stays lexicographically below it.
+
+T maps Z[beta] into itself, and for x = n / den it keeps den, so a digit
+orbit is a walk on integer numerator vectors.  _digit_orbit is that
+walk: beta x is an O(d) shift of the numerators with one reduction by
+beta^d, its floor is one BetaField.floor_nums decision, and T(x)
+subtracts the digit times den from the constant numerator.  The orbit
+of 1 (d_beta_one, t_orbit_of_one) and is_finite_expansion run it;
+d_beta, beta_expand and frac_part step t_map on field elements.
+
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
 strictly smaller digit, and `is_admissible` is whether the scan
@@ -15,6 +24,7 @@ completes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from .field import BetaField, FieldElement
@@ -54,14 +64,62 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     raise OrbitBudgetExceeded(f"orbit of {x!r} did not close within {cap} states")
 
 
-def d_beta_one(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
-    """d_beta(1), memoized.  Its orbit has len(pre) + period_len() states
-    (T^n(1), n >= 1, is below 1 and fixed by the word's tail after n digits),
-    so a memo hit raises OrbitBudgetExceeded exactly when a fresh orbit would."""
-    w = field.memo("d_beta_one", lambda: d_beta(field.one(), cap))
-    if len(w.pre) + w.period_len() > cap:
+def _digit_orbit(
+    field: BetaField, nums: Sequence[int], den: int, cap: int
+) -> tuple[Word, tuple[tuple[int, ...], ...]]:
+    """Greedy word of x = (sum_i nums[i] beta^i) / den in [0, 1], den > 0,
+    and its distinct states T^0(x), T^1(x), ... as numerator tuples over den.
+
+    The range is decided once, here: every later state is a T-image and
+    lies in [0, 1).  The budget is d_beta's: OrbitBudgetExceeded unless
+    the orbit closes within cap states.
+    """
+    d = field.degree
+    a = field.coeffs
+    start = state = tuple(nums) + (0,) * (d - len(nums))
+    if state != (den,) + (0,) * (d - 1) and field.floor_nums(state, den) != 0:
+        raise OutOfRange("d_beta needs 0 <= x <= 1")
+    seen: dict[tuple[int, ...], int] = {}
+    digits: list[int] = []
+    while len(digits) <= cap:
+        if state in seen:
+            split = seen[state]
+            return Word(digits[:split], digits[split:]), tuple(seen)
+        seen[state] = len(digits)
+        # beta x: shift the numerators, reduce beta^d = sum_i a_i beta^i
+        top = state[-1]
+        bx = [top * a[0]] + [state[i - 1] + top * a[i] for i in range(1, d)]
+        digit = field.floor_nums(bx, den) if any(bx[1:]) else bx[0] // den
+        bx[0] -= digit * den
+        state = tuple(bx)
+        digits.append(digit)
+    x = field.from_coords(start) / den
+    raise OrbitBudgetExceeded(f"orbit of {x!r} did not close within {cap} states")
+
+
+def _orbit_of_one(field: BetaField, cap: int) -> tuple[Word, tuple[tuple[int, ...], ...]]:
+    """d_beta(1) and the distinct states T^0(1), ..., T^{n-1}(1) as integer
+    coordinate tuples, walked once per field and memoized; a memo hit
+    raises OrbitBudgetExceeded exactly when a fresh walk would, that is
+    when n > cap."""
+
+    def build() -> tuple[Word, tuple[tuple[int, ...], ...]]:
+        word, states = _digit_orbit(field, (1,), 1, cap)
+        # distinct states have distinct digit tails, so the states split
+        # as the canonical word does; t_orbit_of_one reads the period there
+        if len(states) != len(word.pre) + word.period_len():
+            raise InvariantViolation("the orbit of 1 and its word disagree on the period")
+        return word, states
+
+    word, states = field.memo("orbit_of_one", build)
+    if len(states) > cap:
         raise OrbitBudgetExceeded(f"orbit of {field.one()!r} did not close within {cap} states")
-    return w
+    return word, states
+
+
+def d_beta_one(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
+    """d_beta(1), memoized with the T-orbit of 1."""
+    return _orbit_of_one(field, cap)[0]
 
 
 def d_beta_star(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
@@ -234,7 +292,10 @@ def beta_expand(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Expansion:
 
 
 def is_finite_expansion(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    return beta_expand(x, cap).is_finite()
+    """Whether beta_expand(x) is finite: the digit orbit of beta^{-L(x)} x,
+    walked on its integer numerators, reaches 0."""
+    scaled = x * x.field.beta_power(-big_l(x))
+    return _digit_orbit(x.field, *scaled._numerators(), cap)[0].is_finite()
 
 
 def xi(field: BetaField, n: int) -> FieldElement:
@@ -245,13 +306,17 @@ def xi(field: BetaField, n: int) -> FieldElement:
 
 
 def t_orbit_of_one(field: BetaField, upto: int) -> list[FieldElement]:
-    """[T^0(1), T^1(1), ..., T^upto(1)], memoized entry by entry."""
-    return [field.memo_chain("t_orbit_one", j, field.one, _t_step) for j in range(upto + 1)]
-
-
-def _t_step(x: FieldElement) -> FieldElement:
-    """T(x) alone, the state half of t_map."""
-    return t_map(x)[1]
+    """[T^0(1), T^1(1), ..., T^upto(1)], read from the memoized orbit of 1:
+    past its last distinct state the list cycles through the period, which
+    is the single state 0 when d_beta(1) is finite.  Raises where
+    d_beta_one(field) raises."""
+    word, states = _orbit_of_one(field, DEFAULT_ORBIT_CAP)
+    # built on first use: classify reads only the word, so the fields it
+    # surveys keep no orbit elements in their memos
+    orbit = field.memo("t_orbit_of_one", lambda: tuple(FieldElement(field, s) for s in states))
+    split = len(word.pre)
+    period = len(orbit) - split
+    return [orbit[j] if j < len(orbit) else orbit[split + (j - split) % period] for j in range(upto + 1)]
 
 
 def xi_t_power(field: BetaField, n: int) -> int:

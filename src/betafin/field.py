@@ -24,12 +24,13 @@ both ends of the bracket are positive, so each step takes two products.
 BetaField._settle is the one loop that refines the bracket until a
 decision holds on the enclosure.  FieldElement.sign runs it, and so does
 BetaField.floor_nums, the one floor decision on integer numerators, which
-FieldElement.floor and the shift radix system's tau both call.
+FieldElement.floor, the shift radix system's tau and expansion.py's
+digit-orbit walk on integer numerators call.
 FieldElement.inverse runs Cayley-Hamilton on the integer matrix of
 multiplication by the element's numerators.
 
 Values derived from the field alone (powers of beta, floor(beta), the
-unit-disk profile; in expansion.py d_beta(1), xi, the T-orbit of 1) live
+unit-disk profile; in expansion.py d_beta(1) with the T-orbit of 1, xi) live
 in one per-field memo behind BetaField.memo, which publishes each entry
 with dict.setdefault: every thread gets the first value built.
 """
@@ -431,10 +432,11 @@ class FieldElement:
 
     def _numerators(self) -> tuple[list[int], int]:
         """Integer numerators over the lcm of the coordinates' denominators,
-        with zero top coordinates dropped, and that lcm."""
+        with zero top coordinates above the constant one dropped, and that
+        lcm."""
         den = math.lcm(*(c.denominator for c in self.coords))
         nums = [c.numerator * (den // c.denominator) for c in self.coords]
-        while not nums[-1]:
+        while len(nums) > 1 and not nums[-1]:
             nums.pop()
         return nums, den
 

@@ -23,11 +23,10 @@ from operator import mul
 
 from .errors import (
     ClosureBudgetExceeded,
-    GoldenRatioPrecondition,
     InvariantViolation,
     OrbitBudgetExceeded,
 )
-from .expansion import DEFAULT_ORBIT_CAP, is_finite_expansion
+from .expansion import DEFAULT_ORBIT_CAP
 from .field import BetaField, FieldElement
 from .walk import closure, walk
 
@@ -308,25 +307,6 @@ def f1_certificate(
             parts.append("box enumeration incomplete")
         diag = "; ".join(parts)
     return F1Certificate(verdict, P, d, frozenset(r0), complete, closure_ok, diag)
-
-
-def floor_beta_plus_one_finite(srs: ShiftRadixSystem, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """Finiteness of the expansion of floor(beta) + 1, decided on the
-    vector side and cross-checked on the digit side.
-
-    Requires beta at or above the golden ratio so that
-    floor(beta) + 1 < beta^2.
-    """
-    field = srs.field
-    b = field.beta()
-    if (b * b - b - 1).sign() < 0:
-        raise GoldenRatioPrecondition("needs beta >= (1+sqrt(5))/2")
-    neg_li = tuple(-c for c in srs.initial_vector())
-    vec_side = in_f_beta(srs, neg_li, cap)
-    digit_side = is_finite_expansion(field.from_rational(field.floor_beta() + 1), cap)
-    if vec_side != digit_side:
-        raise InvariantViolation("vector and digit sides of the floor(beta)+1 test disagree")
-    return vec_side
 
 
 def export_graph(graph: OrbitGraph, fmt: str = "dot") -> str:

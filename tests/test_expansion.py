@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -7,6 +8,8 @@ import pytest
 
 from betafin.errors import OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
+    DEFAULT_ORBIT_CAP,
+    _digit_orbit,
     beta_expand,
     big_l,
     d_beta,
@@ -221,6 +224,69 @@ def test_frac_part():
 def test_orbit_budget():
     with pytest.raises(OrbitBudgetExceeded):
         d_beta(TRIB.from_coords((Q(1, 97), Q(1, 89), Q(1, 83))), cap=5)
+
+
+def t_map_orbit(x, cap):
+    """Digits, the index where the cycle starts, and the distinct states of
+    the T-orbit of x, stepped by t_map under d_beta's budget rule."""
+    seen = {}
+    digits = []
+    while len(digits) <= cap:
+        if x in seen:
+            return digits, seen[x], list(seen)
+        seen[x] = len(digits)
+        digit, x = t_map(x)
+        digits.append(digit)
+    raise OrbitBudgetExceeded(f"no cycle within {cap} states")
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(1, 1), (-2, 4), (1, 1, 1), (1, 1, 0), (2, -4, 4), (3, -6, 6), (1, 1, 1, 1)],
+    ids=["golden", "x2-4x+2", "tribonacci", "x3-x-1", "family-t2", "family-t3", "tetranacci"],
+)
+def test_digit_orbit_matches_t_map(coeffs):
+    field = make_field(coeffs)
+    rng = random.Random(sum(coeffs) * 31 + len(coeffs))
+    xs = [field.zero(), field.one()]
+    while len(xs) < 42:
+        x = field.from_coords([Q(rng.randint(-4, 4), rng.randint(1, 4)) for _ in coeffs])
+        if x.sign() >= 0 and (x - 1).sign() <= 0:
+            xs.append(x)
+    dens = set()
+    for x in xs:
+        digits, split, states = t_map_orbit(x, DEFAULT_ORBIT_CAP)
+        den = math.lcm(*(c.denominator for c in x.coords))
+        nums = [int(c * den) for c in x.coords]
+        dens.add(den)
+        word, got = _digit_orbit(field, nums, den, DEFAULT_ORBIT_CAP)
+        assert word == Word(digits[:split], digits[split:]), x
+        assert [field.from_coords(v) / den for v in got] == states, x
+        n = len(states)
+        assert _digit_orbit(field, nums, den, n)[0] == word
+        with pytest.raises(OrbitBudgetExceeded):
+            _digit_orbit(field, nums, den, n - 1)
+        with pytest.raises(OrbitBudgetExceeded):
+            t_map_orbit(x, n - 1)
+        assert is_finite_expansion(x) == beta_expand(x).is_finite(), x
+        y = x + 2
+        assert is_finite_expansion(y) == beta_expand(y).is_finite(), y
+    assert len(dens) > 1
+    with pytest.raises(OutOfRange):
+        _digit_orbit(field, [3, 1], 2, DEFAULT_ORBIT_CAP)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 1, 0), (2, -4, 4), (-2, 3, 5)])
+def test_t_orbit_of_one_matches_iterated_t_map(coeffs):
+    # the first three have a finite d_beta(1); x^3-5x^2-3x+2 has 5 (2 3)^inf
+    field = make_field(coeffs)
+    w = d_beta_one(field)
+    n = len(w.pre) + w.period_len()
+    expect = [field.one()]
+    for _ in range(3 * n):
+        expect.append(t_map(expect[-1])[1])
+    for upto in range(3 * n + 1):
+        assert t_orbit_of_one(field, upto) == expect[: upto + 1]
 
 
 def memo_answers(field):

@@ -11,7 +11,6 @@ from betafin import polys as P
 from betafin.errors import (
     BetaFinError,
     ClosureBudgetExceeded,
-    GoldenRatioPrecondition,
     InvariantViolation,
     OrbitBudgetExceeded,
 )
@@ -22,7 +21,6 @@ from betafin.srs import (
     delta,
     export_graph,
     f1_certificate,
-    floor_beta_plus_one_finite,
     in_f_beta,
     q_set,
     tau_orbit_vectors,
@@ -546,25 +544,18 @@ def test_f1_certificate_spent_closure_budget_is_unknown():
 
 
 def test_floor_beta_plus_one():
-    assert floor_beta_plus_one_finite(srs_for(TRIB))
-    for t in (2, 3):
-        s = srs_for(family(t))
-        assert floor_beta_plus_one_finite(s) == is_finite_expansion(
-            s.field.from_rational(s.field.floor_beta() + 1)
-        )
-    s21 = srs_for(make_field((-1, 1, 2)))  # x^3-2x^2-x+1
-    assert not floor_beta_plus_one_finite(s21)
+    # x^3-2x^2-x+1: -l_I = (0, -1) falls into the 3-cycle below, so
+    # floor(beta) + 1 = 3 has an infinite expansion
+    s21 = srs_for(make_field((-1, 1, 2)))
     assert s21.tau((0, -1)) == (-1, 1)
     assert s21.tau((-1, 1)) == (1, 0)
     assert s21.tau((1, 0)) == (0, 1)
-    with pytest.raises(GoldenRatioPrecondition):
-        floor_beta_plus_one_finite(srs_for(make_field((1, 1, 0))))  # beta ~ 1.32
-    # cap bounds both sides: the vector side settles within 3 states, the
-    # digit orbit of 2 does not
+    assert not in_f_beta(s21, (0, -1))
+    assert not is_finite_expansion(s21.field.from_rational(3))
+    # the digit orbit of 2 in the tribonacci base does not close within 3 states
+    assert is_finite_expansion(TRIB.from_rational(2))
     with pytest.raises(OrbitBudgetExceeded):
         is_finite_expansion(TRIB.from_rational(2), 3)
-    with pytest.raises(OrbitBudgetExceeded):
-        floor_beta_plus_one_finite(srs_for(TRIB), cap=3)
 
 
 def test_budget_errors():
