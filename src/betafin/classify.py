@@ -236,18 +236,6 @@ def classify(
     The rules read the coefficients and conjugates of p, which is beta's
     minimal polynomial: make_field proves p irreducible.
     """
-    return _classify(field, orbit_cap, closure_cap, n_sweep)
-
-
-def _classify(
-    field: BetaField,
-    orbit_cap: int,
-    closure_cap: int,
-    n_sweep: int,
-    graph: OrbitGraph | None = None,
-) -> PropertyReport:
-    """classify, reusing graph when the caller already built Q with
-    q_set(ShiftRadixSystem(field), closure_cap)."""
     report = PropertyReport(poly=field.poly_str())
 
     pisot = is_pisot(field)
@@ -307,9 +295,9 @@ def _classify(
             )
 
     # ---- SRS data: refutes (F) via nonzero tau-cycles, certifies (F1) ----
+    graph = None
     try:
-        if graph is None:
-            graph = q_set(ShiftRadixSystem(field), closure_cap)
+        graph = q_set(ShiftRadixSystem(field), closure_cap)
         P = graph.p_nodes
         if P and report.f != REFUTED:
             wit = min(P)

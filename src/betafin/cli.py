@@ -18,9 +18,8 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
-from .classify import DEFAULT_N_SWEEP, REFUTED, _classify, classify
+from .classify import DEFAULT_N_SWEEP, REFUTED, classify
 from .errors import BetaFinError
 from .expansion import DEFAULT_ORBIT_CAP, beta_expand, d_beta_one, is_admissible, nu
 from .field import BetaField, FieldElement, is_pisot, make_field
@@ -35,23 +34,30 @@ from .srs import (
 )
 from .words import Word, format_word, parse_word
 
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+)?\s*(x(?:\^(\d+))?)?")
+# one signed term [c][x[^n]], not empty, whitespace allowed between tokens
+_TERM_RE = re.compile(r"\s*([+-]?)\s*(?=[0-9x])([0-9]*)\s*(x(?:\s*\^\s*([0-9]+))?)?\s*")
 
 
 def parse_poly(text: str) -> BetaField:
-    """Accept "x^3-4x^2+4x-2" or comma-separated low-to-high coefficients."""
+    """Accept "x^3-4x^2+4x-2" or comma-separated low-to-high coefficients.
+
+    The symbolic form is a sequence of terms, each after the first joined
+    by + or -; anything else raises ValueError.
+    """
     text = text.strip()
     if "," in text:
         coeffs = [int(t) for t in text.split(",")]
         if coeffs[-1] != 1:
             raise ValueError("polynomial must be monic (last coefficient 1)")
         return make_field([-c for c in coeffs[:-1]])
-    degree = 0
+    degree = pos = 0
     terms: dict[int, int] = {}
-    for m in _TERM_RE.finditer(text.replace(" ", "")):
+    while pos < len(text):
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ValueError(f"cannot parse monic polynomial from {text!r}")
+        pos = m.end()
         sign_s, coef_s, xpart, exp_s = m.groups()
-        if not coef_s and not xpart:
-            continue
         coef = int(coef_s) if coef_s else 1
         if sign_s == "-":
             coef = -coef
@@ -71,14 +77,13 @@ def parse_element(field: BetaField, text: str) -> FieldElement:
         exp_s, word_s = text.split(":", 1)
         w = parse_word(word_s)
         return field.beta_power(int(exp_s)) * nu(field, w)
-    try:
-        coords = [Fraction(t) for t in text.split(",")]
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    coords = text.split(",")
     if len(coords) > field.degree:
         raise ValueError(f"too many coordinates for degree {field.degree}")
-    coords += [Fraction(0)] * (field.degree - len(coords))
-    return field.from_coords(coords)
+    try:
+        return field.from_coords(coords + ["0"] * (field.degree - len(coords)))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _parse_vec(text: str) -> tuple[int, ...]:
@@ -215,7 +220,7 @@ def _family_checks(t: int, args) -> list[tuple[str, bool]]:
     cert = f1_certificate(graph, args.budget_orbit, args.budget_closure)
     checks.append(("R0 inside F", all(in_f_beta(srs, v, args.budget_orbit) for v in cert.r0)))
     checks.append(("F1 certificate proven", cert.verdict == "proven"))
-    report = _classify(field, args.budget_orbit, args.budget_closure, args.n_sweep, graph)
+    report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep)
     checks.append(("PF refuted", report.pf == REFUTED))
     expected_d1 = Word((2 * t - 2, 2 * t - 2, t - 1, 0, 0, t), ())
     d1 = d_beta_one(field, args.budget_orbit)

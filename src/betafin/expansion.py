@@ -9,11 +9,13 @@ a word is realizable iff every shift stays lexicographically below it.
 
 T maps Z[beta] into itself, and for x = n / den it keeps den, so a digit
 orbit is a walk on integer numerator vectors.  _digit_orbit is that
-walk: beta x is an O(d) shift of the numerators with one reduction by
-beta^d, its floor is one BetaField.floor_nums decision, and T(x)
-subtracts the digit times den from the constant numerator.  The orbit
-of 1 (d_beta_one, t_orbit_of_one) and is_finite_expansion run it;
-d_beta, beta_expand and frac_part step t_map on field elements.
+walk: beta x is BetaField.times_beta on the numerators, the package's one
+beta-shift (t_map reaches it through FieldElement.mul_beta), its floor is
+one BetaField.floor_nums decision, and T(x) subtracts the digit times den
+from the constant numerator.  The orbit of 1 (d_beta_one,
+t_orbit_of_one) and is_finite_expansion run it; d_beta, beta_expand and
+frac_part step t_map on field elements.  big_l compares x with the
+field's memoized powers of beta (BetaField.beta_power).
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -47,10 +49,9 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     """Greedy digit word of x in [0, 1], found by exact orbit hashing.
 
     Raises OrbitBudgetExceeded when the orbit does not close within cap
-    states, which signals a non-Pisot base or a pathological input.
+    states, which signals a non-Pisot base or a pathological input, and
+    OutOfRange, from the first t_map step, when x is not in [0, 1].
     """
-    if x.sign() < 0 or (x - 1).sign() > 0:
-        raise OutOfRange("d_beta needs 0 <= x <= 1")
     seen: dict[FieldElement, int] = {}
     digits: list[int] = []
     state = x
@@ -75,7 +76,6 @@ def _digit_orbit(
     the orbit closes within cap states.
     """
     d = field.degree
-    a = field.coeffs
     start = state = tuple(nums) + (0,) * (d - len(nums))
     if state != (den,) + (0,) * (d - 1) and field.floor_nums(state, den) != 0:
         raise OutOfRange("d_beta needs 0 <= x <= 1")
@@ -86,9 +86,7 @@ def _digit_orbit(
             split = seen[state]
             return Word(digits[:split], digits[split:]), tuple(seen)
         seen[state] = len(digits)
-        # beta x: shift the numerators, reduce beta^d = sum_i a_i beta^i
-        top = state[-1]
-        bx = [top * a[0]] + [state[i - 1] + top * a[i] for i in range(1, d)]
+        bx = field.times_beta(state)
         digit = field.floor_nums(bx, den) if any(bx[1:]) else bx[0] // den
         bx[0] -= digit * den
         state = tuple(bx)
@@ -234,34 +232,34 @@ def nu(field: BetaField, w: Word) -> FieldElement:
     Each block is summed by Horner's rule in beta^{-1}: for digits
     w_1 ... w_m the value (w_1 + (w_2 + ... (w_m) / beta ...) / beta) / beta
     takes one O(d) division by beta per digit.  The period's block value
-    v gives the tail beta^{-m} v / (1 - beta^{-p}) by geometric summation,
-    with 1 / (1 - beta^{-p}) memoized per period length p.
+    v gives the tail v / (1 - beta^{-p}) by geometric summation, with
+    1 / (1 - beta^{-p}) memoized per period length p, and Horner's rule
+    over the m preperiod digits starts from that tail, which scales it by
+    beta^{-m}.
     """
-    acc = _horner_inverse_beta(field, w.pre)
+    tail = field.zero()
     if w.period:
         p = len(w.period)
         geom = field.memo(("geom_inverse", p), lambda: (1 - field.beta_power(-p)).inverse())
-        block = _horner_inverse_beta(field, w.period)
-        acc = acc + block * geom * field.beta_power(-len(w.pre))
-    return acc
+        tail = _horner_inverse_beta(w.period, tail) * geom
+    return _horner_inverse_beta(w.pre, tail)
 
 
-def _horner_inverse_beta(field: BetaField, digits) -> FieldElement:
-    """sum_{n=1}^{m} digits[n-1] beta^{-n} by Horner's rule in beta^{-1}."""
-    acc = field.zero()
+def _horner_inverse_beta(digits, acc: FieldElement) -> FieldElement:
+    """sum_{n=1}^{m} digits[n-1] beta^{-n} + beta^{-m} acc by Horner's rule
+    in beta^{-1}."""
     for d in reversed(digits):
         acc = (acc + d if d else acc).div_beta()
     return acc
 
 
 def big_l(x: FieldElement) -> int:
-    """Least n >= 0 with x * beta^{-n} < 1."""
+    """Least n >= 0 with x * beta^{-n} < 1, that is x < beta^n, compared
+    with the memoized powers of beta."""
     if x.sign() < 0:
         raise OutOfRange("big_l needs x >= 0")
     n = 0
-    power = x.field.one()
-    while (x - power).sign() >= 0:
-        power = power.mul_beta()
+    while (x - x.field.beta_power(n)).sign() >= 0:
         n += 1
     return n
 

@@ -29,9 +29,16 @@ digit-orbit walk on integer numerators call.
 FieldElement.inverse runs Cayley-Hamilton on the integer matrix of
 multiplication by the element's numerators.
 
+Power-basis arithmetic lives here, and no other module imports fractions.
+BetaField.times_beta is the one beta * v (a shift, one reduction by
+beta^d = sum_i a_i beta^i) for FieldElement.mul_beta, the integer columns
+of FieldElement.inverse and expansion.py's digit-orbit walk, and
+BetaField.beta_power the one memoized chain of powers of beta.
+
 Values derived from the field alone (powers of beta, floor(beta), the
-unit-disk profile; in expansion.py d_beta(1) with the T-orbit of 1, xi) live
-in one per-field memo behind BetaField.memo, which publishes each entry
+unit-disk profile; in expansion.py d_beta(1) with the T-orbit of 1, the
+quasi-greedy word of 1, the factors 1 / (1 - beta^{-p}) and xi) live in
+one per-field memo behind BetaField.memo, which publishes each entry
 with dict.setdefault: every thread gets the first value built.
 """
 
@@ -55,6 +62,7 @@ from .polys import horner
 _REFINE_CAP = 10**6
 
 _V = TypeVar("_V")
+_C = TypeVar("_C", int, Fraction)
 
 
 class BetaField:
@@ -169,6 +177,16 @@ class BetaField:
 
         return self._settle(nums, decide)
 
+    def times_beta(self, v: Sequence[_C]) -> list[_C]:
+        """beta * v for power-basis coordinates v (ints or Fractions): a
+        shift, and one reduction by beta^d = sum_i a_i beta^i when the top
+        coordinate is nonzero.  This is the package's one beta-shift."""
+        top = v[-1]
+        if not top:
+            return [top, *v[:-1]]
+        a = self.coeffs
+        return [top * a[0]] + [v[i - 1] + top * a[i] for i in range(1, self.degree)]
+
     def poly_str(self) -> str:
         return polys.format_poly(self.poly)
 
@@ -193,20 +211,6 @@ class BetaField:
             return self._memo[key]
         return self._memo.setdefault(key, build())
 
-    def memo_chain(self, name: str, n: int, start: Callable[[], _V], step: Callable[[_V], _V]) -> _V:
-        """Entry n of the chain x_0 = start(), x_{m+1} = step(x_m) for n >= 0,
-        or x_{m-1} = step(x_m) for n <= 0, memoized as (name, m) for every m
-        between 0 and n; built from the nearest memoized entry."""
-        unit = 1 if n > 0 else -1
-        m = n
-        while m and (name, m) not in self._memo:
-            m -= unit
-        x = self.memo((name, m), start)
-        while m != n:
-            m += unit
-            x = self.memo((name, m), partial(step, x))
-        return x
-
     def zero(self) -> "FieldElement":
         return FieldElement(self, (Fraction(0),) * self.degree)
 
@@ -230,9 +234,19 @@ class BetaField:
         return self.beta_power(-1)
 
     def beta_power(self, n: int) -> "FieldElement":
-        """beta^n for any integer n, by O(d) shifts from the nearest memoized power."""
+        """beta^n for any integer n, by O(d) shifts from the nearest memoized
+        power; every power between beta^0 and beta^n is memoized on the way,
+        as ("beta_power", m)."""
+        unit = 1 if n > 0 else -1
+        m = n
+        while m and ("beta_power", m) not in self._memo:
+            m -= unit
+        x = self.memo(("beta_power", m), self.one)
         step = FieldElement.mul_beta if n > 0 else FieldElement.div_beta
-        return self.memo_chain("beta_power", n, self.one, step)
+        while m != n:
+            m += unit
+            x = self.memo(("beta_power", m), partial(step, x))
+        return x
 
     def floor_beta(self) -> int:
         return self.memo("floor_beta", lambda: self.beta().floor())
@@ -353,17 +367,8 @@ class FieldElement:
     __rmul__ = __mul__
 
     def mul_beta(self) -> "FieldElement":
-        """beta * self by coordinate shift and one reduction (O(d))."""
-        d = self.field.degree
-        top = self.coords[d - 1]
-        a = self.field.coeffs
-        if top:
-            coords = [top * a[0]] + [
-                self.coords[i - 1] + top * a[i] for i in range(1, d)
-            ]
-        else:
-            coords = [Fraction(0)] + list(self.coords[: d - 1])
-        return FieldElement(self.field, coords)
+        """beta * self, by BetaField.times_beta (O(d))."""
+        return FieldElement(self.field, self.field.times_beta(self.coords))
 
     def div_beta(self) -> "FieldElement":
         """self / beta by coordinate shift and
@@ -392,16 +397,17 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return self.field.from_rational(1 / self.coords[0])
-        den = math.lcm(*(c.denominator for c in self.coords))
-        cols = [FieldElement(self.field, [c * den for c in self.coords])]
-        for _ in range(1, self.field.degree):
-            cols.append(cols[-1].mul_beta())
-        M = [[c.numerator for c in row] for row in zip(*(col.coords for col in cols))]
+        d = self.field.degree
+        nums, den = self._numerators()
+        cols = [nums + [0] * (d - len(nums))]
+        for _ in range(1, d):
+            cols.append(self.field.times_beta(cols[-1]))
+        M = list(zip(*cols))
         cs = polys.charpoly(M)
         if cs[0] == 0:
             raise InvariantViolation("an element of norm zero; field polynomial not irreducible")
         # Horner in n on integer vectors: v = n v + c for c = c_{d-1}, ..., c_1
-        v = [1] + [0] * (self.field.degree - 1)
+        v = [1] + [0] * (d - 1)
         for c in cs[-2:0:-1]:
             v = [sum(m * x for m, x in zip(row, v)) for row in M]
             v[0] += c
@@ -442,8 +448,6 @@ class FieldElement:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        if self.is_zero():
-            return 0
         if self.is_rational():
             return _sign(self.coords[0])
         return self.field._settle(self._numerators()[0], _enclosure_sign)

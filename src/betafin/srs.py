@@ -51,17 +51,18 @@ class ShiftRadixSystem:
         d = field.degree
         self.dim = d - 1
         a = field.coeffs
-        rows = [
+        # row j - 1 holds R_j
+        self._rows = [
             [-a[m + j] for m in range(d - j)] + [1] + [0] * (j - 1)
             for j in range(1, d)
         ]
         # column m holds the beta^m coordinates of every row
-        self._cols = tuple(zip(*rows))
+        self._cols = tuple(zip(*self._rows))
 
     @property
     def r(self) -> list[FieldElement]:
         """The radix vector, one field element per coordinate."""
-        return [FieldElement(self.field, row) for row in zip(*self._cols)]
+        return [FieldElement(self.field, row) for row in self._rows]
 
     def initial_vector(self) -> SrsVector:
         return (0,) * (self.dim - 1) + (1,)
@@ -86,21 +87,17 @@ class ShiftRadixSystem:
         r_j is beta^{d-j} plus lower powers, so {1, r_1, ..., r_{d-1}} is
         a unit-triangular Z-basis of Z[beta], and y = c + r . l has exactly
         one integer solution.  Back-substitution reads l_j off the
-        beta^{d-j} coordinate, top down; then frac(r . l) = y because
-        0 <= y < 1.  Raises ValueError when a coordinate of y is not an
-        integer.
+        beta^{d-j} coordinate, top down, and subtracts l_j R_j; then
+        frac(r . l) = y because 0 <= y < 1.  Raises ValueError when a
+        coordinate of y is not an integer.
         """
         if any(c.denominator != 1 for c in y.coords):
             raise ValueError(f"{y!r} is not in Z[beta]")
         rest = [c.numerator for c in y.coords]
-        a = self.field.coeffs
-        d = self.field.degree
         vec = []
-        for j in range(1, d):
-            # R_j = beta^{d-j} - sum_{m < d-j} a_{m+j} beta^m
-            lj = rest[d - j]
-            for m in range(d - j):
-                rest[m] += lj * a[m + j]
+        for top, row in zip(range(self.dim, 0, -1), self._rows):
+            lj = rest[top]
+            rest = [c - lj * r for c, r in zip(rest, row)]
             vec.append(lj)
         return tuple(vec)
 

@@ -121,6 +121,30 @@ def test_big_l():
     assert big_l(family(2).from_rational(2)) == 1
 
 
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1), (2, -4, 4), (1, 1, 1, 1)])
+def test_big_l_matches_plain_scan(coeffs):
+    def scan(x):
+        n = 0
+        while not x * x.field.beta_power(-n) < 1:
+            n += 1
+        return n
+
+    rng = random.Random(len(coeffs) * 7 + coeffs[-1])
+    f = make_field(coeffs)
+    top = f.beta_power(8)
+    xs = [f.zero(), top] + [f.beta_power(n) for n in range(8)]
+    while len(xs) < 220:
+        coords = [Q(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(f.degree)]
+        x = f.from_coords(coords) * f.beta_power(rng.randint(-3, 6))
+        if x <= top:
+            xs.append(x)
+    expect = [scan(x) for x in xs]
+    # big_l on a fresh field builds its powers of beta, then reads them
+    fresh = make_field(coeffs)
+    for _ in range(2):
+        assert [big_l(fresh.from_coords(x.coords)) for x in xs] == expect
+
+
 def test_beta_expand_zero():
     e = beta_expand(TRIB.zero())
     assert e.exponent == 0 and e.word == Word((), ())

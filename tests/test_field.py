@@ -328,6 +328,28 @@ def test_div_beta_inverts_mul_beta(coeffs):
         assert x.div_beta() == x * f.beta_inverse()
 
 
+# x^2-x-1, x^2-4x+2, tribonacci, x^3-x-1, the family at t = 2 (a_0 = 2)
+# and tetranacci
+TIMES_BETA_FIELDS = [(1, 1), (-2, 4), TRIBONACCI, MINIMAL_PISOT, family(2), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("coeffs", TIMES_BETA_FIELDS)
+def test_times_beta_matches_schoolbook_product(coeffs):
+    # the schoolbook __mul__ reduces its own product, so it is the oracle
+    f = make_field(coeffs)
+    d = f.degree
+    rng = random.Random(sum(coeffs) * 13 + d)
+    for _ in range(60):
+        ints = [rng.randint(-50, 50) for _ in range(d)]
+        fracs = [Q(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(d)]
+        for v in (ints, fracs, ints[:-1] + [0], fracs[:-1] + [Q(0)]):
+            got = f.times_beta(v)
+            assert len(got) == d
+            assert all(type(c) is type(v[0]) for c in got), (v, got)
+            assert f.from_coords(got) == f.from_coords(v) * f.beta(), (coeffs, v)
+            assert f.from_coords(v).mul_beta() == f.from_coords(got)
+
+
 def test_sign_and_floor_under_threads():
     # every thread starts on a fresh field, so the decisions refine one
     # shared bracket while other threads read and refine it
