@@ -8,14 +8,14 @@ expansion of 1 is the yardstick for Parry's admissibility condition:
 a word is realizable iff every shift stays lexicographically below it.
 
 T maps Z[beta] into itself, and for x = n / den it keeps den, so a digit
-orbit is a walk on integer numerator vectors.  _digit_orbit is that
-walk: beta x is BetaField.times_beta on the numerators, the package's one
+orbit is a walk on integer numerator vectors.  _digit_orbit is that walk:
+beta x is BetaField.times_beta on the numerators, the package's one
 beta-shift (t_map reaches it through FieldElement.mul_beta), its floor is
 one BetaField.floor_nums decision, and T(x) subtracts the digit times den
-from the constant numerator.  The orbit of 1 (d_beta_one,
-t_orbit_of_one) and is_finite_expansion run it; d_beta, beta_expand and
-frac_part step t_map on field elements.  big_l compares x with the
-field's memoized powers of beta (BetaField.beta_power).
+from the constant numerator.  The orbit of 1 (d_beta_one, t_orbit_of_one)
+and is_finite_expansion run it; d_beta, beta_expand and frac_part step
+t_map.  Both decide 0 <= x <= 1 with one floor: floor(x) = 0 or x = 1.
+big_l compares x with the field's memoized powers BetaField.beta_power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -37,8 +37,8 @@ DEFAULT_ORBIT_CAP = 100_000
 
 
 def t_map(x: FieldElement) -> tuple[int, FieldElement]:
-    """One greedy step: (floor(beta x), beta x - floor(beta x)) for x in [0, 1]."""
-    if x.sign() < 0 or (x - 1).sign() > 0:
+    """One greedy step (floor(beta x), T(x)); x in [0, 1] means floor(x) = 0 or x = 1."""
+    if x.floor() != 0 and x != 1:
         raise OutOfRange("t_map needs 0 <= x <= 1")
     bx = x.mul_beta()
     digit = bx.floor()
@@ -335,8 +335,6 @@ def xi_t_power(field: BetaField, n: int) -> int:
 
 def frac_part(x: FieldElement) -> FieldElement:
     """The beta-fractional part: value of the digits after position L(x)."""
-    if x.sign() < 0:
-        raise OutOfRange("frac_part needs x >= 0")
     ell = big_l(x)
     y = x * x.field.beta_power(-ell)
     for _ in range(ell):

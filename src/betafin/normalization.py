@@ -143,14 +143,12 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
     tail and stops as soon as the candidate word is admissible.  The
     round count never exceeds the number of enclosing blocks.
     """
-    if x.sign() < 0:
-        raise OutOfRange("add_one needs x >= 0")
     field = x.field
+    ell = big_l(x + 1)
+    base = beta_expand(x, cap)
     # free_blocks, is_admissible and xi read d_beta_star with the default
     # budget; the orbit of 1 counts against this call's cap first
     d_beta_one(field, cap)
-    ell = big_l(x + 1)
-    base = beta_expand(x, cap)
     c = base.word.prepend((0,) * (ell - base.exponent))
     blocks = free_blocks(field, c)
     i = blocks.locate(ell)
@@ -174,7 +172,7 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
         carry_step(field, c, blocks, ell, tail, cur)
         step_theta = theta if n == 0 else 0
         y = step_theta + y - xi(field, m)
-        if y.sign() < 0 or (y - 1).sign() >= 0:
+        if y.floor() != 0:
             raise InvariantViolation("cascade tail value left [0, 1)")
         xi_indices.append(m)
         n += 1

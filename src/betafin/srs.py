@@ -266,6 +266,7 @@ class F1Certificate:
     r0: frozenset[SrsVector]
     r0_complete: bool
     preimage_closure_ok: bool
+    r0_in_f: bool
     diagnostic: str = ""
 
 
@@ -288,7 +289,7 @@ def f1_certificate(
         r0_in_f = all(in_f_beta(srs, v, walk_cap) for v in r0)
     except (ClosureBudgetExceeded, OrbitBudgetExceeded) as exc:
         return F1Certificate(
-            "unknown", frozenset(), 0, frozenset(), False, False, f"budget: {exc}"
+            "unknown", frozenset(), 0, frozenset(), False, False, False, f"budget: {exc}"
         )
     if closure_ok and r0_in_f and complete:
         verdict = "proven"
@@ -303,7 +304,7 @@ def f1_certificate(
         if not complete:
             parts.append("box enumeration incomplete")
         diag = "; ".join(parts)
-    return F1Certificate(verdict, P, d, frozenset(r0), complete, closure_ok, diag)
+    return F1Certificate(verdict, P, d, frozenset(r0), complete, closure_ok, r0_in_f, diag)
 
 
 def export_graph(graph: OrbitGraph, fmt: str = "dot") -> str:

@@ -53,6 +53,8 @@ class Word:
 
     def digit(self, i: int) -> int:
         """0-based digit access into the infinite sequence."""
+        if i < 0:
+            raise ValueError("digit position must be >= 0")
         if i < len(self.pre):
             return self.pre[i]
         if not self.period:
@@ -76,12 +78,12 @@ class Word:
         return max(1, len(self.period))
 
     def shift(self, n: int) -> "Word":
-        """Drop the first n digits."""
+        """Drop the first n digits; a finite word's empty period stays empty."""
+        if n < 0:
+            raise ValueError("shift must be >= 0")
         if n <= len(self.pre):
             return Word(self.pre[n:], self.period)
-        if not self.period:
-            return Word((), ())
-        k = (n - len(self.pre)) % len(self.period)
+        k = (n - len(self.pre)) % self.period_len()
         return Word((), self.period[k:] + self.period[: k])
 
     def prepend(self, head: Iterable[int]) -> "Word":

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from betafin.cli import build_parser, main, parse_element, parse_poly
+from betafin.errors import OrbitBudgetExceeded
 from betafin.field import make_field
 
 
@@ -67,6 +68,24 @@ def test_parse_element_forms():
     from betafin.words import parse_word
 
     assert x == f.beta_power(2) * nu(f, parse_word("1 0 (1)"))
+
+
+def test_word_literal_exponent_counts_against_the_orbit_budget(capsys):
+    # |L| is checked before beta^L is built, so a huge L fails at once
+    f = make_field((2, -4, 4))
+    for text in ("99999999999999999999:1", "-99999999999999999999:1", "100001:1"):
+        with pytest.raises(OrbitBudgetExceeded):
+            parse_element(f, text)
+    for text in ("6:1", "-6:1"):
+        with pytest.raises(OrbitBudgetExceeded):
+            parse_element(f, text, 5)
+    assert parse_element(f, "5:1", 5) == f.beta_power(4)
+    assert parse_element(f, "-5:1", 5) == f.beta_power(-6)
+    for text in ("99999999999999999999:1", "-99999999999999999999:1"):
+        code, out, err = run(
+            capsys, "expand", "--poly", "x^2-x-1", f"--x={text}", "--budget-orbit", "5"
+        )
+        assert code == 1 and out == "" and err.startswith("error: OrbitBudgetExceeded")
 
 
 def test_expand_command(capsys):
@@ -150,6 +169,16 @@ def test_verify_family(capsys):
     data = json.loads(out)
     assert data[0]["pass"] is True
     assert data[0]["checks"]["Q is the 27-vector set"] is True
+
+
+def test_verify_family_r0_row_reads_the_certificate(capsys):
+    # 7 states let d_beta(1) close but not the certificate's walks: its R0
+    # is empty, and the row reports the undecided R0 as failed
+    code, out, _ = run(capsys, *FAMILY, "--budget-orbit", "7", "--format", "json")
+    checks = json.loads(out)[0]["checks"]
+    assert code == 1
+    assert checks["R0 inside F"] is False and checks["F1 certificate proven"] is False
+    assert checks["d_beta(1) = (2t-2)(2t-2)(t-1)00t"] is True
 
 
 def test_verify_family_rejects_t1(capsys):

@@ -24,7 +24,7 @@ from betafin.expansion import (
     xi,
     xi_t_power,
 )
-from betafin.field import make_field, unit_disk_profile
+from betafin.field import FieldElement, make_field, unit_disk_profile
 from betafin.words import Word, format_word, lex_cmp
 
 TRIB = make_field((1, 1, 1))
@@ -55,6 +55,67 @@ def test_t_map_examples():
         assert rest == f.beta() - (2 * t - 2)
     with pytest.raises(OutOfRange):
         t_map(TRIB.from_rational(2))
+
+
+def two_sign_t_map(x):
+    """t_map with the range decided by two sign tests, 0 <= x and x <= 1:
+    the oracle for t_map's single floor decision."""
+    if x.sign() < 0 or (x - 1).sign() > 0:
+        raise OutOfRange("t_map needs 0 <= x <= 1")
+    bx = x * x.field.beta()
+    digit = bx.floor()
+    return digit, bx - digit
+
+
+def near_zero(field):
+    """An irrational power beta^{-k} with 0 < beta^{-k} < 2^-30."""
+    k = 1
+    while (field.beta_power(-k) - Q(1, 2**30)).sign() >= 0:
+        k += 1
+    eps = field.beta_power(-k)
+    assert not eps.is_rational()
+    return eps
+
+
+T_MAP_FIELDS = pytest.mark.parametrize(
+    "coeffs",
+    [(1, 1), (-2, 4), (1, 1, 1), (1, 1, 0), (2, -4, 4), (1, 1, 1, 1)],
+    ids=["golden", "x2-4x+2", "tribonacci", "x3-x-1", "family-t2", "tetranacci"],
+)
+
+
+@T_MAP_FIELDS
+def test_t_map_range_matches_two_sign_rule(coeffs):
+    field = make_field(coeffs)
+    eps = near_zero(field)
+    xs = [field.from_rational(q) for q in (0, 1, Q(1, 2), Q(-1, 2), Q(3, 2), 2)]
+    xs += [eps, -eps, 1 - eps, 1 + eps, Q(1, 2) + eps]
+    outcomes = set()
+    for x in xs:
+        try:
+            expect = two_sign_t_map(x)
+        except OutOfRange:
+            with pytest.raises(OutOfRange):
+                t_map(x)
+            outcomes.add("out")
+            continue
+        assert t_map(x) == expect, x
+        outcomes.add("in")
+    assert outcomes == {"in", "out"}
+
+
+@T_MAP_FIELDS
+def test_t_map_step_makes_no_sign_decision(coeffs, monkeypatch):
+    field = make_field(coeffs)
+    eps = near_zero(field)
+    calls = []
+    sign = FieldElement.sign
+    monkeypatch.setattr(FieldElement, "sign", lambda x: calls.append(x) or sign(x))
+    for x in (eps, 1 - eps, Q(1, 2) + eps):
+        t_map(x)
+    with pytest.raises(OutOfRange):
+        t_map(1 + eps)
+    assert calls == []
 
 
 def test_d_beta_one_catalog():
@@ -243,6 +304,9 @@ def test_frac_part():
     )
     expect = nu(f, Word((0, 0, 0, t - 2, 2 * t - 2, t - 2), (t - 1,)))
     assert frac_part(x) == expect
+    for q in (Q(-1, 2), -3):
+        with pytest.raises(OutOfRange):
+            frac_part(TRIB.from_rational(q))
 
 
 def test_orbit_budget():

@@ -179,8 +179,14 @@ def test_add_one_random_elements():
 
 
 def test_add_one_rejects_negative():
-    with pytest.raises(OutOfRange):
-        add_one(TRIB.from_rational(-1))
+    # big_l raises: on x itself for -1/2 (x + 1 >= 0), on x + 1 for -1 and -3
+    for q in (-1, Q(-1, 2), -3):
+        with pytest.raises(OutOfRange):
+            add_one(TRIB.from_rational(q))
+    # before the orbit of 1 (6 states on x^3-x^2-3x-2) meets the cap
+    for q in (Q(-1, 2), -3):
+        with pytest.raises(OutOfRange):
+            add_one(make_field((2, 3, 1)).from_rational(q), cap=3)
 
 
 def test_add_one_bounds_the_orbit_of_one_by_its_cap():

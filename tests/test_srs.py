@@ -497,7 +497,7 @@ def test_f1_certificate_family():
         assert cert.verdict == "proven"
         assert cert.p_set == frozenset({(1, 1)})
         assert cert.delta == 1
-        assert cert.preimage_closure_ok and cert.r0_complete
+        assert cert.preimage_closure_ok and cert.r0_complete and cert.r0_in_f
 
 
 def test_f1_certificate_examples():
@@ -522,7 +522,7 @@ def test_f1_certificate_spent_walk_budget_is_unknown():
     # the walks of the box vectors spend the orbit budget: unknown, and
     # the diagnostic says why
     cert = f1_certificate(q_set(srs_for(make_field((2, -4, 4)))), 1)
-    assert cert.verdict == "unknown"
+    assert cert.verdict == "unknown" and not cert.r0_in_f
     assert cert.diagnostic.startswith("budget: ")
     # x^3-x^2-2x-1: the box vectors' walks stay within the budget; the
     # walk of the initial vector's orbit in v_box_set spends it

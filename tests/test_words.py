@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,12 @@ def test_digit_access_and_shift():
     assert w.shift(3) == Word((), (1, 0, 1))
     assert w.shift(100).period_len() == 3
     assert Word((5,), ()).shift(4).is_zero()
+    # negative positions are errors, not Python's index-from-the-end
+    w = Word((1, 2, 3), (4, 5))
+    with pytest.raises(ValueError):
+        w.shift(-1)
+    with pytest.raises(ValueError):
+        w.digit(-1)
 
 
 words = st.builds(
