@@ -21,13 +21,14 @@ Refutation routes worth noting:
     vector, and the sweep over N runs tau from that vector with the same
     shared-verdict reach-zero walk as the SRS closure, over a verdict map
     seeded with Q's: a vector reached from several N is stepped once.
-    Only frac(N) itself is computed on field elements.
+    frac_part computes frac(N) with expansion.py's integer greedy step.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 from .errors import (
     ClosureBudgetExceeded,
@@ -387,16 +388,17 @@ def _find_infinite_natural(
     report: PropertyReport,
     graph: OrbitGraph | None = None,
 ) -> int | None:
-    """The first candidate N with an infinite expansion, or None.
+    """The first N with an infinite expansion among floor(beta) + 1, then
+    the other N in 1..n_sweep, made one at a time; None if there is none.
 
     N has a finite expansion iff the T-orbit of its fractional part
     frac(N) = T^{L(N)}(beta^{-L(N)} N), an element of Z[beta] in [0, 1),
-    reaches 0.  frac(N) is computed on field elements (frac_part) and
-    mapped to its integer SRS vector (ShiftRadixSystem.frac_vector), and
-    tau, conjugate to T there, walks the vector to zero or a cycle.  All N
-    share one verdict map, seeded with Q's verdicts when graph is given,
-    so each vector is stepped once, the nodes of Q not at all; the graph
-    itself is not changed.
+    reaches 0.  frac_part takes its L(N) greedy steps on integer
+    numerators, ShiftRadixSystem.frac_vector maps frac(N) to its integer
+    SRS vector, and tau, conjugate to T there, walks the vector to zero
+    or a cycle.  All N share one verdict map, seeded with Q's verdicts
+    when graph is given, so each vector is stepped once, the nodes of Q
+    not at all; the graph itself is not changed.
 
     orbit_cap bounds the new vectors one N walks (the L(N) steps inside
     frac_part are not counted); an N over it is skipped, never decided,
@@ -411,7 +413,8 @@ def _find_infinite_natural(
     reaches_zero = dict(seed)
     skipped: list[int] = []
     refuter = None
-    for n in dict.fromkeys([field.floor_beta() + 1, *range(1, n_sweep + 1)]):
+    first = field.floor_beta() + 1
+    for n in chain((first,), filter(first.__ne__, range(1, n_sweep + 1))):
         if len(reaches_zero) > len(seed) + orbit_cap:
             reaches_zero = dict(seed)
         y = frac_part(field.from_rational(n))

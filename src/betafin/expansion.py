@@ -7,15 +7,16 @@ periodic Word together with its preperiod and period.  The quasi-greedy
 expansion of 1 is the yardstick for Parry's admissibility condition:
 a word is realizable iff every shift stays lexicographically below it.
 
-T maps Z[beta] into itself, and for x = n / den it keeps den, so a digit
-orbit is a walk on integer numerator vectors.  _digit_orbit is that walk:
-beta x is BetaField.times_beta on the numerators, the package's one
-beta-shift (t_map reaches it through FieldElement.mul_beta), its floor is
-one BetaField.floor_nums decision, and T(x) subtracts the digit times den
-from the constant numerator.  The orbit of 1 (d_beta_one, t_orbit_of_one)
-and is_finite_expansion run it; d_beta, beta_expand and frac_part step
-t_map.  Both decide 0 <= x <= 1 with one floor: floor(x) = 0 or x = 1.
-big_l compares x with the field's memoized powers BetaField.beta_power.
+T maps Z[beta] into itself and keeps the denominator of x = n / den, so
+_greedy_step, the package's one T-step, works on integer numerators: the
+beta-shift BetaField.times_beta, one BetaField.floor_nums for the digit,
+and digit * den off the constant numerator.  _digit_orbit walks it on
+numerator tuples for the orbit of 1 (d_beta_one, t_orbit_of_one) and
+is_finite_expansion; frac_part takes its L(x) steps from beta^{-L(x)} x;
+t_map takes one step on an element, and d_beta (so beta_expand) steps
+t_map once per hashed state.  _in_unit_interval decides 0 <= x <= 1 (x = 1
+or floor(x) = 0) where a walk or a t_map step starts.  big_l compares x
+with the field's memoized powers BetaField.beta_power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -36,13 +37,26 @@ from .words import Word, compare_window, format_word
 DEFAULT_ORBIT_CAP = 100_000
 
 
+def _in_unit_interval(field: BetaField, nums: Sequence[int], den: int) -> bool:
+    """Whether x = (sum_i nums[i] beta^i) / den lies in [0, 1]: x = 1 or floor(x) = 0."""
+    return (nums[0] == den and not any(nums[1:])) or field.floor_nums(nums, den) == 0
+
+
+def _greedy_step(field: BetaField, nums: Sequence[int], den: int) -> tuple[int, tuple[int, ...]]:
+    """floor(beta x) and the numerators of T(x) over den, for x = (sum_i nums[i] beta^i) / den."""
+    bx = field.times_beta(nums)
+    digit = field.floor_nums(bx, den) if any(bx[1:]) else bx[0] // den
+    bx[0] -= digit * den
+    return digit, tuple(bx)
+
+
 def t_map(x: FieldElement) -> tuple[int, FieldElement]:
-    """One greedy step (floor(beta x), T(x)); x in [0, 1] means floor(x) = 0 or x = 1."""
-    if x.floor() != 0 and x != 1:
+    """One greedy step (floor(beta x), T(x)) on the numerators of x in [0, 1]."""
+    nums, den = x._numerators()
+    if not _in_unit_interval(x.field, nums, den):
         raise OutOfRange("t_map needs 0 <= x <= 1")
-    bx = x.mul_beta()
-    digit = bx.floor()
-    return digit, bx - digit
+    digit, nums = _greedy_step(x.field, nums, den)
+    return digit, x.field.from_numerators(nums, den)
 
 
 def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
@@ -68,16 +82,15 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
 def _digit_orbit(
     field: BetaField, nums: Sequence[int], den: int, cap: int
 ) -> tuple[Word, tuple[tuple[int, ...], ...]]:
-    """Greedy word of x = (sum_i nums[i] beta^i) / den in [0, 1], den > 0,
+    """Greedy word of x = (sum_i nums[i] beta^i) / den in [0, 1], d nums, den > 0,
     and its distinct states T^0(x), T^1(x), ... as numerator tuples over den.
 
     The range is decided once, here: every later state is a T-image and
     lies in [0, 1).  The budget is d_beta's: OrbitBudgetExceeded unless
     the orbit closes within cap states.
     """
-    d = field.degree
-    start = state = tuple(nums) + (0,) * (d - len(nums))
-    if state != (den,) + (0,) * (d - 1) and field.floor_nums(state, den) != 0:
+    state = tuple(nums)
+    if not _in_unit_interval(field, state, den):
         raise OutOfRange("d_beta needs 0 <= x <= 1")
     seen: dict[tuple[int, ...], int] = {}
     digits: list[int] = []
@@ -86,12 +99,9 @@ def _digit_orbit(
             split = seen[state]
             return Word(digits[:split], digits[split:]), tuple(seen)
         seen[state] = len(digits)
-        bx = field.times_beta(state)
-        digit = field.floor_nums(bx, den) if any(bx[1:]) else bx[0] // den
-        bx[0] -= digit * den
-        state = tuple(bx)
+        digit, state = _greedy_step(field, state, den)
         digits.append(digit)
-    x = field.from_coords(start) / den
+    x = field.from_numerators(nums, den)
     raise OrbitBudgetExceeded(f"orbit of {x!r} did not close within {cap} states")
 
 
@@ -102,7 +112,7 @@ def _orbit_of_one(field: BetaField, cap: int) -> tuple[Word, tuple[tuple[int, ..
     when n > cap."""
 
     def build() -> tuple[Word, tuple[tuple[int, ...], ...]]:
-        word, states = _digit_orbit(field, (1,), 1, cap)
+        word, states = _digit_orbit(field, (1,) + (0,) * (field.degree - 1), 1, cap)
         # distinct states have distinct digit tails, so the states split
         # as the canonical word does; t_orbit_of_one reads the period there
         if len(states) != len(word.pre) + word.period_len():
@@ -334,9 +344,9 @@ def xi_t_power(field: BetaField, n: int) -> int:
 
 
 def frac_part(x: FieldElement) -> FieldElement:
-    """The beta-fractional part: value of the digits after position L(x)."""
+    """The beta-fractional part T^L(beta^{-L} x), L = L(x); big_l decides the range."""
     ell = big_l(x)
-    y = x * x.field.beta_power(-ell)
+    nums, den = (x * x.field.beta_power(-ell))._numerators()
     for _ in range(ell):
-        _, y = t_map(y)
-    return y
+        _, nums = _greedy_step(x.field, nums, den)
+    return x.field.from_numerators(nums, den)

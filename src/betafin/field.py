@@ -25,14 +25,14 @@ BetaField._settle is the one loop that refines the bracket until a
 decision holds on the enclosure.  FieldElement.sign runs it, and so does
 BetaField.floor_nums, the one floor decision on integer numerators, which
 FieldElement.floor, the shift radix system's tau and expansion.py's
-digit-orbit walk on integer numerators call.
+greedy step call.
 FieldElement.inverse runs Cayley-Hamilton on the integer matrix of
 multiplication by the element's numerators.
 
 Power-basis arithmetic lives here, and no other module imports fractions.
 BetaField.times_beta is the one beta * v (a shift, one reduction by
 beta^d = sum_i a_i beta^i) for FieldElement.mul_beta, the integer columns
-of FieldElement.inverse and expansion.py's digit-orbit walk, and
+of FieldElement.inverse and expansion.py's greedy step, and
 BetaField.beta_power the one memoized chain of powers of beta.
 
 Values derived from the field alone (powers of beta, floor(beta), the
@@ -224,6 +224,10 @@ class BetaField:
     def from_coords(self, coords: Iterable) -> "FieldElement":
         return FieldElement(self, coords)
 
+    def from_numerators(self, nums: Iterable[int], den: int) -> "FieldElement":
+        """(sum_i nums[i] beta^i) / den, the inverse of FieldElement._numerators."""
+        return FieldElement(self, (Fraction(n, den) for n in nums))
+
     def beta(self) -> "FieldElement":
         coords = [Fraction(0)] * self.degree
         coords[1] = Fraction(1)
@@ -399,7 +403,7 @@ class FieldElement:
             return self.field.from_rational(1 / self.coords[0])
         d = self.field.degree
         nums, den = self._numerators()
-        cols = [nums + [0] * (d - len(nums))]
+        cols = [nums]
         for _ in range(1, d):
             cols.append(self.field.times_beta(cols[-1]))
         M = list(zip(*cols))
@@ -411,7 +415,7 @@ class FieldElement:
         for c in cs[-2:0:-1]:
             v = [sum(m * x for m, x in zip(row, v)) for row in M]
             v[0] += c
-        return FieldElement(self.field, [Fraction(-den * x, cs[0]) for x in v])
+        return self.field.from_numerators((-den * x for x in v), cs[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -437,14 +441,10 @@ class FieldElement:
     # -- exact decisions -----------------------------------------------------
 
     def _numerators(self) -> tuple[list[int], int]:
-        """Integer numerators over the lcm of the coordinates' denominators,
-        with zero top coordinates above the constant one dropped, and that
-        lcm."""
+        """The d integer numerators over the lcm of the denominators, and that
+        lcm; a zero top numerator only rescales a Horner enclosure."""
         den = math.lcm(*(c.denominator for c in self.coords))
-        nums = [c.numerator * (den // c.denominator) for c in self.coords]
-        while len(nums) > 1 and not nums[-1]:
-            nums.pop()
-        return nums, den
+        return [c.numerator * (den // c.denominator) for c in self.coords], den
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""

@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -321,6 +322,36 @@ def test_classify_refutes_f1_by_the_sweep():
     rep = classify(make_field((2, 3, 1)))  # (a,b,c) = (1,3,2)
     assert rep.f1 == REFUTED
     assert any(e.rule == "natural-sweep" and "N = 7 " in e.claim for e in rep.evidence)
+
+
+def test_natural_sweep_makes_candidates_one_at_a_time():
+    # x^3-x^2-3x-2 is refuted at N = 7: a sweep over 10^6 candidates must
+    # not build them all before it tries the first
+    f = make_field((2, 3, 1))
+    report = PropertyReport(poly=f.poly_str())
+    tracemalloc.start()
+    try:
+        refuter = _find_infinite_natural(f, 10**6, DEFAULT_ORBIT_CAP, report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert refuter == 7
+    assert peak < 4 * 2**20
+
+
+def test_natural_sweep_tries_floor_beta_plus_one_first(monkeypatch):
+    classify_module = importlib.import_module("betafin.classify")
+    tried = []
+    original = classify_module.frac_part
+    monkeypatch.setattr(
+        classify_module, "frac_part", lambda x: tried.append(x.as_rational()) or original(x)
+    )
+    f = make_field((1, 1, 1))  # tribonacci: floor(beta) + 1 = 2, no refuter
+    for n_sweep, order in ((12, [2, 1, *range(3, 13)]), (1, [2, 1]), (0, [2])):
+        tried.clear()
+        report = PropertyReport(poly=f.poly_str())
+        assert _find_infinite_natural(f, n_sweep, 100_000, report) is None
+        assert tried == order
 
 
 def test_natural_sweep_steps_each_state_once(monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from betafin.classify import classify
 from betafin.errors import OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
     DEFAULT_ORBIT_CAP,
@@ -309,6 +310,52 @@ def test_frac_part():
             frac_part(TRIB.from_rational(q))
 
 
+def plain_frac_part(x):
+    """frac_part's oracle: L(x) by a plain scan, then L(x) steps of
+    two_sign_t_map from beta^{-L(x)} x."""
+    ell = 0
+    while not x * x.field.beta_power(-ell) < 1:
+        ell += 1
+    y = x * x.field.beta_power(-ell)
+    for _ in range(ell):
+        _, y = two_sign_t_map(y)
+    return y
+
+
+FRAC_PART_FIELDS = pytest.mark.parametrize(
+    "coeffs",
+    [(1, 1), (-2, 4), (1, 1, 1), (1, 1, 0), (2, -4, 4), (1, 1, 1, 1), (4, -4, 5), (-2, 0, 4)],
+    ids=["golden", "x2-4x+2", "tribonacci", "x3-x-1", "family-t2", "tetranacci",
+         "grid-5,-4,4", "grid-4,0,-2"],
+)
+
+
+@FRAC_PART_FIELDS
+def test_frac_part_matches_plain_oracle(coeffs):
+    field = make_field(coeffs)
+    rng = random.Random(sum(coeffs) * 13 + len(coeffs))
+    naturals = [field.from_rational(n) for n in range(201)]
+    rationals = [field.from_rational(Q(rng.randint(0, 120), rng.randint(1, 5))) for _ in range(60)]
+    for x in naturals + rationals:
+        y = frac_part(x)
+        assert y == plain_frac_part(x), x
+        assert y.sign() >= 0 and (y - 1).sign() < 0, x
+        if x.as_rational().denominator == 1:
+            assert all(c.denominator == 1 for c in y.coords), x
+
+
+def test_frac_part_and_the_sweep_take_no_t_map_step(monkeypatch):
+    def no_t_map(x):
+        raise AssertionError("t_map stepped")
+
+    monkeypatch.setattr("betafin.expansion.t_map", no_t_map)
+    f = family(2)
+    n = f.from_rational(f.floor_beta() + 1)
+    assert frac_part(n) == n - f.beta()
+    rep = classify(make_field((2, 3, 1)))  # x^3-x^2-3x-2: the sweep refutes (F1) at N = 7
+    assert any(e.rule == "natural-sweep" and "N = 7 " in e.claim for e in rep.evidence)
+
+
 def test_orbit_budget():
     with pytest.raises(OrbitBudgetExceeded):
         d_beta(TRIB.from_coords((Q(1, 97), Q(1, 89), Q(1, 83))), cap=5)
@@ -316,14 +363,14 @@ def test_orbit_budget():
 
 def t_map_orbit(x, cap):
     """Digits, the index where the cycle starts, and the distinct states of
-    the T-orbit of x, stepped by t_map under d_beta's budget rule."""
+    the T-orbit of x, stepped by two_sign_t_map under d_beta's budget rule."""
     seen = {}
     digits = []
     while len(digits) <= cap:
         if x in seen:
             return digits, seen[x], list(seen)
         seen[x] = len(digits)
-        digit, x = t_map(x)
+        digit, x = two_sign_t_map(x)
         digits.append(digit)
     raise OrbitBudgetExceeded(f"no cycle within {cap} states")
 
@@ -372,7 +419,7 @@ def test_t_orbit_of_one_matches_iterated_t_map(coeffs):
     n = len(w.pre) + w.period_len()
     expect = [field.one()]
     for _ in range(3 * n):
-        expect.append(t_map(expect[-1])[1])
+        expect.append(two_sign_t_map(expect[-1])[1])
     for upto in range(3 * n + 1):
         assert t_orbit_of_one(field, upto) == expect[: upto + 1]
 
