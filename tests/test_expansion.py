@@ -26,6 +26,7 @@ from betafin.expansion import (
     xi_t_power,
 )
 from betafin.field import FieldElement, make_field, unit_disk_profile
+from betafin.normalization import add_one
 from betafin.words import Word, format_word, lex_cmp
 
 TRIB = make_field((1, 1, 1))
@@ -348,7 +349,16 @@ def test_frac_part_and_the_sweep_take_no_t_map_step(monkeypatch):
     def no_t_map(x):
         raise AssertionError("t_map stepped")
 
+    rng = random.Random(20)
+    calls = []
+    for field in (family(2), TRIB):
+        units = [field.zero(), field.one()] + [random_unit_interval_element(field, rng) for _ in range(4)]
+        others = [field.from_rational(n) for n in (2, 7, 12)] + [units[-1] + 3, units[-2] + field.beta()]
+        calls += [(d_beta, x) for x in units]
+        calls += [(f, x) for f in (beta_expand, is_finite_expansion, add_one) for x in units + others]
+    before = [f(x) for f, x in calls]
     monkeypatch.setattr("betafin.expansion.t_map", no_t_map)
+    assert [f(x) for f, x in calls] == before
     f = family(2)
     n = f.from_rational(f.floor_beta() + 1)
     assert frac_part(n) == n - f.beta()
@@ -403,6 +413,12 @@ def test_digit_orbit_matches_t_map(coeffs):
             _digit_orbit(field, nums, den, n - 1)
         with pytest.raises(OrbitBudgetExceeded):
             t_map_orbit(x, n - 1)
+        assert d_beta(x) == Word(digits[:split], digits[split:]), x
+        assert d_beta(x, n) == word
+        with pytest.raises(OrbitBudgetExceeded):
+            d_beta(x, n - 1)
+        with pytest.raises(OutOfRange, match="d_beta needs"):
+            d_beta(x + 1 + field.beta_power(-3))
         assert is_finite_expansion(x) == beta_expand(x).is_finite(), x
         y = x + 2
         assert is_finite_expansion(y) == beta_expand(y).is_finite(), y
