@@ -1,8 +1,8 @@
 """The beta-transformation and greedy digit expansions.
 
 For x in [0, 1] the map T(x) = beta*x - floor(beta*x) generates the
-greedy digit string d_beta(x).  Orbits are detected by exact hashing of
-integer numerator states, so every expansion comes back as an eventually
+greedy digit string d_beta(x).  Orbits of field elements are detected by
+exact state hashing, so every expansion comes back as an eventually
 periodic Word together with its preperiod and period.  The quasi-greedy
 expansion of 1 is the yardstick for Parry's admissibility condition:
 a word is realizable iff every shift stays lexicographically below it.
@@ -10,13 +10,12 @@ a word is realizable iff every shift stays lexicographically below it.
 T maps Z[beta] into itself and keeps the denominator of x = n / den, so
 _greedy_step, the package's one T-step, works on integer numerators: the
 beta-shift BetaField.times_beta, one BetaField.floor_nums for the digit,
-and digit * den off the constant numerator.  _digit_orbit, the one
-T-orbit walker, steps it on hashed numerator tuples for d_beta (so
-beta_expand and is_finite_expansion) and the orbit of 1 (d_beta_one,
-t_orbit_of_one); frac_part takes its L(x) steps from beta^{-L(x)} x;
-t_map, the public one-step API, takes one step on an element and no
-library code calls it.  _in_unit_interval decides 0 <= x <= 1 (x = 1 or
-floor(x) = 0) where a walk or a t_map step starts.  big_l compares x
+and digit * den off the constant numerator.  _digit_orbit walks it on
+numerator tuples for the orbit of 1 (d_beta_one, t_orbit_of_one) and
+is_finite_expansion; frac_part takes its L(x) steps from beta^{-L(x)} x;
+t_map takes one step on an element, and d_beta (so beta_expand) steps
+t_map once per hashed state.  _in_unit_interval decides 0 <= x <= 1 (x = 1
+or floor(x) = 0) where a walk or a t_map step starts.  big_l compares x
 with the field's memoized powers BetaField.beta_power.
 
 The free-block scan decides that condition: it cuts an admissible word
@@ -61,14 +60,23 @@ def t_map(x: FieldElement) -> tuple[int, FieldElement]:
 
 
 def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
-    """Greedy digit word of x in [0, 1], walked by _digit_orbit on the
-    integer numerators of x with exact state hashing.
+    """Greedy digit word of x in [0, 1], found by exact orbit hashing.
 
     Raises OrbitBudgetExceeded when the orbit does not close within cap
     states, which signals a non-Pisot base or a pathological input, and
-    OutOfRange when x is not in [0, 1].
+    OutOfRange, from the first t_map step, when x is not in [0, 1].
     """
-    return _digit_orbit(x.field, *x._numerators(), cap)[0]
+    seen: dict[FieldElement, int] = {}
+    digits: list[int] = []
+    state = x
+    while len(digits) <= cap:
+        if state in seen:
+            split = seen[state]
+            return Word(digits[:split], digits[split:])
+        seen[state] = len(digits)
+        digit, state = t_map(state)
+        digits.append(digit)
+    raise OrbitBudgetExceeded(f"orbit of {x!r} did not close within {cap} states")
 
 
 def _digit_orbit(
@@ -292,9 +300,10 @@ def beta_expand(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Expansion:
 
 
 def is_finite_expansion(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """Whether beta_expand(x) is finite, that is whether the T-orbit of
-    beta^{-L(x)} x reaches 0."""
-    return beta_expand(x, cap).is_finite()
+    """Whether beta_expand(x) is finite: the digit orbit of beta^{-L(x)} x,
+    walked on its integer numerators, reaches 0."""
+    scaled = x * x.field.beta_power(-big_l(x))
+    return _digit_orbit(x.field, *scaled._numerators(), cap)[0].is_finite()
 
 
 def xi(field: BetaField, n: int) -> FieldElement:
