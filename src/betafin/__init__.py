@@ -15,7 +15,6 @@ from .errors import (
     InvariantViolation,
     NoRootAboveOne,
     NotAdmissible,
-    NotApplicable,
     NotCubicPisot,
     NotUnit,
     OrbitBudgetExceeded,
@@ -75,7 +74,6 @@ from .classify import (
     classify,
     cpcase_check,
     cubic_unit_classify,
-    floor_beta_cubic,
     fs_type,
     hollander_type,
     pf_shape,

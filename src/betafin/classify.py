@@ -34,7 +34,6 @@ from .errors import (
     ClosureBudgetExceeded,
     F1Unknown,
     InvariantViolation,
-    NotApplicable,
     NotCubicPisot,
     NotUnit,
     OrbitBudgetExceeded,
@@ -120,18 +119,6 @@ def bassino_case(a: int, b: int, c: int) -> str:
                     return CASE_III
                 break
     return FINITE
-
-
-def floor_beta_cubic(a: int, b: int, c: int) -> int:
-    """floor(beta) read off the case: a, a-1 or a-2 for cases I, II, III."""
-    case = bassino_case(a, b, c)
-    if case == CASE_I:
-        return a
-    if case == CASE_II:
-        return a - 1
-    if case == CASE_III:
-        return a - 2
-    raise NotApplicable("d_beta(1) is finite; use the exact floor instead")
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,6 +256,13 @@ def classify(
 
     d1 = report.d_beta_one
     d1_finite = d1.is_finite() if d1 is not None else None
+    if field.degree == 3 and d1 is not None:
+        # Bassino's cases decide the same finiteness from the coefficients
+        a, b, c = field.coeffs[2], field.coeffs[1], field.coeffs[0]
+        if (bassino_case(a, b, c) == FINITE) != d1_finite:
+            raise InvariantViolation(
+                f"d_beta(1) and Bassino's case disagree on finiteness for {field}"
+            )
 
     # ---- (F): sufficient coefficient rules -------------------------------
     if fs_type(field.coeffs):

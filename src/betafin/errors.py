@@ -52,10 +52,6 @@ class NotCubicPisot(BetaFinError):
     """The coefficients do not define a cubic Pisot number."""
 
 
-class NotApplicable(BetaFinError):
-    """A classification rule does not apply to this input."""
-
-
 class NotUnit(BetaFinError):
     """The polynomial is not a unit (|constant term| != 1)."""
 

@@ -15,8 +15,9 @@ numerator tuples for the orbit of 1 (d_beta_one, t_orbit_of_one) and
 is_finite_expansion; frac_part takes its L(x) steps from beta^{-L(x)} x;
 t_map takes one step on an element, and d_beta (so beta_expand) steps
 t_map once per hashed state.  _in_unit_interval decides 0 <= x <= 1 (x = 1
-or floor(x) = 0) where a walk or a t_map step starts.  big_l compares x
-with the field's memoized powers BetaField.beta_power.
+or floor(x) = 0) where a walk or a t_map step starts.  big_l compares the
+numerators of x with the field's memoized integer rows of beta^n
+(BetaField.beta_row), one BetaField.sign_nums per power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -264,12 +265,15 @@ def _horner_inverse_beta(digits, acc: FieldElement) -> FieldElement:
 
 
 def big_l(x: FieldElement) -> int:
-    """Least n >= 0 with x * beta^{-n} < 1, that is x < beta^n, compared
-    with the memoized powers of beta."""
-    if x.sign() < 0:
+    """Least n >= 0 with x * beta^{-n} < 1, that is x < beta^n, decided on
+    integer numerators: with x = (sum_i nums[i] beta^i) / den, the least n
+    with nums - den * beta_row(n) < 0, one sign decision per power."""
+    field = x.field
+    nums, den = x._numerators()
+    if field.sign_nums(nums) < 0:
         raise OutOfRange("big_l needs x >= 0")
     n = 0
-    while (x - x.field.beta_power(n)).sign() >= 0:
+    while field.sign_nums([a - den * r for a, r in zip(nums, field.beta_row(n))]) >= 0:
         n += 1
     return n
 

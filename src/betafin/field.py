@@ -22,24 +22,29 @@ their common denominator, and after t Horner steps the enclosure is a
 pair of integers over that denominator times 2^(k t).  Since beta > 1
 both ends of the bracket are positive, so each step takes two products.
 BetaField._settle is the one loop that refines the bracket until a
-decision holds on the enclosure.  FieldElement.sign runs it, and so does
-BetaField.floor_nums, the one floor decision on integer numerators, which
-FieldElement.floor, the shift radix system's tau and expansion.py's
-greedy step call.
+decision holds on the enclosure.  Two decisions on integer numerators run
+it: BetaField.sign_nums, the one sign decision, which FieldElement.sign
+and expansion.py's big_l call, and BetaField.floor_nums, the one floor
+decision, which FieldElement.floor, the shift radix system's tau and
+expansion.py's greedy step call.
 FieldElement.inverse runs Cayley-Hamilton on the integer matrix of
 multiplication by the element's numerators.
 
 Power-basis arithmetic lives here, and no other module imports fractions.
 BetaField.times_beta is the one beta * v (a shift, one reduction by
-beta^d = sum_i a_i beta^i) for FieldElement.mul_beta, the integer columns
-of FieldElement.inverse and expansion.py's greedy step, and
-BetaField.beta_power the one memoized chain of powers of beta.
+beta^d = sum_i a_i beta^i) for FieldElement.mul_beta, the rows of beta^n,
+the integer columns of FieldElement.inverse and expansion.py's greedy
+step.  For n >= 0, beta^n has integer coordinates: BetaField.beta_row is
+the one memoized chain of these rows, each times_beta of the row before,
+and BetaField.beta_power reads it for n >= 0; negative powers keep their
+own chain of divisions by beta.
 
-Values derived from the field alone (powers of beta, floor(beta), the
-unit-disk profile; in expansion.py d_beta(1) with the T-orbit of 1, the
-quasi-greedy word of 1, the factors 1 / (1 - beta^{-p}) and xi) live in
-one per-field memo behind BetaField.memo, which publishes each entry
-with dict.setdefault: every thread gets the first value built.
+Values derived from the field alone (rows and powers of beta,
+floor(beta), the unit-disk profile; in expansion.py d_beta(1) with the
+T-orbit of 1, the quasi-greedy word of 1, the factors 1 / (1 - beta^{-p})
+and xi) live in one per-field memo behind BetaField.memo, which
+publishes each entry with dict.setdefault: every thread gets the first
+value built.
 """
 
 from __future__ import annotations
@@ -152,8 +157,8 @@ class BetaField:
         """The first non-None decide(a, b, s), where [a / 2^s, b / 2^s]
         encloses sum_i nums[i] beta^i; the bracket is halved between tries.
 
-        This is the package's one refinement loop: sign and floor_nums
-        run it.  The enclosure shrinks to the value, so the loop ends once
+        This is the package's one refinement loop: sign_nums and
+        floor_nums run it.  The enclosure shrinks to the value, so the loop ends once
         decide settles every narrow enough enclosure.
         """
         for _ in range(_REFINE_CAP):
@@ -162,6 +167,17 @@ class BetaField:
                 return verdict
             self.refine()
         raise InvariantViolation("refinement exceeded the safety cap")
+
+    def sign_nums(self, nums: Sequence[int]) -> int:
+        """Exact sign in {-1, 0, +1} of sum_i nums[i] beta^i.
+
+        This is the package's one sign decision: the sign of the constant
+        when every higher coordinate is zero, otherwise settled once the
+        enclosure no longer holds 0.
+        """
+        if not any(nums[1:]):
+            return (nums[0] > 0) - (nums[0] < 0)
+        return self._settle(nums, _enclosure_sign)
 
     def floor_nums(self, nums: Sequence[int], den: int) -> int:
         """Exact floor of (sum_i nums[i] beta^i) / den, den > 0.
@@ -237,20 +253,40 @@ class BetaField:
         """1/beta."""
         return self.beta_power(-1)
 
-    def beta_power(self, n: int) -> "FieldElement":
-        """beta^n for any integer n, by O(d) shifts from the nearest memoized
-        power; every power between beta^0 and beta^n is memoized on the way,
-        as ("beta_power", m)."""
+    def _memo_chain(
+        self, name: str, n: int, start: Callable[[], _V], step: Callable[[_V], _V]
+    ) -> _V:
+        """The entry (name, n), by steps from the nearest memoized index
+        between 0 and n; every entry on the way is memoized, (name, 0) as
+        start()."""
         unit = 1 if n > 0 else -1
         m = n
-        while m and ("beta_power", m) not in self._memo:
+        while m and (name, m) not in self._memo:
             m -= unit
-        x = self.memo(("beta_power", m), self.one)
-        step = FieldElement.mul_beta if n > 0 else FieldElement.div_beta
+        x = self.memo((name, m), start)
         while m != n:
             m += unit
-            x = self.memo(("beta_power", m), partial(step, x))
+            x = self.memo((name, m), partial(step, x))
         return x
+
+    def beta_row(self, n: int) -> tuple[int, ...]:
+        """The integer power-basis coordinates of beta^n, n >= 0, each row
+        beta * the row before it (BetaField.times_beta), memoized as
+        ("beta_row", m)."""
+        if n < 0:
+            raise ValueError("beta_row needs n >= 0; beta^n is integral only there")
+        return self._memo_chain(
+            "beta_row", n, lambda: (1,) + (0,) * (self.degree - 1),
+            lambda row: tuple(self.times_beta(row)),
+        )
+
+    def beta_power(self, n: int) -> "FieldElement":
+        """beta^n for any integer n: read off beta_row for n >= 0, and for
+        n < 0 by O(d) divisions by beta from the nearest memoized power;
+        every power is memoized as ("beta_power", m)."""
+        if n >= 0:
+            return self.memo(("beta_power", n), lambda: FieldElement(self, self.beta_row(n)))
+        return self._memo_chain("beta_power", n, self.one, FieldElement.div_beta)
 
     def floor_beta(self) -> int:
         return self.memo("floor_beta", lambda: self.beta().floor())
@@ -264,10 +300,6 @@ def make_field(coeffs: Sequence[int]) -> BetaField:
     and NoRootAboveOne when no real root exceeds 1.
     """
     return BetaField(coeffs)
-
-
-def _sign(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
 
 
 def _enclosure_sign(vlo: int, vhi: int, s: int) -> int | None:
@@ -448,9 +480,7 @@ class FieldElement:
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        if self.is_rational():
-            return _sign(self.coords[0])
-        return self.field._settle(self._numerators()[0], _enclosure_sign)
+        return self.field.sign_nums(self._numerators()[0])
 
     def floor(self) -> int:
         """Exact integer part."""

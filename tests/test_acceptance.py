@@ -16,7 +16,6 @@ from betafin.classify import (
     REFUTED,
     classify,
     cubic_unit_classify,
-    floor_beta_cubic,
 )
 from betafin.errors import NoRootAboveOne, Reducible
 from betafin.expansion import (
@@ -239,10 +238,10 @@ def test_ac07_pisot_grid():
 def test_ac08_floor_values():
     for t in range(2, 21):
         assert family(t).floor_beta() == 2 * t - 2, t
-    witnesses = ((2, 1, -1), (3, 0, -1), (4, -2, 1), (5, -5, 2))
-    for a, b, c in witnesses:
-        f = make_field((c, b, a))
-        assert floor_beta_cubic(a, b, c) == f.floor_beta(), (a, b, c)
+    # Bassino's cases I, II, III give floor(beta) = a, a-1, a-2
+    witnesses = ((2, 1, -1, 2), (3, 0, -1, 2), (4, -2, 1, 3), (5, -5, 2, 3))
+    for a, b, c, case_floor in witnesses:
+        assert make_field((c, b, a)).floor_beta() == case_floor, (a, b, c)
     print("AC8 PASS floor(beta) = 2t-2 for t=2..20 and case floors match exact floors")
 
 

@@ -23,12 +23,11 @@ from betafin.classify import (
     classify,
     cpcase_check,
     cubic_unit_classify,
-    floor_beta_cubic,
     fs_type,
     hollander_type,
     pf_shape,
 )
-from betafin.errors import InvariantViolation, NotApplicable, NotCubicPisot, NotUnit
+from betafin.errors import InvariantViolation, NotCubicPisot, NotUnit
 from betafin.expansion import DEFAULT_ORBIT_CAP, d_beta, d_beta_one, frac_part, is_finite_expansion
 from betafin.field import cubic_pisot_criterion, make_field
 from betafin.errors import NoRootAboveOne, Reducible
@@ -118,12 +117,31 @@ def test_bassino_matches_direct_digit_computation():
 
 
 def test_floor_beta_cubic():
-    assert floor_beta_cubic(2, 1, -1) == 2 == make_field((-1, 1, 2)).floor_beta()
-    assert floor_beta_cubic(3, 0, -1) == 2 == make_field((-1, 0, 3)).floor_beta()
-    assert floor_beta_cubic(4, -2, 1) == 3 == make_field((1, -2, 4)).floor_beta()
-    assert floor_beta_cubic(5, -5, 2) == 3 == make_field((2, -5, 5)).floor_beta()
-    with pytest.raises(NotApplicable):
-        floor_beta_cubic(4, -4, 2)  # family t=2: finite
+    # floor(beta) of a cubic Pisot x^3 - ax^2 - bx - c with infinite
+    # d_beta(1) is a, a-1 or a-2 in Bassino's cases I, II, III: an oracle
+    # for the exact floor
+    case_floor_drop = {CASE_I: 0, CASE_II: 1, CASE_III: 2}
+    assert make_field((-1, 1, 2)).floor_beta() == 2  # case I
+    assert make_field((-1, 0, 3)).floor_beta() == 2  # case II
+    assert make_field((1, -2, 4)).floor_beta() == 3  # case II, c > 0
+    assert make_field((2, -5, 5)).floor_beta() == 3  # case III
+    assert bassino_case(4, -4, 2) == FINITE  # family t=2: no case floor
+    checked = 0
+    for a in range(1, 9):
+        for b in range(-8, 9):
+            for c in range(-8, 9):
+                if c == 0 or not cubic_pisot_criterion(a, b, c):
+                    continue
+                case = bassino_case(a, b, c)
+                if case == FINITE:
+                    continue
+                try:
+                    f = make_field((c, b, a))
+                except Reducible:
+                    continue
+                assert f.floor_beta() == a - case_floor_drop[case], (a, b, c, case)
+                checked += 1
+    assert checked > 100
 
 
 def test_cubic_unit_classify():
@@ -253,6 +271,19 @@ def test_infinite_cases_force_beta_at_least_two():
         f = make_field((c, b, a))
         assert bassino_case(a, b, c) != FINITE
         assert (f.beta() - 2).sign() >= 0, (a, b, c)
+
+
+@pytest.mark.parametrize("abc", [(2, 1, -1), (4, -4, 2), (1, 1, 1), (5, -5, 2)])
+def test_classify_cross_checks_bassino_case(monkeypatch, abc):
+    # a case that contradicts the finiteness of d_beta(1) stops classify
+    a, b, c = abc
+    field = make_field((c, b, a))
+    classify(field)
+    wrong = CASE_I if d_beta_one(field).is_finite() else FINITE
+    classify_module = importlib.import_module("betafin.classify")
+    monkeypatch.setattr(classify_module, "bassino_case", lambda a, b, c: wrong)
+    with pytest.raises(InvariantViolation, match="Bassino"):
+        classify(field)
 
 
 def test_classify_builds_q_once(monkeypatch):

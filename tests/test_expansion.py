@@ -182,9 +182,17 @@ def test_big_l():
     assert big_l(TRIB.one()) == 1
     assert big_l(TRIB.from_rational(2)) == 2  # floor(beta)+1 with beta >= golden
     assert big_l(family(2).from_rational(2)) == 1
+    # x^2-2: beta^2 = 2 and beta^4 = 4, so L(x) = n + 1 when x = beta^n
+    sqrt2 = make_field((2, 0))
+    assert [big_l(sqrt2.from_rational(q)) for q in (1, 2, 3, 4, 5)] == [1, 3, 4, 5, 5]
+    assert big_l(sqrt2.beta()) == 2 and big_l(sqrt2.beta() * 2) == 4
+    with pytest.raises(OutOfRange, match="big_l needs x >= 0"):
+        big_l(sqrt2.from_rational(Q(-1, 3)))
+    with pytest.raises(OutOfRange, match="big_l needs x >= 0"):
+        big_l(sqrt2.beta() - 2)
 
 
-@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1), (2, -4, 4), (1, 1, 1, 1)])
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1), (2, -4, 4), (1, 1, 1, 1), (2, 0)])
 def test_big_l_matches_plain_scan(coeffs):
     def scan(x):
         n = 0
@@ -206,6 +214,66 @@ def test_big_l_matches_plain_scan(coeffs):
     fresh = make_field(coeffs)
     for _ in range(2):
         assert [big_l(fresh.from_coords(x.coords)) for x in xs] == expect
+
+
+def test_big_l_frac_part_and_beta_expand_subtract_no_elements(monkeypatch):
+    # L(x) is decided on integer numerators, so no FieldElement is subtracted
+    cases = []
+    for coeffs in ((-2, 4), (1, 1, 1), (2, -4, 4), (1, 1, 0)):
+        f = make_field(coeffs)
+        xs = [f.from_rational(n) for n in (0, 1, 2, 4, 7)]
+        xs += [f.beta_power(3), f.beta() + Q(1, 3), f.beta_power(-2) * Q(5, 2)]
+        cases += [(x, big_l(x), frac_part(x), beta_expand(x)) for x in xs]
+
+    def no_subtraction(self, other):
+        raise AssertionError("a FieldElement was subtracted")
+
+    monkeypatch.setattr(FieldElement, "__sub__", no_subtraction)
+    for x, ell, frac, expansion in cases:
+        fresh = make_field(x.field.coeffs)
+        y = fresh.from_coords(x.coords)
+        assert big_l(y) == ell
+        assert frac_part(y).coords == frac.coords
+        assert beta_expand(y) == expansion
+
+
+def test_big_l_under_threads():
+    # 8 threads race to build the rows of beta^n on a fresh field: each
+    # gets the single-thread answers, and every row is one published object
+    f0 = make_field((2, -4, 4))
+    rng = random.Random(5)
+    coords = [
+        [Q(rng.randint(0, 60), rng.randint(1, 6)) for _ in range(3)] for _ in range(30)
+    ] + [[Q(n), 0, 0] for n in (0, 1, 2, 3, 100, 10**6)]
+    expect = [big_l(f0.from_coords(c)) for c in coords]
+    top = max(expect)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            field = make_field((2, -4, 4))
+            results = []
+            start = threading.Barrier(8)
+
+            def worker():
+                start.wait(timeout=60)
+                got = [big_l(field.from_coords(c)) for c in coords]
+                results.append((got, [field.beta_row(n) for n in range(top + 1)]))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert len(results) == 8
+            rows = [field.beta_row(n) for n in range(top + 1)]
+            assert rows == [f0.beta_row(n) for n in range(top + 1)]
+            for got, got_rows in results:
+                assert got == expect
+                assert all(r is s for r, s in zip(got_rows, rows))
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_beta_expand_zero():

@@ -154,6 +154,10 @@ def test_beta_power_matches_repeated_products():
             for _ in range(abs(n)):
                 expect = expect * (f.beta() if n > 0 else f.one() / f.beta())
             assert f.beta_power(n) == expect, (coeffs, n)
+            if n >= 0:
+                assert (list(f.beta_row(n)), 1) == expect._numerators(), (coeffs, n)
+        with pytest.raises(ValueError):
+            f.beta_row(-1)
 
 
 def test_interval_refinement_halves():
@@ -317,6 +321,32 @@ def test_sign_and_floor_match_fraction_oracle(coeffs):
     for x in kernel_elements(f, rng, 60):
         assert x.sign() == oracle_sign(f, x.coords), x
         assert x.floor() == oracle_floor(f, x.coords), x
+
+
+@pytest.mark.parametrize("coeffs", list(KERNEL_FIELDS))
+def test_sign_nums_matches_sign_and_oracle(coeffs, monkeypatch):
+    rng = random.Random(sum(coeffs) * 17 + len(coeffs))
+    f = make_field(coeffs)
+    d = f.degree
+    vectors = [[0] * d, [1] + [0] * (d - 1), [-7] + [0] * (d - 1)]
+    vectors += [[rng.randint(-50, 50)] + [0] * (d - 1) for _ in range(10)]
+    vectors += [[rng.randint(-50, 50) for _ in range(d)] for _ in range(60)]
+    # beta^n - m for m next to beta^n: the powers big_l compares with
+    for n in range(1, 8):
+        row = f.beta_row(n)
+        m = math.floor(oracle_enclosure(f, row, lambda a, b: math.floor(a) == math.floor(b))[0])
+        vectors += [[row[0] - m] + list(row[1:]), [row[0] - m - 1] + list(row[1:])]
+    for v in vectors:
+        expect = oracle_sign(f, v)
+        assert f.sign_nums(v) == expect == f.from_coords(v).sign(), v
+    # a rational vector, zero above all, is decided without refinement
+    def no_settle(nums, decide):
+        raise AssertionError("a rational sign refined the bracket")
+
+    monkeypatch.setattr(f, "_settle", no_settle)
+    assert f.sign_nums([0] * d) == 0 == f.zero().sign()
+    assert f.sign_nums([3] + [0] * (d - 1)) == 1
+    assert f.sign_nums([-3] + [0] * (d - 1)) == -1
 
 
 @pytest.mark.parametrize("coeffs", list(KERNEL_FIELDS))
