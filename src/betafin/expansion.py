@@ -22,7 +22,10 @@ numerators of x with the field's memoized integer rows of beta^n
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
 strictly smaller digit, and `is_admissible` is whether the scan
-completes.
+completes.  It reads digit s + j of the word against digit j of the
+quasi-greedy word in place, over a comparison window computed from the
+two words' preperiod and period lengths (words.window_len, which
+compare_window shares), and builds no shifted word per block.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Sequence
 
 from .errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from .field import BetaField, FieldElement
-from .words import Word, compare_window, format_word
+from .words import Word, format_word, window_len
 
 # bounds digit orbits here and shift radix system walks (--budget-orbit)
 DEFAULT_ORBIT_CAP = 100_000
@@ -194,8 +197,14 @@ def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
     starts m digits into a block copies d* shifted by m and then drops
     below it, and every shift of d* is <= d*, so that shift is below d*
     as well.  Raises NotAdmissible when some shift is not below d*.
+
+    The shift at block start s is read in place: its digit j is digit
+    s + j of w.  Its window comes from lengths alone, since the shift has
+    preperiod length max(len(w.pre) - s, 0) and w's period length, so no
+    word is built per block.
     """
     dstar = d_beta_star(field)
+    dprelen, dplen = len(dstar.pre), dstar.period_len()
     prelen = len(w.pre)
     plen = w.period_len()
     ks: list[int] = []
@@ -210,10 +219,10 @@ def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
                 gaps = (b - a for a, b in zip(bounds[start:], bounds[start + 1:]))
                 return FreeBlockDecomposition(tuple(ks[:start]), tuple(gaps))
             seen[key] = len(ks)
-        suffix = w.shift(s)
+        window = window_len(max(prelen - s, 0), plen, dprelen, dplen)
         # the block is digits s+1 .. s+j: the first j-1 copy d*, digit s+j is smaller
-        for j in range(1, compare_window(suffix, dstar) + 2):
-            a, b = suffix.digit(j - 1), dstar.digit(j - 1)
+        for j in range(1, window + 2):
+            a, b = w.digit(s + j - 1), dstar.digit(j - 1)
             if a > b:
                 raise NotAdmissible(f"digit above the quasi-greedy bound at position {s + j}")
             if a < b:

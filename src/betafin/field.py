@@ -32,9 +32,8 @@ multiplication by the element's numerators.
 
 Power-basis arithmetic lives here, and no other module imports fractions.
 BetaField.times_beta is the one beta * v (a shift, one reduction by
-beta^d = sum_i a_i beta^i) for FieldElement.mul_beta, the rows of beta^n,
-the integer columns of FieldElement.inverse and expansion.py's greedy
-step.  For n >= 0, beta^n has integer coordinates: BetaField.beta_row is
+beta^d = sum_i a_i beta^i) for the rows of beta^n, the integer columns
+of FieldElement.inverse and expansion.py's greedy step.  For n >= 0, beta^n has integer coordinates: BetaField.beta_row is
 the one memoized chain of these rows, each times_beta of the row before,
 and BetaField.beta_power reads it for n >= 0; negative powers keep their
 own chain of divisions by beta.
@@ -401,10 +400,6 @@ class FieldElement:
         return FieldElement(self.field, prod[:d])
 
     __rmul__ = __mul__
-
-    def mul_beta(self) -> "FieldElement":
-        """beta * self, by BetaField.times_beta (O(d))."""
-        return FieldElement(self.field, self.field.times_beta(self.coords))
 
     def div_beta(self) -> "FieldElement":
         """self / beta by coordinate shift and

@@ -90,9 +90,15 @@ class Word:
         return Word(tuple(head) + self.pre, self.period)
 
 
+def window_len(pre_a: int, period_a: int, pre_b: int, period_b: int) -> int:
+    """Number of leading digits that decides equality of two words with
+    these preperiod and period lengths."""
+    return max(pre_a, pre_b) + 2 * math.lcm(period_a, period_b)
+
+
 def compare_window(a: Word, b: Word) -> int:
     """Number of leading digits that decides equality of a and b."""
-    return max(len(a.pre), len(b.pre)) + 2 * math.lcm(a.period_len(), b.period_len())
+    return window_len(len(a.pre), a.period_len(), len(b.pre), b.period_len())
 
 
 def lex_cmp(a: Word, b: Word) -> int:

@@ -3,8 +3,11 @@ from fractions import Fraction as Q
 
 import pytest
 
+from test_acceptance import CATALOG, INFINITE_D1, _random_word, _spliced_word
+
 from betafin.errors import NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
+    is_admissible,
     is_finite_expansion,
     beta_expand,
     d_beta_one,
@@ -21,7 +24,7 @@ from betafin.normalization import (
     free_blocks,
     witness_for_natural,
 )
-from betafin.words import Word, subtract
+from betafin.words import Word, compare_window, subtract
 
 TRIB = make_field((1, 1, 1))
 MINP = make_field((1, 1, 0))
@@ -66,6 +69,118 @@ def test_free_blocks_rejects_inadmissible():
         free_blocks(TRIB, Word((1, 1, 1), ()))
     with pytest.raises(NotAdmissible):
         free_blocks(TRIB, d_beta_star(TRIB))
+
+
+def _reference_free_blocks(field, w):
+    """(head, cycle_gaps) by the scan that builds each shift at a block
+    start as a Word and compares it with d* over compare_window digits;
+    None where that scan finds w inadmissible."""
+    dstar = d_beta_star(field)
+    prelen = len(w.pre)
+    plen = w.period_len()
+    ks: list[int] = []
+    seen: dict[int, int] = {}
+    s = 0
+    while len(ks) <= prelen + plen + 2:
+        if s >= prelen:
+            key = (s - prelen) % plen
+            if key in seen:
+                start = seen[key]
+                bounds = [0] + ks
+                gaps = (b - a for a, b in zip(bounds[start:], bounds[start + 1:]))
+                return tuple(ks[:start]), tuple(gaps)
+            seen[key] = len(ks)
+        suffix = w.shift(s)
+        for j in range(1, compare_window(suffix, dstar) + 2):
+            a, b = suffix.digit(j - 1), dstar.digit(j - 1)
+            if a > b:
+                return None
+            if a < b:
+                break
+        else:
+            return None
+        s += j
+        ks.append(s)
+    raise AssertionError("the reference scan failed to close a gap cycle")
+
+
+def _long_spliced_word(rng, dstar):
+    """Free blocks (a prefix of d*, then a smaller digit) back to back
+    over a preperiod of 20-60 digits and a short period; in half of the
+    words one digit is then moved by +-1."""
+    longest = len(dstar.pre) + 2 * dstar.period_len()
+
+    def blocks(length):
+        digits: list[int] = []
+        while len(digits) < length:
+            m = rng.randint(0, longest)
+            while not dstar.digit(m):
+                m -= 1
+            digits += dstar.digits(m) + [rng.randrange(dstar.digit(m))]
+        return digits
+
+    prelen = rng.randint(20, 60)
+    digits = blocks(prelen)[:prelen] + blocks(rng.randint(0, longest))
+    if rng.random() < 0.5:
+        i = rng.randrange(len(digits))
+        digits[i] += 1 if digits[i] == 0 else rng.choice((-1, 1))
+    return Word(digits[:prelen], digits[prelen:])
+
+
+def _decomposition(field, w):
+    try:
+        fb = free_blocks(field, w)
+    except NotAdmissible:
+        return None
+    return fb.head, fb.cycle_gaps
+
+
+def test_free_blocks_matches_reference_scan():
+    rng = random.Random(20261019)
+    fields = dict(CATALOG)
+    fields.update((name, f) for name, (f, _) in INFINITE_D1.items())
+    for name, f in fields.items():
+        bound = f.floor_beta()
+        dstar = d_beta_star(f)
+        words = [_random_word(rng, bound) for _ in range(300)]
+        words += [_random_word(rng, bound + 1) for _ in range(300)]
+        words += [_spliced_word(rng, dstar) for _ in range(300)]
+        long_words = [_long_spliced_word(rng, dstar) for _ in range(300)]
+        # d* itself and behind one or two zeros: tails that coincide with d*
+        words += [dstar, Word((0,) + dstar.pre, dstar.period), Word((0, 0) + dstar.pre, dstar.period)]
+        for w in words + long_words:
+            assert _decomposition(f, w) == _reference_free_blocks(f, w), (name, w)
+        # the long words decide both ways, and admissible ones close
+        # blocks at starts s < len(pre) inside a preperiod of 20 or more
+        got = [_decomposition(f, w) for w in long_words]
+        assert 0 < sum(g is not None for g in got) < len(got), name
+        assert any(g and len(w.pre) >= 20 and sum(k < len(w.pre) for k in g[0]) >= 3
+                   for w, g in zip(long_words, got)), name
+
+
+def test_free_blocks_builds_no_word(monkeypatch):
+    dfam = d_beta_star(family(2))
+    cases = [
+        (TRIB, Word((1, 0, 1, 1, 0, 1, 1, 0, 1), ())),
+        (MINP, Word((0, 1, 0, 0, 0, 0, 0, 1), ())),
+        (family(2), Word((1, 0, 0, 0, 0, 0, 2, 0), (1,))),
+        (TRIB, Word((1, 1, 1), ())),
+        (family(2), Word((2, 3), (0,))),
+        (TRIB, d_beta_star(TRIB)),
+        (family(2), Word((0, 0) + dfam.pre, dfam.period)),
+    ]
+    # the reference run also fills each field's d_beta_star memo
+    expected = [_reference_free_blocks(f, w) for f, w in cases]
+    assert [e is None for e in expected] == [False] * 3 + [True] * 4
+
+    def no_word(*args, **kwargs):
+        raise AssertionError("the free-block scan built a Word")
+
+    for name in ("shift", "prepend", "__init__"):
+        monkeypatch.setattr(Word, name, no_word)
+    for (f, w), e in zip(cases, expected):
+        assert is_admissible(f, w) == (e is not None), w
+        assert _decomposition(f, w) == e, w
 
 
 def test_nu_basics():
