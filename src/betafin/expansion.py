@@ -10,12 +10,13 @@ a word is realizable iff every shift stays lexicographically below it.
 T maps Z[beta] into itself and keeps the denominator of x = n / den, so
 _greedy_step, the package's one T-step, works on integer numerators: the
 beta-shift BetaField.times_beta, one BetaField.floor_nums for the digit,
-and digit * den off the constant numerator.  _digit_orbit walks it on
-numerator tuples for the orbit of 1 (d_beta_one, t_orbit_of_one) and
-is_finite_expansion; frac_part takes its L(x) steps from beta^{-L(x)} x;
-t_map takes one step on an element, and d_beta (so beta_expand) steps
-t_map once per hashed state.  _in_unit_interval decides 0 <= x <= 1 (x = 1
-or floor(x) = 0) where a walk or a t_map step starts.  big_l compares the
+and digit * den off the constant numerator.  _walk is the one digit-orbit
+loop: _digit_orbit passes it _greedy_step on numerator tuples (the orbit
+of 1, is_finite_expansion), and d_beta (so beta_expand) passes it t_map,
+one step on an element.  frac_part takes its L(x) steps from
+beta^{-L(x)} x, a product that field.py takes on integer numerators
+(FieldElement.__mul__).  _in_unit_interval decides 0 <= x <= 1 (x = 1 or
+floor(x) = 0) where a walk or a t_map step starts.  big_l compares the
 numerators of x with the field's memoized integer rows of beta^n
 (BetaField.beta_row), one BetaField.sign_nums per power.
 
@@ -31,7 +32,7 @@ compare_window shares), and builds no shifted word per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from .field import BetaField, FieldElement
@@ -63,6 +64,23 @@ def t_map(x: FieldElement) -> tuple[int, FieldElement]:
     return digit, x.field.from_numerators(nums, den)
 
 
+def _walk(step: Callable[[Hashable], tuple[int, Hashable]], state: Hashable, cap: int,
+          origin: Callable[[], FieldElement]) -> tuple[Word, tuple]:
+    """The digit word of the orbit state, step(state), ... and its distinct
+    states in order, by exact state hashing.  OrbitBudgetExceeded, naming
+    origin(), unless the orbit closes within cap states."""
+    seen: dict[Hashable, int] = {}
+    digits: list[int] = []
+    while len(digits) <= cap:
+        if state in seen:
+            split = seen[state]
+            return Word(digits[:split], digits[split:]), tuple(seen)
+        seen[state] = len(digits)
+        digit, state = step(state)
+        digits.append(digit)
+    raise OrbitBudgetExceeded(f"orbit of {origin()!r} did not close within {cap} states")
+
+
 def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     """Greedy digit word of x in [0, 1], found by exact orbit hashing.
 
@@ -70,17 +88,7 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     states, which signals a non-Pisot base or a pathological input, and
     OutOfRange, from the first t_map step, when x is not in [0, 1].
     """
-    seen: dict[FieldElement, int] = {}
-    digits: list[int] = []
-    state = x
-    while len(digits) <= cap:
-        if state in seen:
-            split = seen[state]
-            return Word(digits[:split], digits[split:])
-        seen[state] = len(digits)
-        digit, state = t_map(state)
-        digits.append(digit)
-    raise OrbitBudgetExceeded(f"orbit of {x!r} did not close within {cap} states")
+    return _walk(t_map, x, cap, lambda: x)[0]
 
 
 def _digit_orbit(
@@ -93,20 +101,12 @@ def _digit_orbit(
     lies in [0, 1).  The budget is d_beta's: OrbitBudgetExceeded unless
     the orbit closes within cap states.
     """
-    state = tuple(nums)
-    if not _in_unit_interval(field, state, den):
+    if not _in_unit_interval(field, nums, den):
         raise OutOfRange("d_beta needs 0 <= x <= 1")
-    seen: dict[tuple[int, ...], int] = {}
-    digits: list[int] = []
-    while len(digits) <= cap:
-        if state in seen:
-            split = seen[state]
-            return Word(digits[:split], digits[split:]), tuple(seen)
-        seen[state] = len(digits)
-        digit, state = _greedy_step(field, state, den)
-        digits.append(digit)
-    x = field.from_numerators(nums, den)
-    raise OrbitBudgetExceeded(f"orbit of {x!r} did not close within {cap} states")
+    return _walk(
+        lambda state: _greedy_step(field, state, den), tuple(nums), cap,
+        lambda: field.from_numerators(nums, den),
+    )
 
 
 def _orbit_of_one(field: BetaField, cap: int) -> tuple[Word, tuple[tuple[int, ...], ...]]:

@@ -32,11 +32,14 @@ multiplication by the element's numerators.
 
 Power-basis arithmetic lives here, and no other module imports fractions.
 BetaField.times_beta is the one beta * v (a shift, one reduction by
-beta^d = sum_i a_i beta^i) for the rows of beta^n, the integer columns
-of FieldElement.inverse and expansion.py's greedy step.  For n >= 0, beta^n has integer coordinates: BetaField.beta_row is
-the one memoized chain of these rows, each times_beta of the row before,
-and BetaField.beta_power reads it for n >= 0; negative powers keep their
-own chain of divisions by beta.
+beta^d = sum_i a_i beta^i): it builds the rows of beta^n, the integer
+columns n, n beta, ..., n beta^{d-1} (BetaField._columns) that
+FieldElement.__mul__ and FieldElement.inverse read on the numerators of
+their factors, and expansion.py's greedy step.  FieldElement.div_beta
+solves the same relation for a_0 / beta on Fraction coordinates.
+BetaField.beta_row is the one memoized chain of the integer rows of
+beta^n, n >= 0, each times_beta of the row before; beta_power reads it,
+and negative powers are a chain of div_beta steps.
 
 Values derived from the field alone (rows and powers of beta,
 floor(beta), the unit-disk profile; in expansion.py d_beta(1) with the
@@ -201,6 +204,14 @@ class BetaField:
             return [top, *v[:-1]]
         a = self.coeffs
         return [top * a[0]] + [v[i - 1] + top * a[i] for i in range(1, self.degree)]
+
+    def _columns(self, nums: Sequence[int]) -> list[list[int]]:
+        """The columns n, n beta, ..., n beta^{d-1} of multiplication by
+        n = sum_i nums[i] beta^i, each times_beta of the column before."""
+        cols = [list(nums)]
+        for _ in range(1, self.degree):
+            cols.append(self.times_beta(cols[-1]))
+        return cols
 
     def poly_str(self) -> str:
         return polys.format_poly(self.poly)
@@ -380,24 +391,15 @@ class FieldElement:
         return -(self - other)
 
     def __mul__(self, other):
+        """n m / (den den') for self = n / den, other = m / den': m weights n's columns."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.field.degree
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    prod[i + j] += a * b
-        # reduce with beta^d = a_{d-1} beta^{d-1} + ... + a_0
-        a = self.field.coeffs
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = Fraction(0)
-                for i in range(d):
-                    prod[k - d + i] += c * a[i]
-        return FieldElement(self.field, prod[:d])
+        nums, den = self._numerators()
+        onums, oden = other._numerators()
+        cols = self.field._columns(nums)
+        prod = [sum(m * col[i] for m, col in zip(onums, cols)) for i in range(self.field.degree)]
+        return self.field.from_numerators(prod, den * oden)
 
     __rmul__ = __mul__
 
@@ -430,10 +432,7 @@ class FieldElement:
             return self.field.from_rational(1 / self.coords[0])
         d = self.field.degree
         nums, den = self._numerators()
-        cols = [nums]
-        for _ in range(1, d):
-            cols.append(self.field.times_beta(cols[-1]))
-        M = list(zip(*cols))
+        M = list(zip(*self.field._columns(nums)))
         cs = polys.charpoly(M)
         if cs[0] == 0:
             raise InvariantViolation("an element of norm zero; field polynomial not irreducible")

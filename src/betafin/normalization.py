@@ -42,6 +42,13 @@ from .field import BetaField, FieldElement
 from .words import Word, subtract
 
 
+def _raised_head(w: Word, k: int, n: int) -> list[int]:
+    """The first k digits of w with digit k raised by one, then zeros up to n digits."""
+    head = w.digits(k) + [0] * (n - k)
+    head[k - 1] += 1
+    return head
+
+
 def carry_step(
     field: BetaField,
     w: Word,
@@ -68,26 +75,21 @@ def carry_step(
     dstar = d_beta_star(field)
     theta = 1 if ell < kj else 0
 
+    # the incremented original: digit ell of w raised (theta = 1), or digit
+    # k_{i+1} raised and zeros up to ell when ell lies past k_{i+1}
+    incremented = _raised_head(w, ell if theta else kj, ell)
     if theta == 0:
         # the rewrite is only valid when positions k_i+1 .. ell copy the
         # quasi-greedy word; the cascade guarantees it, re-check anyway
-        incremented = list(w.digits(kj)) + [0] * (ell - kj)
-        incremented[kj - 1] += 1
         for off in range(ell - ki):
             if incremented[ki + off] != dstar.digit(off):
                 raise InvariantViolation("carry fired outside the quasi-greedy prefix")
 
     new_tail = subtract(tail, dstar.shift(ell - ki))
-    head = list(w.digits(ki - 1)) + [w.digit(ki - 1) + 1] + [0] * (ell - ki - 1) + [theta]
-    out = new_tail.prepend(head)
+    out = new_tail.prepend(_raised_head(w, ki, ell - 1) + [theta])
 
     # exact value preservation against the incremented original
-    if theta == 1:
-        before = tail.prepend(list(w.digits(ell - 1)) + [w.digit(ell - 1) + 1])
-    else:
-        head_before = list(w.digits(kj - 1)) + [w.digit(kj - 1) + 1] + [0] * (ell - kj)
-        before = tail.prepend(head_before)
-    if nu(field, out) != nu(field, before):
+    if nu(field, out) != nu(field, tail.prepend(incremented)):
         raise InvariantViolation("carry rewrite changed the value")
     gain = theta + nu(field, tail) - xi(field, ell - ki + 1)
     if gain.sign() < 0:
@@ -160,8 +162,7 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
         raise InvariantViolation("tail of the shifted word is not the greedy word of frac(x)")
     y0 = y
 
-    head = list(c.digits(ell - 1)) + [c.digit(ell - 1) + 1]
-    cand = tail.prepend(head)
+    cand = tail.prepend(_raised_head(c, ell, ell))
     xi_indices: list[int] = []
     n = 0
     while not is_admissible(field, cand):
@@ -178,8 +179,7 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
         n += 1
         ki = blocks.k(cur)
         tail = d_beta(y, cap)
-        head = list(c.digits(ki - 1)) + [c.digit(ki - 1) + 1] + [0] * (ell - ki)
-        cand = tail.prepend(head)
+        cand = tail.prepend(_raised_head(c, ki, ell))
 
     if n == 0 and theta != 0:
         raise InvariantViolation("admissible zeroth candidate forces theta = 0")

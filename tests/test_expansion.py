@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction as Q
 
 import pytest
+from test_field import schoolbook_product
 
 from betafin.classify import classify
 from betafin.errors import OrbitBudgetExceeded, OutOfRange
@@ -61,10 +62,11 @@ def test_t_map_examples():
 
 def two_sign_t_map(x):
     """t_map with the range decided by two sign tests, 0 <= x and x <= 1:
-    the oracle for t_map's single floor decision."""
+    the oracle for t_map's single floor decision.  beta x is the schoolbook
+    product, so the oracle shares no beta-shift with t_map."""
     if x.sign() < 0 or (x - 1).sign() > 0:
         raise OutOfRange("t_map needs 0 <= x <= 1")
-    bx = x * x.field.beta()
+    bx = schoolbook_product(x, x.field.beta())
     digit = bx.floor()
     return digit, bx - digit
 
@@ -381,11 +383,11 @@ def test_frac_part():
 
 def plain_frac_part(x):
     """frac_part's oracle: L(x) by a plain scan, then L(x) steps of
-    two_sign_t_map from beta^{-L(x)} x."""
+    two_sign_t_map from beta^{-L(x)} x, every product the schoolbook one."""
     ell = 0
-    while not x * x.field.beta_power(-ell) < 1:
+    while not schoolbook_product(x, x.field.beta_power(-ell)) < 1:
         ell += 1
-    y = x * x.field.beta_power(-ell)
+    y = schoolbook_product(x, x.field.beta_power(-ell))
     for _ in range(ell):
         _, y = two_sign_t_map(y)
     return y

@@ -27,6 +27,23 @@ def family(t):
     return (t, -2 * t, 2 * t)
 
 
+def schoolbook_product(x, y):
+    """x * y by the schoolbook product on Fraction coordinates, reduced by
+    its own loop with beta^d = a_{d-1} beta^{d-1} + ... + a_0: an oracle
+    that shares no code with FieldElement.__mul__ or BetaField.times_beta."""
+    f = x.field
+    d = f.degree
+    prod = [Q(0)] * (2 * d - 1)
+    for i, a in enumerate(x.coords):
+        for j, b in enumerate(y.coords):
+            prod[i + j] += a * b
+    for k in range(2 * d - 2, d - 1, -1):
+        c, prod[k] = prod[k], Q(0)
+        for i in range(d):
+            prod[k - d + i] += c * f.coeffs[i]
+    return f.from_coords(prod[:d])
+
+
 def bisect_oracle(p, lo, hi, width=Q(1, 1000)):
     """Independent root bracket by plain rational bisection on p."""
     lo, hi = Q(lo), Q(hi)
@@ -365,7 +382,6 @@ TIMES_BETA_FIELDS = [(1, 1), (-2, 4), TRIBONACCI, MINIMAL_PISOT, family(2), (1, 
 
 @pytest.mark.parametrize("coeffs", TIMES_BETA_FIELDS)
 def test_times_beta_matches_schoolbook_product(coeffs):
-    # the schoolbook __mul__ reduces its own product, so it is the oracle
     f = make_field(coeffs)
     d = f.degree
     rng = random.Random(sum(coeffs) * 13 + d)
@@ -376,9 +392,30 @@ def test_times_beta_matches_schoolbook_product(coeffs):
             got = f.times_beta(v)
             assert len(got) == d
             assert all(type(c) is type(v[0]) for c in got), (v, got)
-            assert f.from_coords(got) == f.from_coords(v) * f.beta(), (coeffs, v)
+            assert f.from_coords(got) == schoolbook_product(f.from_coords(v), f.beta()), (coeffs, v)
             # the element's Fraction coordinates take the same beta-shift
             assert f.from_coords(f.times_beta(f.from_coords(v).coords)) == f.from_coords(got)
+
+
+@pytest.mark.parametrize("coeffs", TIMES_BETA_FIELDS)
+def test_mul_and_div_beta_match_schoolbook(coeffs):
+    f = make_field(coeffs)
+    d = f.degree
+    rng = random.Random(sum(coeffs) * 19 + d)
+    xs = [f.zero(), f.one(), f.from_rational(Q(-7, 3)), f.beta(), f.beta_power(-3)]
+    xs += [f.from_rational(Q(rng.randint(-50, 50), rng.randint(1, 9))) for _ in range(10)]
+    xs += [
+        f.from_coords([Q(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(d)])
+        for _ in range(30)
+    ]
+    for x in xs:
+        for y in rng.sample(xs, 8):
+            assert x * y == schoolbook_product(x, y), (x, y)
+        assert 3 * x == schoolbook_product(x, f.from_rational(3)) == x * 3
+        # x / beta times beta, by the oracle product, gives back x
+        assert schoolbook_product(x.div_beta(), f.beta()) == x, x
+    # a_0 = -2 and a_0 = 2 are on the list, so div_beta divides by a_0 of either sign
+    assert {c[0] for c in TIMES_BETA_FIELDS} >= {-2, 2}
 
 
 def test_sign_and_floor_under_threads():
