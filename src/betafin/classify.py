@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from itertools import chain
 
 from .errors import (
@@ -131,6 +132,15 @@ class Evidence:
         return {"claim": self.claim, "rule": self.rule, "cite": self.cite}
 
 
+@lru_cache(maxsize=4096)
+def _shared_evidence(claim: str, rule: str, cite: str) -> Evidence:
+    """One Evidence per distinct (claim, rule, cite), up to the cache size:
+    the reports of different fields repeat most of their records, so a
+    report holds a pointer per record.  Evidence is frozen, so sharing it
+    is safe."""
+    return Evidence(claim, rule, cite)
+
+
 @dataclass(slots=True)
 class PropertyReport:
     poly: str
@@ -142,7 +152,7 @@ class PropertyReport:
     evidence: list[Evidence] = dc_field(default_factory=list)
 
     def add(self, claim: str, rule: str, cite: str) -> None:
-        self.evidence.append(Evidence(claim, rule, cite))
+        self.evidence.append(_shared_evidence(claim, rule, cite))
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,12 +13,15 @@ beta-shift BetaField.times_beta, one BetaField.floor_nums for the digit,
 and digit * den off the constant numerator.  _walk is the one digit-orbit
 loop: _digit_orbit passes it _greedy_step on numerator tuples (the orbit
 of 1, is_finite_expansion), and d_beta (so beta_expand) passes it t_map,
-one step on an element.  frac_part takes its L(x) steps from
-beta^{-L(x)} x, a product that field.py takes on integer numerators
-(FieldElement.__mul__).  _in_unit_interval decides 0 <= x <= 1 (x = 1 or
-floor(x) = 0) where a walk or a t_map step starts.  big_l compares the
-numerators of x with the field's memoized integer rows of beta^n
-(BetaField.beta_row), one BetaField.sign_nums per power.
+one step on an element, which reads the element's stored integer
+numerators; the walk hashes the elements, that is their numerators and
+denominator.  frac_part takes its L(x) steps from beta^{-L(x)} x, a
+product that field.py takes on integer numerators (FieldElement.__mul__);
+nu sums a word by Horner's rule in beta^{-1}, one integer
+FieldElement.div_beta per digit.  _in_unit_interval decides 0 <= x <= 1
+(x = 1 or floor(x) = 0) where a walk or a t_map step starts.  big_l
+compares the numerators of x with the field's memoized integer rows of
+beta^n (BetaField.beta_row), one BetaField.sign_nums per power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -57,7 +60,7 @@ def _greedy_step(field: BetaField, nums: Sequence[int], den: int) -> tuple[int, 
 
 def t_map(x: FieldElement) -> tuple[int, FieldElement]:
     """One greedy step (floor(beta x), T(x)) on the numerators of x in [0, 1]."""
-    nums, den = x._numerators()
+    nums, den = x.nums, x.den
     if not _in_unit_interval(x.field, nums, den):
         raise OutOfRange("t_map needs 0 <= x <= 1")
     digit, nums = _greedy_step(x.field, nums, den)
@@ -145,7 +148,7 @@ def d_beta_star(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
         return w
     if w.is_zero():
         raise InvariantViolation("d_beta(1) cannot be the zero word")
-    return field.memo("d_beta_star", lambda: Word((), w.pre[:-1] + (w.pre[-1] - 1,)))
+    return field.memo("d_beta_star", lambda: Word((), (*w.pre[:-1], w.pre[-1] - 1)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,7 +281,7 @@ def big_l(x: FieldElement) -> int:
     integer numerators: with x = (sum_i nums[i] beta^i) / den, the least n
     with nums - den * beta_row(n) < 0, one sign decision per power."""
     field = x.field
-    nums, den = x._numerators()
+    nums, den = x.nums, x.den
     if field.sign_nums(nums) < 0:
         raise OutOfRange("big_l needs x >= 0")
     n = 0
@@ -334,7 +337,7 @@ def t_orbit_of_one(field: BetaField, upto: int) -> list[FieldElement]:
     word, states = _orbit_of_one(field, DEFAULT_ORBIT_CAP)
     # built on first use: classify reads only the word, so the fields it
     # surveys keep no orbit elements in their memos
-    orbit = field.memo("t_orbit_of_one", lambda: tuple(FieldElement(field, s) for s in states))
+    orbit = field.memo("t_orbit_of_one", lambda: tuple(field.from_numerators(s, 1) for s in states))
     split = len(word.pre)
     period = len(orbit) - split
     return [orbit[j] if j < len(orbit) else orbit[split + (j - split) % period] for j in range(upto + 1)]

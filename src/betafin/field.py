@@ -2,8 +2,13 @@
 
 A field is described by the monic integer polynomial
 p(x) = x^d - a_{d-1} x^{d-1} - ... - a_1 x - a_0 together with a certified
-isolating interval for its largest real root beta > 1.  Elements are
-rational coordinate vectors in the power basis 1, beta, ..., beta^{d-1}.
+isolating interval for its largest real root beta > 1.  An element is
+(sum_i nums[i] beta^i) / den in the power basis 1, beta, ..., beta^{d-1},
+stored as integer numerators over one denominator in canonical form:
+den > 0 and gcd(den, *nums) = 1.  BetaField.from_numerators is the one
+constructor that reduces a pair; FieldElement(field, coords) and
+BetaField.from_coords take rational coordinates, and
+FieldElement.coords builds the Fractions on each read.
 Every comparison is decided exactly: rational shortcuts where possible,
 otherwise interval refinement of the isolating interval, which terminates
 because a nonzero element of the field is a nonzero polynomial of degree
@@ -17,36 +22,37 @@ dyadic points n / 2^k with a Sturm chain of integer polynomials
 (polys.sturm_variations).  The unit-disk profile (Schur-Cohn) also runs
 in integers, on p itself: BetaField.poly is p's integer coefficient
 tuple.  Sign and floor run polys.horner, the package's one integer
-Horner, on the bracket: the coordinates become integer numerators over
-their common denominator, and after t Horner steps the enclosure is a
-pair of integers over that denominator times 2^(k t).  Since beta > 1
-both ends of the bracket are positive, so each step takes two products.
-BetaField._settle is the one loop that refines the bracket until a
-decision holds on the enclosure.  Two decisions on integer numerators run
-it: BetaField.sign_nums, the one sign decision, which FieldElement.sign
-and expansion.py's big_l call, and BetaField.floor_nums, the one floor
-decision, which FieldElement.floor, the shift radix system's tau and
-expansion.py's greedy step call.
+Horner, on the bracket: on the stored numerators, after t Horner steps
+the enclosure is a pair of integers over den times 2^(k t).  Since
+beta > 1 both ends of the bracket are positive, so each step takes two
+products.  BetaField._settle is the one loop that refines the bracket
+until a decision holds on the enclosure.  Two decisions on integer
+numerators run it: BetaField.sign_nums, the one sign decision, which
+FieldElement.sign and expansion.py's big_l call, and
+BetaField.floor_nums, the one floor decision, which FieldElement.floor,
+the shift radix system's tau and expansion.py's greedy step call.
 FieldElement.inverse runs Cayley-Hamilton on the integer matrix of
 multiplication by the element's numerators.
 
 Power-basis arithmetic lives here, and no other module imports fractions.
-BetaField.times_beta is the one beta * v (a shift, one reduction by
-beta^d = sum_i a_i beta^i): it builds the rows of beta^n, the integer
-columns n, n beta, ..., n beta^{d-1} (BetaField._columns) that
-FieldElement.__mul__ and FieldElement.inverse read on the numerators of
-their factors, and expansion.py's greedy step.  FieldElement.div_beta
-solves the same relation for a_0 / beta on Fraction coordinates.
-BetaField.beta_row is the one memoized chain of the integer rows of
-beta^n, n >= 0, each times_beta of the row before; beta_power reads it,
-and negative powers are a chain of div_beta steps.
+Addition and subtraction bring two pairs over the lcm of their
+denominators.  BetaField.times_beta is the one beta * v (a shift, one
+reduction by beta^d = sum_i a_i beta^i): it builds the rows of beta^n,
+the integer columns n, n beta, ..., n beta^{d-1} (BetaField._columns)
+that FieldElement.__mul__ and FieldElement.inverse read on the
+numerators of their factors, and expansion.py's greedy step.
+FieldElement.div_beta solves the same relation for n / beta:
+a_0 (n / beta) = a_0 (n_1, ..., n_{d-1}, 0) + n_0 (-a_1, ..., -a_{d-1}, 1)
+over a_0 den.  BetaField.beta_row is the one memoized chain of the
+integer rows of beta^n, n >= 0, each times_beta of the row before;
+beta_power reads it, and negative powers are a chain of div_beta steps.
 
 Values derived from the field alone (rows and powers of beta,
 floor(beta), the unit-disk profile; in expansion.py d_beta(1) with the
 T-orbit of 1, the quasi-greedy word of 1, the factors 1 / (1 - beta^{-p})
-and xi) live in one per-field memo behind BetaField.memo, which
-publishes each entry with dict.setdefault: every thread gets the first
-value built.
+and xi; in normalization.py the right sides of the carry certificates)
+live in one per-field memo behind BetaField.memo, which publishes each
+entry with dict.setdefault: every thread gets the first value built.
 """
 
 from __future__ import annotations
@@ -238,26 +244,37 @@ class BetaField:
         return self._memo.setdefault(key, build())
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, (Fraction(0),) * self.degree)
+        return FieldElement._new(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldElement":
         return self.from_rational(1)
 
     def from_rational(self, q) -> "FieldElement":
-        coords = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return FieldElement(self, coords)
+        q = q if type(q) is int else Fraction(q)
+        return FieldElement._new(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def from_coords(self, coords: Iterable) -> "FieldElement":
         return FieldElement(self, coords)
 
     def from_numerators(self, nums: Iterable[int], den: int) -> "FieldElement":
-        """(sum_i nums[i] beta^i) / den, the inverse of FieldElement._numerators."""
-        return FieldElement(self, (Fraction(n, den) for n in nums))
+        """(sum_i nums[i] beta^i) / den for integers nums and den != 0, in
+        canonical form: den > 0 and gcd(den, *nums) = 1.  This is the one
+        constructor that reduces a pair; FieldElement._numerators is its
+        inverse."""
+        nums = tuple(nums)
+        if len(nums) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(nums)}")
+        if den <= 0:
+            if den == 0:
+                raise ZeroDivisionError(f"numerators {list(nums)} over the denominator 0")
+            nums, den = tuple(-n for n in nums), -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = tuple(n // g for n in nums), den // g
+        return FieldElement._new(self, nums, den)
 
     def beta(self) -> "FieldElement":
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return FieldElement(self, coords)
+        return FieldElement._new(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def beta_inverse(self) -> "FieldElement":
         """1/beta."""
@@ -295,7 +312,7 @@ class BetaField:
         n < 0 by O(d) divisions by beta from the nearest memoized power;
         every power is memoized as ("beta_power", m)."""
         if n >= 0:
-            return self.memo(("beta_power", n), lambda: FieldElement(self, self.beta_row(n)))
+            return self.memo(("beta_power", n), lambda: FieldElement._new(self, self.beta_row(n), 1))
         return self._memo_chain("beta_power", n, self.one, FieldElement.div_beta)
 
     def floor_beta(self) -> int:
@@ -322,42 +339,65 @@ def _enclosure_sign(vlo: int, vhi: int, s: int) -> int | None:
 
 
 class FieldElement:
-    """An element of Q(beta) in power-basis coordinates."""
+    """An element of Q(beta): integer power-basis numerators over one
+    denominator, (sum_i nums[i] beta^i) / den.
 
-    __slots__ = ("field", "coords")
+    The pair is canonical: den > 0 and gcd(den, *nums) = 1, so equal
+    elements have equal (nums, den) and equality and hashing compare the
+    integers.  BetaField.from_numerators is the one constructor that puts
+    a pair into this form; FieldElement(field, coords) takes external
+    rationals (ints, Fractions, strings) and stores the same form.
+    """
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: BetaField, coords: Iterable):
+        coords = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coords]
+        if len(coords) != field.degree:
+            raise ValueError(f"expected {field.degree} coordinates, got {len(coords)}")
+        # the lcm of reduced denominators leaves no common factor with the
+        # scaled numerators, so the pair is canonical as built
+        den = math.lcm(*(c.denominator for c in coords))
         self.field = field
-        self.coords = tuple(
-            c if type(c) is Fraction else Fraction(c) for c in coords
-        )
-        if len(self.coords) != field.degree:
-            raise ValueError(f"expected {field.degree} coordinates, got {len(self.coords)}")
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @classmethod
+    def _new(cls, field: BetaField, nums: tuple[int, ...], den: int) -> "FieldElement":
+        """An element from a pair that is canonical already."""
+        x = object.__new__(cls)
+        x.field, x.nums, x.den = field, nums, den
+        return x
 
     # -- representation ------------------------------------------------------
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational power-basis coordinates, built on each read."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def __repr__(self) -> str:
         return f"FieldElement({list(map(str, self.coords))})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is irrational")
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field == other.field and self.coords == other.coords
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.field.coeffs, self.coords))
+        return hash((self.field.coeffs, self.nums, self.den))
 
     # -- ring operations -----------------------------------------------------
 
@@ -370,22 +410,31 @@ class FieldElement:
             return self.field.from_rational(other)
         return NotImplemented
 
+    def _plus(self, other: "FieldElement", sign: int) -> "FieldElement":
+        """self + sign * other, over the lcm of the two denominators."""
+        den, oden = self.den, other.den
+        g = math.gcd(den, oden)
+        m, om = oden // g, sign * (den // g)
+        nums = [a * m + b * om for a, b in zip(self.nums, other.nums)]
+        den *= m
+        return self.field.from_numerators(nums, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, (a + b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, (-a for a in self.coords))
+        return FieldElement._new(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, (a - b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -395,27 +444,24 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        nums, den = self._numerators()
-        onums, oden = other._numerators()
-        cols = self.field._columns(nums)
-        prod = [sum(m * col[i] for m, col in zip(onums, cols)) for i in range(self.field.degree)]
-        return self.field.from_numerators(prod, den * oden)
+        cols = self.field._columns(self.nums)
+        prod = [sum(m * col[i] for m, col in zip(other.nums, cols)) for i in range(self.field.degree)]
+        return self.field.from_numerators(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
     def div_beta(self) -> "FieldElement":
-        """self / beta by coordinate shift and
-        a_0 beta^{-1} = beta^{d-1} - a_{d-1} beta^{d-2} - ... - a_1 (O(d))."""
-        d = self.field.degree
-        low = self.coords[0]
-        coords = list(self.coords[1:]) + [Fraction(0)]
-        if low:
-            a = self.field.coeffs
-            q = low / a[0]
-            for i in range(1, d):
-                coords[i - 1] -= q * a[i]
-            coords[d - 1] = q
-        return FieldElement(self.field, coords)
+        """self / beta on the numerators n: by beta^d = sum_i a_i beta^i,
+        a_0 (n / beta) = a_0 (n_1, ..., n_{d-1}, 0) + n_0 (-a_1, ..., -a_{d-1}, 1),
+        over a_0 den (O(d)); a plain shift when n_0 = 0."""
+        n0, *rest = self.nums
+        if not n0:
+            return FieldElement._new(self.field, (*rest, 0), self.den)
+        a = self.field.coeffs
+        a0 = a[0]
+        nums = [a0 * n - n0 * ai for n, ai in zip(rest, a[1:])]
+        nums.append(n0)
+        return self.field.from_numerators(nums, a0 * self.den)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse by Cayley-Hamilton in integers.
@@ -428,10 +474,10 @@ class FieldElement:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return self.field.from_rational(1 / self.coords[0])
         d = self.field.degree
-        nums, den = self._numerators()
+        nums, den = self.nums, self.den
+        if self.is_rational():
+            return self.field.from_numerators((den,) + (0,) * (d - 1), nums[0])
         M = list(zip(*self.field._columns(nums)))
         cs = polys.charpoly(M)
         if cs[0] == 0:
@@ -467,20 +513,20 @@ class FieldElement:
     # -- exact decisions -----------------------------------------------------
 
     def _numerators(self) -> tuple[list[int], int]:
-        """The d integer numerators over the lcm of the denominators, and that
-        lcm; a zero top numerator only rescales a Horner enclosure."""
-        den = math.lcm(*(c.denominator for c in self.coords))
-        return [c.numerator * (den // c.denominator) for c in self.coords], den
+        """The d integer numerators and their common denominator, the
+        stored canonical pair; a zero top numerator only rescales a Horner
+        enclosure."""
+        return list(self.nums), self.den
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""
-        return self.field.sign_nums(self._numerators()[0])
+        return self.field.sign_nums(self.nums)
 
     def floor(self) -> int:
         """Exact integer part."""
         if self.is_rational():
-            return math.floor(self.coords[0])
-        return self.field.floor_nums(*self._numerators())
+            return self.nums[0] // self.den
+        return self.field.floor_nums(self.nums, self.den)
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -62,7 +62,7 @@ class ShiftRadixSystem:
     @property
     def r(self) -> list[FieldElement]:
         """The radix vector, one field element per coordinate."""
-        return [FieldElement(self.field, row) for row in self._rows]
+        return [self.field.from_numerators(row, 1) for row in self._rows]
 
     def initial_vector(self) -> SrsVector:
         return (0,) * (self.dim - 1) + (1,)
@@ -74,7 +74,7 @@ class ShiftRadixSystem:
 
     def value(self, vec: SrsVector) -> FieldElement:
         """The inner product r . vec, exact in Q(beta)."""
-        return FieldElement(self.field, self._numerators(vec))
+        return self.field.from_numerators(self._numerators(vec), 1)
 
     def frac_value(self, vec: SrsVector) -> FieldElement:
         v = self.value(vec)
@@ -91,9 +91,9 @@ class ShiftRadixSystem:
         frac(r . l) = y because 0 <= y < 1.  Raises ValueError when a
         coordinate of y is not an integer.
         """
-        if any(c.denominator != 1 for c in y.coords):
+        if y.den != 1:
             raise ValueError(f"{y!r} is not in Z[beta]")
-        rest = [c.numerator for c in y.coords]
+        rest = y.nums
         vec = []
         for top, row in zip(range(self.dim, 0, -1), self._rows):
             lj = rest[top]

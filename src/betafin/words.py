@@ -9,7 +9,11 @@ and finite words carry no trailing zeros).
 
 Digits are plain integers.  Greedy expansion digits live in
 [0, floor(beta)]; carry intermediates may leave that range (including
-negative digits), which the same representation covers.
+negative digits).  A word stores its preperiod and period as bytes, one
+byte per digit, when every digit lies in 0..255, and as tuples of ints
+otherwise; the form is decided from the canonical digits, so equal words
+have the same form and compare and hash alike.  Indexing either form
+gives an int.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
+def _primitive(period: list[int]) -> list[int]:
     n = len(period)
     for p in range(1, n + 1):
         if n % p == 0 and period == period[: p] * (n // p):
@@ -30,24 +34,30 @@ def _primitive(period: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Word:
-    pre: tuple[int, ...]
-    period: tuple[int, ...]
+    pre: bytes | tuple[int, ...]
+    period: bytes | tuple[int, ...]
 
     def __init__(self, pre: Iterable[int] = (), period: Iterable[int] = ()):
-        pre = list(int(d) for d in pre)
-        period = list(int(d) for d in period)
-        if period and all(d == 0 for d in period):
+        pre = [int(d) for d in pre]
+        period = [int(d) for d in period]
+        if period and not any(period):
             period = []
         if period:
-            period = list(_primitive(tuple(period)))
+            period = _primitive(period)
             while pre and pre[-1] == period[-1]:
                 pre.pop()
                 period = [period[-1]] + period[:-1]
         else:
             while pre and pre[-1] == 0:
                 pre.pop()
-        object.__setattr__(self, "pre", tuple(pre))
-        object.__setattr__(self, "period", tuple(period))
+        # one byte per digit when every digit fits; the form follows from
+        # the canonical digits, so equal words have the same form
+        try:
+            pre, period = bytes(pre), bytes(period)
+        except ValueError:
+            pre, period = tuple(pre), tuple(period)
+        object.__setattr__(self, "pre", pre)
+        object.__setattr__(self, "period", period)
 
     # -- basic queries ---------------------------------------------------
 
@@ -87,7 +97,7 @@ class Word:
         return Word((), self.period[k:] + self.period[: k])
 
     def prepend(self, head: Iterable[int]) -> "Word":
-        return Word(tuple(head) + self.pre, self.period)
+        return Word((*head, *self.pre), self.period)
 
 
 def window_len(pre_a: int, period_a: int, pre_b: int, period_b: int) -> int:

@@ -27,21 +27,24 @@ def family(t):
     return (t, -2 * t, 2 * t)
 
 
-def schoolbook_product(x, y):
-    """x * y by the schoolbook product on Fraction coordinates, reduced by
-    its own loop with beta^d = a_{d-1} beta^{d-1} + ... + a_0: an oracle
+def schoolbook_coords(f, xc, yc):
+    """The Fraction coordinates of x * y by the schoolbook product, reduced
+    by its own loop with beta^d = a_{d-1} beta^{d-1} + ... + a_0: an oracle
     that shares no code with FieldElement.__mul__ or BetaField.times_beta."""
-    f = x.field
     d = f.degree
     prod = [Q(0)] * (2 * d - 1)
-    for i, a in enumerate(x.coords):
-        for j, b in enumerate(y.coords):
+    for i, a in enumerate(xc):
+        for j, b in enumerate(yc):
             prod[i + j] += a * b
     for k in range(2 * d - 2, d - 1, -1):
         c, prod[k] = prod[k], Q(0)
         for i in range(d):
             prod[k - d + i] += c * f.coeffs[i]
-    return f.from_coords(prod[:d])
+    return prod[:d]
+
+
+def schoolbook_product(x, y):
+    return x.field.from_coords(schoolbook_coords(x.field, x.coords, y.coords))
 
 
 def bisect_oracle(p, lo, hi, width=Q(1, 1000)):
@@ -416,6 +419,117 @@ def test_mul_and_div_beta_match_schoolbook(coeffs):
         assert schoolbook_product(x.div_beta(), f.beta()) == x, x
     # a_0 = -2 and a_0 = 2 are on the list, so div_beta divides by a_0 of either sign
     assert {c[0] for c in TIMES_BETA_FIELDS} >= {-2, 2}
+
+
+def fraction_div_beta(f, coords):
+    """x / beta on Fraction coordinates: the shift and
+    a_0 beta^{-1} = beta^{d-1} - a_{d-1} beta^{d-2} - ... - a_1."""
+    low = coords[0]
+    out = list(coords[1:]) + [Q(0)]
+    if low:
+        q = low / f.coeffs[0]
+        for i in range(1, f.degree):
+            out[i - 1] -= q * f.coeffs[i]
+        out[-1] = q
+    return out
+
+
+def assert_canonical(x, coords):
+    """x stores the canonical pair of the Fraction coordinates coords: the
+    numerators over the lcm of the reduced denominators, and reads them
+    back as Fractions."""
+    coords = [Q(c) for c in coords]
+    den = math.lcm(*(c.denominator for c in coords))
+    assert x.den == den > 0 and math.gcd(x.den, *x.nums) == 1, x
+    assert x.nums == tuple(int(c * den) for c in coords), x
+    assert type(x.nums) is tuple and all(type(n) is int for n in x.nums) and type(x.den) is int
+    assert x.coords == tuple(coords) and all(type(c) is Q for c in x.coords)
+    assert x._numerators() == (list(x.nums), x.den)
+
+
+@pytest.mark.parametrize("coeffs", TIMES_BETA_FIELDS)
+def test_integer_storage_matches_fraction_oracle(coeffs):
+    f = make_field(coeffs)
+    d = f.degree
+    rng = random.Random(sum(coeffs) * 23 + d)
+    cs = [[Q(0)] * d, [Q(1)] + [Q(0)] * (d - 1), [Q(-7, 3)] + [Q(0)] * (d - 1)]
+    cs += [[Q(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 12))) for _ in range(d)]
+           for _ in range(40)]
+    xs = [f.from_coords(c) for c in cs]
+    for x, c in zip(xs, cs):
+        assert_canonical(x, c)
+        assert_canonical(FieldElement(f, [str(q) for q in c]), c)
+        assert_canonical(-x, [-q for q in c])
+        assert_canonical(x.div_beta(), fraction_div_beta(f, c))
+        for j in rng.sample(range(len(xs)), 6):
+            y, e = xs[j], cs[j]
+            assert_canonical(x + y, [a + b for a, b in zip(c, e)])
+            assert_canonical(x - y, [a - b for a, b in zip(c, e)])
+            assert_canonical(x * y, schoolbook_coords(f, c, e))
+        assert_canonical(x + 3, [c[0] + 3, *c[1:]])
+        assert_canonical(x - Q(1, 2), [c[0] - Q(1, 2), *c[1:]])
+        if any(c):
+            inv = x.inverse()
+            assert_canonical(inv, inv.coords)
+            assert schoolbook_coords(f, c, inv.coords) == [1] + [0] * (d - 1), x
+    # x - x cancels to the zero element over 1, whatever x's denominator
+    assert_canonical(xs[-1] - xs[-1], [0] * d)
+    assert (xs[-1] - xs[-1]).den == 1
+
+
+@pytest.mark.parametrize("coeffs", TIMES_BETA_FIELDS)
+def test_from_numerators_reduces_any_denominator(coeffs):
+    f = make_field(coeffs)
+    d = f.degree
+    rng = random.Random(sum(coeffs) * 29 + d)
+    for _ in range(40):
+        nums = [rng.randint(-40, 40) for _ in range(d)]
+        den = rng.choice((1, 2, 3, 4, 6, 9, 12)) * rng.choice((1, -1))
+        scale = rng.choice((1, 2, 5, -3))
+        expect = [Q(n, den) for n in nums]
+        # unreduced, negative and scaled denominators give one canonical pair
+        for k in (1, scale):
+            assert_canonical(f.from_numerators([k * n for n in nums], k * den), expect)
+    assert_canonical(f.from_numerators([0] * d, -7), [0] * d)
+    with pytest.raises(ZeroDivisionError):
+        f.from_numerators([1] + [0] * (d - 1), 0)
+    with pytest.raises(ZeroDivisionError):
+        f.from_numerators([0] * d, 0)
+    with pytest.raises(ValueError):
+        f.from_numerators([1] * (d + 1), 1)
+
+
+@pytest.mark.parametrize("coeffs", TIMES_BETA_FIELDS)
+def test_equal_elements_hash_alike_across_routes(coeffs):
+    f = make_field(coeffs)
+    d = f.degree
+    zeros = [0] * (d - 1)
+    half = [
+        f.from_coords([Q(1, 2), *zeros]),
+        FieldElement(f, ["1/2", *zeros]),
+        FieldElement(f, [0.5, *zeros]),
+        f.from_rational(Q(1, 2)),
+        f.from_rational("2/4"),
+        f.from_numerators([3, *zeros], 6),
+        f.from_numerators([-1, *zeros], -2),
+        f.one() / 2,
+        f.one() - f.from_rational(Q(1, 2)),
+        (f.beta() * f.beta_inverse()).div_beta() * f.beta() / 2,
+        f.from_rational(Q(1, 2)).inverse().inverse(),
+    ]
+    beta_cubed = [
+        f.beta() ** 3,
+        f.beta_power(3),
+        f.beta_power(5) * f.beta_power(-2),
+        f.from_coords(f.beta_row(3)),
+        f.from_numerators([2 * n for n in f.beta_row(3)], 2),
+    ]
+    for group in (half, beta_cubed):
+        for x in group:
+            assert x == group[0] and hash(x) == hash(group[0]), x
+            assert (x.nums, x.den) == (group[0].nums, group[0].den)
+        assert len(set(group)) == 1
+    assert half[0] == Q(1, 2) and half[0] != 1 and half[0] != beta_cubed[0]
 
 
 def test_sign_and_floor_under_threads():

@@ -5,6 +5,7 @@ import pytest
 
 from test_acceptance import CATALOG, INFINITE_D1, _random_word, _spliced_word
 
+from betafin import normalization
 from betafin.errors import NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
     is_admissible,
@@ -147,7 +148,7 @@ def test_free_blocks_matches_reference_scan():
         words += [_spliced_word(rng, dstar) for _ in range(300)]
         long_words = [_long_spliced_word(rng, dstar) for _ in range(300)]
         # d* itself and behind one or two zeros: tails that coincide with d*
-        words += [dstar, Word((0,) + dstar.pre, dstar.period), Word((0, 0) + dstar.pre, dstar.period)]
+        words += [dstar, Word((0, *dstar.pre), dstar.period), Word((0, 0, *dstar.pre), dstar.period)]
         for w in words + long_words:
             assert _decomposition(f, w) == _reference_free_blocks(f, w), (name, w)
         # the long words decide both ways, and admissible ones close
@@ -167,7 +168,7 @@ def test_free_blocks_builds_no_word(monkeypatch):
         (TRIB, Word((1, 1, 1), ())),
         (family(2), Word((2, 3), (0,))),
         (TRIB, d_beta_star(TRIB)),
-        (family(2), Word((0, 0) + dfam.pre, dfam.period)),
+        (family(2), Word((0, 0, *dfam.pre), dfam.period)),
     ]
     # the reference run also fills each field's d_beta_star memo
     expected = [_reference_free_blocks(f, w) for f, w in cases]
@@ -317,6 +318,50 @@ def test_add_one_bounds_the_orbit_of_one_by_its_cap():
             add_one(f.from_rational(0), cap=3)
     expansion, witness = add_one(f.from_rational(0), cap=6)
     assert witness.verified and expansion == beta_expand(f.one())
+
+
+def test_witness_sides_match_independent_recomputation():
+    # AC5's catalog, every N below 400: the stored lhs is frac(N+1) - frac(N)
+    # and the stored rhs is theta - sum_j omega_j T^j(1), rebuilt here from
+    # the T-orbit of 1
+    for name, f in CATALOG.items():
+        frac_next = frac_part(f.zero())
+        for n in range(400):
+            frac_n, frac_next = frac_next, frac_part(f.from_rational(n + 1))
+            _, wit = add_one(f.from_rational(n))
+            assert wit.verified, (name, n)
+            assert wit.lhs == frac_next - frac_n, (name, n)
+            orbit = t_orbit_of_one(f, max(len(wit.omegas) - 1, 0))
+            rhs = f.from_rational(wit.theta)
+            for j, o in enumerate(wit.omegas):
+                rhs = rhs - o * orbit[j]
+            assert wit.rhs == rhs, (name, n)
+
+
+def test_witness_keeps_a_wrong_lhs_unverified(monkeypatch):
+    calls = []
+    assemble = normalization._assemble_witness
+
+    def spy(field, theta, xi_indices, lhs):
+        calls.append((theta, list(xi_indices), lhs))
+        return assemble(field, theta, xi_indices, lhs)
+
+    f = family(2)
+    monkeypatch.setattr(normalization, "_assemble_witness", spy)
+    for n in range(40):
+        add_one(f.from_rational(n))
+    monkeypatch.undo()
+    assert any(xi_indices for _, xi_indices, _ in calls)
+    for theta, xi_indices, lhs in calls:
+        good = assemble(f, theta, xi_indices, lhs)
+        assert good.verified and good.lhs == lhs and good.lhs is good.rhs
+        wrong = lhs + f.beta_power(-30)
+        bad = assemble(f, theta, xi_indices, wrong)
+        assert not bad.verified
+        assert bad.lhs is wrong and bad.rhs == good.rhs
+        assert (bad.theta, bad.omegas) == (good.theta, good.omegas)
+        # the mismatch leaves the memoized certificate as it was
+        assert assemble(f, theta, xi_indices, lhs) is good and good.lhs == lhs
 
 
 def test_witness_for_natural():

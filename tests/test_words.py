@@ -1,7 +1,11 @@
+from fractions import Fraction as Q
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betafin.expansion import beta_expand, d_beta_one, d_beta_star
+from betafin.field import make_field
 from betafin.words import Word, format_word, lex_cmp, parse_word, subtract
 
 
@@ -71,3 +75,73 @@ def test_format_examples():
     assert format_word(Word((), ())) == "0"
     assert format_word(Word((), (1, 1, 0))) == "(1 1 0)"
     assert parse_word("0").is_zero()
+
+
+def test_greedy_words_are_stored_as_bytes():
+    # x^2-3x+1, tribonacci and the family at t = 2: digits up to 2
+    for coeffs in ((-1, 3), (1, 1, 1), (2, -4, 4)):
+        f = make_field(coeffs)
+        for w in (d_beta_one(f), d_beta_star(f)):
+            assert type(w.pre) is bytes and type(w.period) is bytes, (coeffs, w)
+        for k in range(1, 40):
+            x = f.from_coords([k, 0, 1][: f.degree]) / (k % 5 + 1)
+            w = beta_expand(x).word
+            assert type(w.pre) is bytes and type(w.period) is bytes, (coeffs, x)
+
+
+def test_words_with_digits_outside_a_byte_are_tuples():
+    a, b = Word((1, 0, 2), (1,)), Word((2, 1), (0, 1))
+    d = subtract(a, b)
+    assert d.has_negative_digit()
+    assert type(d.pre) is tuple and type(d.period) is tuple
+    assert [d.digit(i) for i in range(12)] == [a.digit(i) - b.digit(i) for i in range(12)]
+    # x^2-300x-1: beta = 300.0033..., so 1 = 300/beta + 1/beta^2
+    f = make_field((1, 300))
+    assert f.floor_beta() == 300
+    assert d_beta_one(f) == Word((300, 1), ())
+    assert type(d_beta_one(f).pre) is tuple
+    w = beta_expand(f.from_rational(Q(1, 3))).word
+    assert w.digit(0) == 100 and type(w.pre) is bytes
+    # one digit above 255 in the period makes both parts tuples
+    w = Word((1, 2), (256, 0))
+    assert type(w.pre) is tuple and type(w.period) is tuple
+    assert (w.pre, w.period) == ((1, 2), (256, 0))
+
+
+def test_word_forms_agree_on_queries_and_equality():
+    small = Word((1, 0, 2), (3, 1))
+    big = Word((1, 0, 2), (300, 1))
+    assert type(small.pre) is bytes and type(big.pre) is tuple
+    # built from tuples, lists, bytes, generators and a range: one word
+    same = [
+        Word((1, 0, 2), (3, 1)),
+        Word([1, 0, 2], [3, 1]),
+        Word(b"\x01\x00\x02", b"\x03\x01"),
+        Word(iter((1, 0, 2)), (d for d in (3, 1))),
+        Word((1, 0, 2, 3, 1), (3, 1)),  # the preperiod rolls back
+        Word((1, 0, 2), (3, 1, 3, 1)),  # the period is made primitive
+        Word((9, 1, 0, 2), (3, 1)).shift(1),
+        Word((0, 2), (3, 1)).prepend((1,)),
+    ]
+    for w in same:
+        assert w == small and hash(w) == hash(small), w
+        assert type(w.pre) is bytes and type(w.period) is bytes
+    assert small != big and small.digits(8) != big.digits(8)
+    # prepending a digit above 255 turns the word into tuples, and shifting
+    # it off again gives back the byte word, equal and with equal hash
+    up = small.prepend((256,))
+    assert type(up.pre) is tuple and up.digits(4) == [256, 1, 0, 2]
+    assert up.shift(1) == small and hash(up.shift(1)) == hash(small)
+    assert type(up.shift(1).pre) is bytes
+    down = big.shift(3)
+    assert down == Word((), (300, 1)) and type(down.period) is tuple
+    assert big.shift(4) == Word((), (1, 300))
+    for w in (small, big, up, Word(), Word((), (0,)), Word((2,), ())):
+        assert w.digits(9) == [w.digit(i) for i in range(9)]
+        assert all(type(w.digit(i)) is int for i in range(9))
+        assert parse_word(format_word(w)) == w
+        assert hash(parse_word(format_word(w))) == hash(w)
+    assert format_word(big) == "1 0 2 (300 1)"
+    assert format_word(small.prepend((0, 7))) == "0 7 1 0 2 (3 1)"
+    assert small.prepend([]) == small
+    assert Word() == Word((), ()) == Word(b"", b"") == parse_word("0")
