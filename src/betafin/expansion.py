@@ -10,18 +10,18 @@ a word is realizable iff every shift stays lexicographically below it.
 T maps Z[beta] into itself and keeps the denominator of x = n / den, so
 _greedy_step, the package's one T-step, works on integer numerators: the
 beta-shift BetaField.times_beta, one BetaField.floor_nums for the digit,
-and digit * den off the constant numerator.  _walk is the one digit-orbit
-loop: _digit_orbit passes it _greedy_step on numerator tuples (the orbit
-of 1, is_finite_expansion), and d_beta (so beta_expand) passes it t_map,
-one step on an element, which reads the element's stored integer
-numerators; the walk hashes the elements, that is their numerators and
-denominator.  frac_part takes its L(x) steps from beta^{-L(x)} x, a
-product that field.py takes on integer numerators (FieldElement.__mul__);
-nu sums a word by Horner's rule in beta^{-1}, one integer
-FieldElement.div_beta per digit.  _in_unit_interval decides 0 <= x <= 1
-(x = 1 or floor(x) = 0) where a walk or a t_map step starts.  big_l
-compares the numerators of x with the field's memoized integer rows of
-beta^n (BetaField.beta_row), one BetaField.sign_nums per power.
+and digit * den off the constant numerator.  _digit_orbit is the one
+digit-orbit loop: it walks _greedy_step on numerator tuples over one den
+and hashes them, for the orbit of 1 and for d_beta (so beta_expand,
+is_finite_expansion and add_one), which passes it the stored canonical
+pair of x.  t_map is the public single step on an element; no walk calls
+it.  frac_part takes its L(x) steps from beta^{-L(x)} x, a product that
+field.py takes on integer numerators (FieldElement.__mul__); nu sums a
+word by Horner's rule in beta^{-1}, one integer FieldElement.div_beta
+per digit.  _in_unit_interval decides 0 <= x <= 1 (x = 1 or
+floor(x) = 0) where a walk or a t_map step starts.  big_l compares the
+numerators of x with the field's memoized integer rows of beta^n
+(BetaField.beta_row), one BetaField.sign_nums per power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -35,7 +35,7 @@ compare_window shares), and builds no shifted word per block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from .field import BetaField, FieldElement
@@ -67,48 +67,42 @@ def t_map(x: FieldElement) -> tuple[int, FieldElement]:
     return digit, x.field.from_numerators(nums, den)
 
 
-def _walk(step: Callable[[Hashable], tuple[int, Hashable]], state: Hashable, cap: int,
-          origin: Callable[[], FieldElement]) -> tuple[Word, tuple]:
-    """The digit word of the orbit state, step(state), ... and its distinct
-    states in order, by exact state hashing.  OrbitBudgetExceeded, naming
-    origin(), unless the orbit closes within cap states."""
-    seen: dict[Hashable, int] = {}
-    digits: list[int] = []
-    while len(digits) <= cap:
-        if state in seen:
-            split = seen[state]
-            return Word(digits[:split], digits[split:]), tuple(seen)
-        seen[state] = len(digits)
-        digit, state = step(state)
-        digits.append(digit)
-    raise OrbitBudgetExceeded(f"orbit of {origin()!r} did not close within {cap} states")
-
-
 def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
-    """Greedy digit word of x in [0, 1], found by exact orbit hashing.
+    """Greedy digit word of x in [0, 1], the digit orbit of x's integer
+    numerators (_digit_orbit).
 
     Raises OrbitBudgetExceeded when the orbit does not close within cap
     states, which signals a non-Pisot base or a pathological input, and
-    OutOfRange, from the first t_map step, when x is not in [0, 1].
+    OutOfRange when x is not in [0, 1].
     """
-    return _walk(t_map, x, cap, lambda: x)[0]
+    return _digit_orbit(x.field, x.nums, x.den, cap)[0]
 
 
 def _digit_orbit(
     field: BetaField, nums: Sequence[int], den: int, cap: int
 ) -> tuple[Word, tuple[tuple[int, ...], ...]]:
     """Greedy word of x = (sum_i nums[i] beta^i) / den in [0, 1], d nums, den > 0,
-    and its distinct states T^0(x), T^1(x), ... as numerator tuples over den.
+    and its distinct states T^0(x), T^1(x), ... as numerator tuples over den,
+    found by exact state hashing.  This is the package's one digit-orbit loop.
 
     The range is decided once, here: every later state is a T-image and
-    lies in [0, 1).  The budget is d_beta's: OrbitBudgetExceeded unless
-    the orbit closes within cap states.
+    lies in [0, 1).  OrbitBudgetExceeded, naming x, unless the orbit
+    closes within cap states.
     """
     if not _in_unit_interval(field, nums, den):
         raise OutOfRange("d_beta needs 0 <= x <= 1")
-    return _walk(
-        lambda state: _greedy_step(field, state, den), tuple(nums), cap,
-        lambda: field.from_numerators(nums, den),
+    state = tuple(nums)
+    seen: dict[tuple[int, ...], int] = {}
+    digits: list[int] = []
+    while len(digits) <= cap:
+        if state in seen:
+            split = seen[state]
+            return Word(digits[:split], digits[split:]), tuple(seen)
+        seen[state] = len(digits)
+        digit, state = _greedy_step(field, state, den)
+        digits.append(digit)
+    raise OrbitBudgetExceeded(
+        f"orbit of {field.from_numerators(nums, den)!r} did not close within {cap} states"
     )
 
 
@@ -256,14 +250,15 @@ def nu(field: BetaField, w: Word) -> FieldElement:
     w_1 ... w_m the value (w_1 + (w_2 + ... (w_m) / beta ...) / beta) / beta
     takes one O(d) division by beta per digit.  The period's block value
     v gives the tail v / (1 - beta^{-p}) by geometric summation, with
-    1 / (1 - beta^{-p}) memoized per period length p, and Horner's rule
-    over the m preperiod digits starts from that tail, which scales it by
-    beta^{-m}.
+    1 / (1 - beta^{-p}) = 1 + 1 / (beta^p - 1) memoized per period length
+    p; it is built from beta^p alone, so no chain of negative powers is
+    memoized.  Horner's rule over the m preperiod digits starts from that
+    tail, which scales it by beta^{-m}.
     """
     tail = field.zero()
     if w.period:
         p = len(w.period)
-        geom = field.memo(("geom_inverse", p), lambda: (1 - field.beta_power(-p)).inverse())
+        geom = field.memo(("geom_inverse", p), lambda: 1 + (field.beta() ** p - 1).inverse())
         tail = _horner_inverse_beta(w.period, tail) * geom
     return _horner_inverse_beta(w.pre, tail)
 
@@ -316,10 +311,8 @@ def beta_expand(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Expansion:
 
 
 def is_finite_expansion(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> bool:
-    """Whether beta_expand(x) is finite: the digit orbit of beta^{-L(x)} x,
-    walked on its integer numerators, reaches 0."""
-    scaled = x * x.field.beta_power(-big_l(x))
-    return _digit_orbit(x.field, *scaled._numerators(), cap)[0].is_finite()
+    """Whether beta_expand(x) is finite: the digit orbit of beta^{-L(x)} x reaches 0."""
+    return beta_expand(x, cap).is_finite()
 
 
 def xi(field: BetaField, n: int) -> FieldElement:
@@ -362,7 +355,8 @@ def xi_t_power(field: BetaField, n: int) -> int:
 def frac_part(x: FieldElement) -> FieldElement:
     """The beta-fractional part T^L(beta^{-L} x), L = L(x); big_l decides the range."""
     ell = big_l(x)
-    nums, den = (x * x.field.beta_power(-ell))._numerators()
+    scaled = x * x.field.beta_power(-ell)
+    nums, den = scaled.nums, scaled.den
     for _ in range(ell):
         _, nums = _greedy_step(x.field, nums, den)
     return x.field.from_numerators(nums, den)

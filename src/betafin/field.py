@@ -259,8 +259,8 @@ class BetaField:
     def from_numerators(self, nums: Iterable[int], den: int) -> "FieldElement":
         """(sum_i nums[i] beta^i) / den for integers nums and den != 0, in
         canonical form: den > 0 and gcd(den, *nums) = 1.  This is the one
-        constructor that reduces a pair; FieldElement._numerators is its
-        inverse."""
+        constructor that reduces a pair; an element's nums and den read
+        the pair back."""
         nums = tuple(nums)
         if len(nums) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(nums)}")
@@ -511,12 +511,6 @@ class FieldElement:
         return acc
 
     # -- exact decisions -----------------------------------------------------
-
-    def _numerators(self) -> tuple[list[int], int]:
-        """The d integer numerators and their common denominator, the
-        stored canonical pair; a zero top numerator only rescales a Horner
-        enclosure."""
-        return list(self.nums), self.den
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}."""

@@ -27,7 +27,8 @@ from betafin.expansion import (
     xi,
     xi_t_power,
 )
-from betafin.field import FieldElement, make_field, unit_disk_profile
+from betafin.field import BetaField, FieldElement, make_field, unit_disk_profile
+from betafin.normalization import add_one
 from betafin.words import Word, format_word, lex_cmp
 
 TRIB = make_field((1, 1, 1))
@@ -424,9 +425,19 @@ def test_frac_part_and_the_sweep_take_no_t_map_step(monkeypatch):
     for field in (family(2), TRIB):
         units = [field.zero(), field.one()] + [random_unit_interval_element(field, rng) for _ in range(4)]
         xs += units + [field.from_rational(n) for n in (2, 7, 12)] + [units[-1] + 3, units[-2] + field.beta()]
-    before = [is_finite_expansion(x) for x in xs]
+    units = [x for x in xs if x.floor() == 0 or x == 1]
+
+    def answers():
+        return (
+            [is_finite_expansion(x) for x in xs],
+            [d_beta(x) for x in units],
+            [beta_expand(x) for x in xs],
+            [add_one(x) for x in xs],
+        )
+
+    before = answers()
     monkeypatch.setattr("betafin.expansion.t_map", no_t_map)
-    assert [is_finite_expansion(x) for x in xs] == before
+    assert answers() == before
     f = family(2)
     n = f.from_rational(f.floor_beta() + 1)
     assert frac_part(n) == n - f.beta()
@@ -483,9 +494,10 @@ def test_digit_orbit_matches_t_map(coeffs):
             t_map_orbit(x, n - 1)
         assert d_beta(x) == Word(digits[:split], digits[split:]), x
         assert d_beta(x, n) == word
-        with pytest.raises(OrbitBudgetExceeded):
+        with pytest.raises(OrbitBudgetExceeded) as budget:
             d_beta(x, n - 1)
-        with pytest.raises(OutOfRange):
+        assert repr(x) in str(budget.value), x
+        with pytest.raises(OutOfRange, match="d_beta needs"):
             d_beta(x + 1 + field.beta_power(-3))
         for y in (x, x + 2):
             ell = big_l(y)
@@ -590,5 +602,30 @@ def test_nu_matches_power_sum(coeffs):
         pre = [rng.randint(-2, 3) for _ in range(rng.randint(0, 12))]
         period = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
         words.append(Word(pre, period))
+    for _ in range(3):
+        pre = [rng.randint(0, 3) for _ in range(rng.randint(0, 5))]
+        words.append(Word(pre, [rng.randint(0, 3) for _ in range(rng.randint(100, 300))]))
     for w in words:
         assert nu(f, w) == nu_power_sum(f, w), w
+
+
+def test_nu_takes_no_negative_power(monkeypatch):
+    # 1 / (1 - beta^{-p}) is built from beta^p, so no chain of beta^{-m},
+    # m <= p, is memoized on the way; nu runs on a fresh field, whose memo
+    # nu_power_sum has not filled
+    w = Word((1, 0), [1, 2] + [0] * 238)
+    assert w.period_len() == 240
+    expect = nu_power_sum(make_field((2, -4, 4)), w)
+    f = make_field((2, -4, 4))
+    powers = []
+    beta_power = BetaField.beta_power
+
+    def recorded(field, n):
+        powers.append(n)
+        return beta_power(field, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(BetaField, "beta_power", recorded)
+        got = nu(f, w)
+    assert got == expect
+    assert not [n for n in powers if n < 0], powers
