@@ -17,11 +17,12 @@ Refutation routes worth noting:
   * any natural number with an infinite expansion refutes (F1); the
     first candidate tried is floor(beta) + 1.  N has a finite expansion
     iff the T-orbit of its fractional part frac(N) reaches 0.  frac(N)
-    lies in Z[beta] and in [0, 1), so the conjugacy maps it to an integer
-    vector, and the sweep over N runs tau from that vector with the same
-    shared-verdict reach-zero walk as the SRS closure, over a verdict map
-    seeded with Q's: a vector reached from several N is stepped once.
-    frac_part computes frac(N) with expansion.py's integer greedy step.
+    lies in Z[beta] and in [0, 1), so it is an integer numerator tuple
+    over den 1; frac_part computes it, and the sweep over N walks its
+    T-orbit, with expansion.py's integer greedy step, on the same
+    shared-verdict reach-zero walk as the SRS closure.  The verdict map
+    is seeded with Q's, translated to T-states (tau is conjugate to T),
+    so a state reached from several N is stepped once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     NotUnit,
     OrbitBudgetExceeded,
 )
-from .expansion import DEFAULT_ORBIT_CAP, d_beta_one, frac_part, is_finite_expansion
+from .expansion import DEFAULT_ORBIT_CAP, _greedy_step, d_beta_one, frac_part, is_finite_expansion
 from .field import BetaField, cubic_pisot_criterion, is_pisot, unit_disk_profile
 from .srs import DEFAULT_CLOSURE_CAP, OrbitGraph, ShiftRadixSystem, f1_certificate, q_set
 from .walk import walk
@@ -398,22 +399,26 @@ def _find_infinite_natural(
     N has a finite expansion iff the T-orbit of its fractional part
     frac(N) = T^{L(N)}(beta^{-L(N)} N), an element of Z[beta] in [0, 1),
     reaches 0.  frac_part takes its L(N) greedy steps on integer
-    numerators, ShiftRadixSystem.frac_vector maps frac(N) to its integer
-    SRS vector, and tau, conjugate to T there, walks the vector to zero
-    or a cycle.  All N share one verdict map, seeded with Q's verdicts
-    when graph is given, so each vector is stepped once, the nodes of Q
-    not at all; the graph itself is not changed.
+    numerators, and the sweep checks that frac(N) has den 1 and floor 0,
+    then walks its numerator tuple with the same greedy step to zero or a
+    cycle.  All N share one verdict map, seeded when graph is given with
+    Q's verdicts, translated to T-states (OrbitGraph.frac_verdicts; tau
+    is conjugate to T there), so each state is stepped once, the states
+    of Q not at all; the graph itself is not changed.
 
-    orbit_cap bounds the new vectors one N walks (the L(N) steps inside
+    orbit_cap bounds the new states one N walks (the L(N) steps inside
     frac_part are not counted); an N over it is skipped, never decided,
     and the skipped N are named in an evidence record.  The map goes
     back to the seed once it holds more than orbit_cap entries beyond
     it, so the sweep never holds more than the seed plus about twice
-    orbit_cap; vectors dropped then are stepped again.
+    orbit_cap; states dropped then are stepped again.
     """
-    srs = graph.srs if graph is not None else ShiftRadixSystem(field)
-    zero = (0,) * srs.dim
-    seed = {**graph.in_f, zero: True} if graph is not None else {zero: True}
+
+    def step(nums: tuple[int, ...]) -> tuple[int, ...]:
+        return _greedy_step(field, nums, 1)[1]
+
+    zero = (0,) * field.degree
+    seed = {**graph.frac_verdicts(), zero: True} if graph is not None else {zero: True}
     reaches_zero = dict(seed)
     skipped: list[int] = []
     refuter = None
@@ -422,18 +427,16 @@ def _find_infinite_natural(
         if len(reaches_zero) > len(seed) + orbit_cap:
             reaches_zero = dict(seed)
         y = frac_part(field.from_rational(n))
+        if y.den != 1:
+            raise InvariantViolation(f"frac({n}) = {y!r} lies outside Z[beta]")
+        if field.floor_nums(y.nums, 1) != 0:
+            raise InvariantViolation(f"frac({n}) = {y!r} lies outside [0, 1)")
         try:
-            vec = srs.frac_vector(y)
-        except ValueError:
-            raise InvariantViolation(f"frac({n}) = {y!r} lies outside Z[beta]") from None
-        if srs.frac_value(vec) != y:
-            raise InvariantViolation(f"frac_value({vec}) is not frac({n}) = {y!r}")
-        try:
-            walk(srs.tau, vec, reaches_zero, set(), orbit_cap)
+            walk(step, y.nums, reaches_zero, set(), orbit_cap)
         except OrbitBudgetExceeded:
             skipped.append(n)
             continue
-        if not reaches_zero[vec]:
+        if not reaches_zero[y.nums]:
             refuter = n
             break
     if skipped:

@@ -4,9 +4,9 @@ Integer vectors l in Z^{d-1} evolve by tau(l) = (l_2, ..., l_{d-1},
 -floor(r . l)) where r is the radix vector built from the defining
 coefficients.  Every r_j lies in Z[beta], so r . l is one integer dot
 product, floored by the field's integer floor kernel
-BetaField.floor_nums.  The fractional value map conjugates tau to the
-beta-transformation on Z[beta] intersected with [0, 1), and frac_vector
-inverts it there, which turns digit finiteness questions into
+BetaField.floor_nums.  The fractional value map, a bijection onto
+Z[beta] intersected with [0, 1), conjugates tau to the
+beta-transformation there, which turns digit finiteness questions into
 reachability questions on integer vectors: F collects the vectors whose
 tau-orbit hits zero, Q the closure of the initial vector under tau and
 its dual, and P the nonzero tau-periodic points of Q.  The finiteness
@@ -80,27 +80,6 @@ class ShiftRadixSystem:
         v = self.value(vec)
         return v - v.floor()
 
-    def frac_vector(self, y: FieldElement) -> SrsVector:
-        """The inverse of frac_value: the vector l with frac(r . l) = y,
-        for y in Z[beta] with 0 <= y < 1.
-
-        r_j is beta^{d-j} plus lower powers, so {1, r_1, ..., r_{d-1}} is
-        a unit-triangular Z-basis of Z[beta], and y = c + r . l has exactly
-        one integer solution.  Back-substitution reads l_j off the
-        beta^{d-j} coordinate, top down, and subtracts l_j R_j; then
-        frac(r . l) = y because 0 <= y < 1.  Raises ValueError when a
-        coordinate of y is not an integer.
-        """
-        if y.den != 1:
-            raise ValueError(f"{y!r} is not in Z[beta]")
-        rest = y.nums
-        vec = []
-        for top, row in zip(range(self.dim, 0, -1), self._rows):
-            lj = rest[top]
-            rest = [c - lj * r for c, r in zip(rest, row)]
-            vec.append(lj)
-        return tuple(vec)
-
     def tau(self, vec: SrsVector) -> SrsVector:
         return vec[1:] + (-self.field.floor_nums(self._numerators(vec), 1),)
 
@@ -139,6 +118,18 @@ class OrbitGraph:
 
     def node_count(self) -> int:
         return len(self.nodes)
+
+    def frac_verdicts(self) -> dict[tuple[int, ...], bool]:
+        """The F flags of Q keyed by the T-states frac_value(v), each as its
+        numerators over den 1.  tau(v) ends in -floor(r . v), so
+        frac_value(v) is r . v with that last coordinate added to the
+        constant numerator, and no floor is decided again."""
+        out = {}
+        for v, reach in self.in_f.items():
+            nums = self.srs._numerators(v)
+            nums[0] += self.edges[v][-1]
+            out[tuple(nums)] = reach
+        return out
 
 
 def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:

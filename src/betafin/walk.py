@@ -5,12 +5,12 @@ function: the SRS closure Q (tau and its dual) and the delta-box slice of
 V (subtracting orbit vectors) are both built by it.
 
 walk answers "does the orbit of x under step reach zero?" for every
-orbit the package follows, all of them integer vectors under the shift
-radix map tau: closure flags, F membership, the orbit of the initial
-vector, and the vectors of the fractional parts frac(N) that decide
-finiteness of the expansions of natural numbers (tau is conjugate to the
-beta-transformation there).  Walks that share one verdict map step each
-node once, however many starts lead into it.
+reach-zero question the package asks: on integer vectors under the shift
+radix map tau (closure flags, F membership, the orbit of the initial
+vector), and on the integer numerators of the fractional parts frac(N)
+under the greedy step, which decide finiteness of the expansions of
+natural numbers.  Walks that share one verdict map step each node once,
+however many starts lead into it.
 """
 
 from __future__ import annotations

@@ -386,21 +386,23 @@ def test_natural_sweep_tries_floor_beta_plus_one_first(monkeypatch):
 
 
 def test_natural_sweep_steps_each_state_once(monkeypatch):
-    srs_module = importlib.import_module("betafin.srs")
+    # the greedy steps the sweep takes itself, not the L(N) steps inside
+    # frac_part, which calls expansion.py's binding
+    classify_module = importlib.import_module("betafin.classify")
     args = []
-    original = srs_module.ShiftRadixSystem.tau
+    original = classify_module._greedy_step
 
-    def counting_tau(self, vec):
-        args.append(vec)
-        return original(self, vec)
+    def counting_step(field, nums, den):
+        args.append((tuple(nums), den))
+        return original(field, nums, den)
 
-    monkeypatch.setattr(srs_module.ShiftRadixSystem, "tau", counting_tau)
+    monkeypatch.setattr(classify_module, "_greedy_step", counting_step)
     f = make_field((4, -4, 5))  # (a,b,c) = (5,-4,4): no refuter, every N walked
     report = PropertyReport(poly=f.poly_str())
     assert _find_infinite_natural(f, 40, 100_000, report) is None
-    assert len(args) == len(set(args))
-    # walked one N at a time, the tau-orbits of the frac(N) vectors would
-    # step one vector per nonzero state of the T-orbit of frac(N)
+    assert args and len(args) == len(set(args))
+    # walked one N at a time, the T-orbits of the frac(N) would step once
+    # per nonzero state
     per_n = 0
     for n in range(1, 41):
         word = d_beta(frac_part(f.from_rational(n)))
@@ -408,34 +410,22 @@ def test_natural_sweep_steps_each_state_once(monkeypatch):
     assert len(args) < per_n
 
 
-@pytest.mark.parametrize("abc, cap, refuter", [((2, 5, 3), 40, 24), ((4, -4, 2), 30, None)])
-def test_natural_sweep_memory_stays_within_twice_the_cap(monkeypatch, abc, cap, refuter):
-    # the sweep steps more than cap distinct vectors in all, yet no single N
-    # walks more than cap new ones: the shared map, seeded with zero alone,
-    # must start afresh
-    classify_module = importlib.import_module("betafin.classify")
-    held = []
-    original = classify_module.walk
-
-    def measuring_walk(step, start, verdict, cycles, walk_cap):
-        try:
-            return original(step, start, verdict, cycles, walk_cap)
-        finally:
-            held.append(len(verdict))
-
-    monkeypatch.setattr(classify_module, "walk", measuring_walk)
-    a, b, c = abc
-    f = make_field((c, b, a))
-    report = PropertyReport(poly=f.poly_str())
-    assert _find_infinite_natural(f, 40, cap, report) == refuter == _linear_scan(f, 40)
-    assert report.evidence == []
-    assert max(held) > cap
-    assert max(held) <= 2 * cap + 1
+def _q_seed(graph):
+    """Q's verdicts keyed by the T-states frac_value(v), numerators over
+    den 1, plus zero's.  frac_value floors r . v itself, independently of
+    the tau-edges stored in the graph."""
+    seed = {}
+    for v in graph.nodes:
+        y = graph.srs.frac_value(v)
+        assert y.den == 1
+        seed[y.nums] = graph.in_f[v]
+    seed[(0,) * graph.srs.field.degree] = True
+    return seed
 
 
-def test_natural_sweep_resets_to_q_verdicts(monkeypatch):
-    # seeded with Q's verdicts, the map goes back to them once it holds more
-    # than cap entries beyond them, and Q's own map is never written
+def _recording_walk(monkeypatch):
+    """Patch classify's walk to record each walk's verdict map on entry and
+    its size on exit."""
     classify_module = importlib.import_module("betafin.classify")
     starts, held = [], []
     original = classify_module.walk
@@ -448,30 +438,73 @@ def test_natural_sweep_resets_to_q_verdicts(monkeypatch):
             held.append(len(verdict))
 
     monkeypatch.setattr(classify_module, "walk", recording_walk)
+    return starts, held
+
+
+@pytest.mark.parametrize("abc, cap, refuter", [((2, 5, 3), 40, 24), ((4, -4, 2), 30, None)])
+def test_natural_sweep_memory_stays_within_twice_the_cap(monkeypatch, abc, cap, refuter):
+    # the sweep steps more than cap distinct states in all, yet no single N
+    # walks more than cap new ones: the shared map, seeded with zero alone,
+    # must start afresh
+    _, held = _recording_walk(monkeypatch)
+    a, b, c = abc
+    f = make_field((c, b, a))
+    report = PropertyReport(poly=f.poly_str())
+    assert _find_infinite_natural(f, 40, cap, report) == refuter == _linear_scan(f, 40)
+    assert report.evidence == []
+    assert max(held) > cap
+    assert max(held) <= 2 * cap + 1
+
+
+def test_natural_sweep_resets_to_q_verdicts(monkeypatch):
+    # seeded with Q's verdicts translated to T-states, the map goes back to
+    # them once it holds more than cap entries beyond them, and Q's own map
+    # is never written
+    starts, held = _recording_walk(monkeypatch)
     f = make_field((2, -4, 4))  # (a,b,c) = (4,-4,2): Q holds 27 vectors, zero included
     graph = _q_graph(f)
     q_verdicts = dict(graph.in_f)
+    q_seed = _q_seed(graph)
+    assert len(q_seed) == len(q_verdicts) == 27
     cap = 20
     report = PropertyReport(poly=f.poly_str())
     assert _find_infinite_natural(f, 40, cap, report, graph) is None
     assert report.evidence == []
     assert graph.in_f == q_verdicts
-    assert max(held) > len(q_verdicts) + cap
-    assert max(held) <= len(q_verdicts) + 2 * cap
+    assert starts[0] == q_seed
+    assert max(held) > len(q_seed) + cap
+    assert max(held) <= len(q_seed) + 2 * cap
     resets = [v for v, prev in zip(starts[1:], held) if len(v) < prev]
-    assert resets and all(v == q_verdicts for v in resets)
+    assert resets and all(v == q_seed for v in resets)
+
+
+@pytest.mark.parametrize("coeffs", [(3, -6, 6), (2, 3, 1)], ids=["family-t3", "abc-1-3-2"])
+def test_natural_sweep_seed_is_q_translated(monkeypatch, coeffs):
+    # both Q hold tau-cycles, so the seed carries verdicts of both kinds
+    starts, _ = _recording_walk(monkeypatch)
+    f = make_field(coeffs)
+    graph = _q_graph(f)
+    q_seed = _q_seed(graph)
+    assert graph.p_nodes and set(q_seed.values()) == {True, False}
+    translated = graph.frac_verdicts()
+    assert set(translated) == {graph.srs.frac_value(v).nums for v in graph.nodes}
+    assert {**translated, (0,) * f.degree: True} == q_seed
+    report = PropertyReport(poly=f.poly_str())
+    _find_infinite_natural(f, 40, DEFAULT_ORBIT_CAP, report, graph)
+    assert starts and starts[0] == q_seed
 
 
 @pytest.mark.parametrize(
     "bad_frac, message",
     [
         # not in Z[beta]
-        (lambda y: y + Fraction(1, 2), "outside Z"),
-        # in Z[beta] but not in [0, 1), so its vector's frac_value differs
-        (lambda y: y + 1, "is not frac"),
+        (lambda y: y + Fraction(1, 2), r"outside Z\[beta\]"),
+        # in Z[beta] but not in [0, 1)
+        (lambda y: y + 1, r"outside \[0, 1\)"),
     ],
+    ids=["outside-z-beta", "outside-unit-interval"],
 )
-def test_natural_sweep_checks_the_frac_vector(monkeypatch, bad_frac, message):
+def test_natural_sweep_checks_frac_in_z_beta_and_unit_interval(monkeypatch, bad_frac, message):
     classify_module = importlib.import_module("betafin.classify")
     original = classify_module.frac_part
     monkeypatch.setattr(classify_module, "frac_part", lambda x: bad_frac(original(x)))

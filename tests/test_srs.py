@@ -4,8 +4,6 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from betafin import polys as P
 from betafin.errors import (
@@ -111,40 +109,6 @@ def test_conjugacy():
             vec = tuple(rng.randint(-15, 15) for _ in range(s.dim))
             _, t_image = t_map(s.frac_value(vec))
             assert t_image == s.frac_value(s.tau(vec))
-
-
-# degrees 2 to 5, each with a_0 = 1, -1, and a non-unit a_0 of either sign
-FRAC_VECTOR_FIELDS = [
-    make_field(c)
-    for c in [
-        (1, 1), (-1, 3), (2, 2), (-2, 4),
-        (1, 1, 1), (-1, 1, 3), (2, -4, 4), (-2, 0, 4),
-        (1, 1, 1, 1), (-1, 1, 1, 1), (3, 0, 0, 1), (-3, 1, 0, 2),
-        (1, 1, 0, 0, 0), (-1, 1, 0, 0, 2), (2, 0, 0, 0, 1), (-2, 1, 0, 0, 3),
-    ]
-]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.sampled_from(FRAC_VECTOR_FIELDS),
-    st.lists(st.integers(-40, 40), min_size=5, max_size=5),
-)
-def test_frac_vector_inverts_frac_value(field, nums):
-    # y = z - floor(z) for z with integer coordinates is any element of
-    # Z[beta] in [0, 1)
-    z = field.from_coords(nums[: field.degree])
-    y = z - z.floor()
-    s = srs_for(field)
-    vec = s.frac_vector(y)
-    assert s.frac_value(vec) == y
-    assert s.frac_vector(s.frac_value(vec)) == vec
-
-
-def test_frac_vector_rejects_elements_outside_z_beta():
-    s = srs_for(family(2))
-    with pytest.raises(ValueError, match="not in Z"):
-        s.frac_vector(s.field.from_coords([0, Q(1, 2), 0]))
 
 
 def test_t_orbit_of_one_matches_vectors():
