@@ -441,8 +441,8 @@ def _find_infinite_natural(
             break
     if skipped:
         report.add(
-            f"N = {', '.join(map(str, skipped))} skipped: each tau-orbit of "
-            f"frac(N) exceeded {orbit_cap} new vectors",
+            f"N = {', '.join(map(str, skipped))} skipped: each T-orbit of "
+            f"frac(N) exceeded {orbit_cap} new states",
             "orbit-budget", "budget exceeded",
         )
     return refuter

@@ -15,13 +15,17 @@ digit-orbit loop: it walks _greedy_step on numerator tuples over one den
 and hashes them, for the orbit of 1 and for d_beta (so beta_expand,
 is_finite_expansion and add_one), which passes it the stored canonical
 pair of x.  t_map is the public single step on an element; no walk calls
-it.  frac_part takes its L(x) steps from beta^{-L(x)} x, a product that
-field.py takes on integer numerators (FieldElement.__mul__); nu sums a
-word by Horner's rule in beta^{-1}, one integer FieldElement.div_beta
-per digit.  _in_unit_interval decides 0 <= x <= 1 (x = 1 or
-floor(x) = 0) where a walk or a t_map step starts.  big_l compares the
-numerators of x with the field's memoized integer rows of beta^n
-(BetaField.beta_row), one BetaField.sign_nums per power.
+it.  Every division by beta^m runs in BetaField.horner_inverse_beta,
+Horner's rule in beta^{-1} on integer numerators over one running
+denominator, reduced once per call: nu sums each block of a word there,
+and beta_expand and frac_part scale x by beta^{-L(x)} there, over L(x)
+zero digits, so none of them builds a field element per digit or a
+chain of negative powers of beta.  frac_part then takes its L(x) greedy
+steps on the numerators of beta^{-L(x)} x.  _in_unit_interval decides
+0 <= x <= 1 (x = 1 or floor(x) = 0) where a walk or a t_map step
+starts.  big_l compares the numerators of x with the field's memoized
+integer rows of beta^n (BetaField.beta_row), one BetaField.sign_nums per
+power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -246,10 +250,11 @@ def is_admissible(field: BetaField, w: Word) -> bool:
 def nu(field: BetaField, w: Word) -> FieldElement:
     """Exact value sum_n w_n beta^{-n} in Q(beta).
 
-    Each block is summed by Horner's rule in beta^{-1}: for digits
-    w_1 ... w_m the value (w_1 + (w_2 + ... (w_m) / beta ...) / beta) / beta
-    takes one O(d) division by beta per digit.  The period's block value
-    v gives the tail v / (1 - beta^{-p}) by geometric summation, with
+    Each block is summed by Horner's rule in beta^{-1} on integer
+    numerators (BetaField.horner_inverse_beta): for digits w_1 ... w_m
+    the value (w_1 + (w_2 + ... (w_m) / beta ...) / beta) / beta takes one
+    O(d) division by beta per digit.  The period's block value v gives the
+    tail v / (1 - beta^{-p}) by geometric summation, with
     1 / (1 - beta^{-p}) = 1 + 1 / (beta^p - 1) memoized per period length
     p; it is built from beta^p alone, so no chain of negative powers is
     memoized.  Horner's rule over the m preperiod digits starts from that
@@ -259,16 +264,8 @@ def nu(field: BetaField, w: Word) -> FieldElement:
     if w.period:
         p = len(w.period)
         geom = field.memo(("geom_inverse", p), lambda: 1 + (field.beta() ** p - 1).inverse())
-        tail = _horner_inverse_beta(w.period, tail) * geom
-    return _horner_inverse_beta(w.pre, tail)
-
-
-def _horner_inverse_beta(digits, acc: FieldElement) -> FieldElement:
-    """sum_{n=1}^{m} digits[n-1] beta^{-n} + beta^{-m} acc by Horner's rule
-    in beta^{-1}."""
-    for d in reversed(digits):
-        acc = (acc + d if d else acc).div_beta()
-    return acc
+        tail = field.horner_inverse_beta(w.period, tail.nums, tail.den) * geom
+    return field.horner_inverse_beta(w.pre, tail.nums, tail.den)
 
 
 def big_l(x: FieldElement) -> int:
@@ -305,9 +302,8 @@ class Expansion:
 def beta_expand(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Expansion:
     """Expansion of x >= 0: exponent L(x) and word d_beta(beta^{-L(x)} x)."""
     ell = big_l(x)
-    scaled = x * x.field.beta_power(-ell)
-    word = d_beta(scaled, cap)
-    return Expansion(ell, word)
+    scaled = x.field.horner_inverse_beta((0,) * ell, x.nums, x.den)
+    return Expansion(ell, d_beta(scaled, cap))
 
 
 def is_finite_expansion(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> bool:
@@ -355,7 +351,7 @@ def xi_t_power(field: BetaField, n: int) -> int:
 def frac_part(x: FieldElement) -> FieldElement:
     """The beta-fractional part T^L(beta^{-L} x), L = L(x); big_l decides the range."""
     ell = big_l(x)
-    scaled = x * x.field.beta_power(-ell)
+    scaled = x.field.horner_inverse_beta((0,) * ell, x.nums, x.den)
     nums, den = scaled.nums, scaled.den
     for _ in range(ell):
         _, nums = _greedy_step(x.field, nums, den)

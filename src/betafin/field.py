@@ -41,11 +41,13 @@ reduction by beta^d = sum_i a_i beta^i): it builds the rows of beta^n,
 the integer columns n, n beta, ..., n beta^{d-1} (BetaField._columns)
 that FieldElement.__mul__ and FieldElement.inverse read on the
 numerators of their factors, and expansion.py's greedy step.
-FieldElement.div_beta solves the same relation for n / beta:
-a_0 (n / beta) = a_0 (n_1, ..., n_{d-1}, 0) + n_0 (-a_1, ..., -a_{d-1}, 1)
-over a_0 den.  BetaField.beta_row is the one memoized chain of the
-integer rows of beta^n, n >= 0, each times_beta of the row before;
-beta_power reads it, and negative powers are a chain of div_beta steps.
+BetaField.horner_inverse_beta is the one division by beta: it solves the
+same relation for n / beta and runs Horner's rule in beta^{-1} over a
+digit word on integer numerators, reduced once per call; expansion.py's
+nu, beta_expand and frac_part and FieldElement.div_beta call it.
+BetaField.beta_row is the one memoized chain of the integer rows
+of beta^n, n >= 0, each times_beta of the row before; beta_power reads
+it, and negative powers are a chain of div_beta steps.
 
 Values derived from the field alone (rows and powers of beta,
 floor(beta), the unit-disk profile; in expansion.py d_beta(1) with the
@@ -210,6 +212,37 @@ class BetaField:
             return [top, *v[:-1]]
         a = self.coeffs
         return [top * a[0]] + [v[i - 1] + top * a[i] for i in range(1, self.degree)]
+
+    def horner_inverse_beta(
+        self, digits: Sequence[int], nums: Sequence[int], den: int
+    ) -> "FieldElement":
+        """sum_{n=1}^m digits[n-1] beta^{-n} + beta^{-m} (sum_i nums[i] beta^i) / den,
+        den > 0, by Horner's rule in beta^{-1} on integer numerators over
+        one running denominator.  This is the package's one division by
+        beta.
+
+        Each digit adds digit * den to the constant numerator n_0, then
+        divides by beta: by beta^d = sum_i a_i beta^i,
+        a_0 (n / beta) = a_0 (n_1, ..., n_{d-1}, 0) + n_0 (-a_1, ..., -a_{d-1}, 1)
+        over a_0 den, with both sides divided by g = gcd(n_0, a_0), signed
+        as a_0: the running denominator stays positive and does not grow
+        by factors that n_0 cancels.  A plain shift when n_0 = 0.  The
+        pair is reduced once, at the end (from_numerators).
+        """
+        a0 = self.coeffs[0]
+        low = [-a for a in self.coeffs[1:]]
+        nums = list(nums)
+        for digit in reversed(digits):
+            n0 = nums[0] + digit * den
+            if not n0:
+                nums = [*nums[1:], 0]
+                continue
+            g = math.gcd(n0, a0) if a0 > 0 else -math.gcd(n0, a0)
+            q, r = a0 // g, n0 // g
+            nums = [q * n + r * c for n, c in zip(nums[1:], low)]
+            nums.append(r)
+            den *= q
+        return self.from_numerators(nums, den)
 
     def _columns(self, nums: Sequence[int]) -> list[list[int]]:
         """The columns n, n beta, ..., n beta^{d-1} of multiplication by
@@ -451,17 +484,8 @@ class FieldElement:
     __rmul__ = __mul__
 
     def div_beta(self) -> "FieldElement":
-        """self / beta on the numerators n: by beta^d = sum_i a_i beta^i,
-        a_0 (n / beta) = a_0 (n_1, ..., n_{d-1}, 0) + n_0 (-a_1, ..., -a_{d-1}, 1),
-        over a_0 den (O(d)); a plain shift when n_0 = 0."""
-        n0, *rest = self.nums
-        if not n0:
-            return FieldElement._new(self.field, (*rest, 0), self.den)
-        a = self.field.coeffs
-        a0 = a[0]
-        nums = [a0 * n - n0 * ai for n, ai in zip(rest, a[1:])]
-        nums.append(n0)
-        return self.field.from_numerators(nums, a0 * self.den)
+        """self / beta, one step of BetaField.horner_inverse_beta (O(d))."""
+        return self.field.horner_inverse_beta((0,), self.nums, self.den)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse by Cayley-Hamilton in integers.

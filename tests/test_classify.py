@@ -515,13 +515,13 @@ def test_natural_sweep_checks_frac_in_z_beta_and_unit_interval(monkeypatch, bad_
 
 def test_natural_sweep_skip_is_recorded_not_refuted():
     # at full budget N = 7 refutes (F1).  With Q over its closure budget the
-    # sweep starts from zero's verdict alone, and 5 new vectors per N are
+    # sweep starts from zero's verdict alone, and 5 new states per N are
     # too few for N = 7, so it is skipped
     rep = classify(make_field((2, 3, 1)), orbit_cap=5, closure_cap=5)
     assert rep.f1 == UNKNOWN
     skips = [e for e in rep.evidence if e.rule == "orbit-budget" and "skipped" in e.claim]
     assert len(skips) == 1
-    assert " 7," in skips[0].claim and "exceeded 5 new vectors" in skips[0].claim
+    assert " 7," in skips[0].claim and "T-orbit of frac(N) exceeded 5 new states" in skips[0].claim
     assert not any(e.rule == "natural-sweep" for e in rep.evidence)
 
 

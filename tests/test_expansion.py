@@ -610,13 +610,15 @@ def test_nu_matches_power_sum(coeffs):
 
 
 def test_nu_takes_no_negative_power(monkeypatch):
-    # 1 / (1 - beta^{-p}) is built from beta^p, so no chain of beta^{-m},
-    # m <= p, is memoized on the way; nu runs on a fresh field, whose memo
-    # nu_power_sum has not filled
+    # 1 / (1 - beta^{-p}) is built from beta^p, and beta_expand and
+    # frac_part scale x by beta^{-L} in BetaField.horner_inverse_beta, so no
+    # chain of negative powers is memoized on the way; they run on a fresh
+    # field, whose memo the oracle nu_power_sum (on field g) has not filled
     w = Word((1, 0), [1, 2] + [0] * 238)
     assert w.period_len() == 240
-    expect = nu_power_sum(make_field((2, -4, 4)), w)
+    g = make_field((2, -4, 4))
     f = make_field((2, -4, 4))
+    x = f.from_coords([Q(100, 3), Q(7, 2), 1])
     powers = []
     beta_power = BetaField.beta_power
 
@@ -627,5 +629,11 @@ def test_nu_takes_no_negative_power(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(BetaField, "beta_power", recorded)
         got = nu(f, w)
-    assert got == expect
+        expansion = beta_expand(x)
+        frac = frac_part(x)
     assert not [n for n in powers if n < 0], powers
+    assert got == nu_power_sum(g, w)
+    ell = expansion.exponent
+    assert ell > 0
+    assert schoolbook_product(g.beta_power(ell), nu_power_sum(g, expansion.word)) == x
+    assert frac == nu_power_sum(g, expansion.word.shift(ell))

@@ -477,6 +477,38 @@ def test_integer_storage_matches_fraction_oracle(coeffs):
     assert (xs[-1] - xs[-1]).den == 1
 
 
+# a_0 = 1, -1, 2, -2, 4, -6 and 12, over degrees 2 to 4: x^3-x^2-x-1,
+# x^2-3x+1, the family at t = 2, x^2-4x+2, x^2-x-4, x^3-4x^2-x+6 and x^4-x^3-12
+HORNER_FIELDS = [TRIBONACCI, (-1, 3), family(2), (-2, 4), (4, 1), (-6, 1, 4), (12, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("coeffs", HORNER_FIELDS)
+def test_horner_inverse_beta_matches_fraction_oracle(coeffs):
+    # sum_n digits[n-1] beta^{-n} + beta^{-m} x against fraction_div_beta
+    # iterated in Fraction coordinates, for words of 1 to 300 digits from
+    # starting pairs that need not be reduced
+    f = make_field(coeffs)
+    d = f.degree
+    rng = random.Random(sum(coeffs) * 31 + d)
+    lengths = [1, 2, 300] + [rng.randint(1, 300) for _ in range(9)]
+    for i, m in enumerate(lengths):
+        if i % 4 == 3:
+            digits = [0] * m
+        else:
+            digits = [rng.choice((0, 0, 1, 2, 3, 9, -1, -4)) for _ in range(m)]
+        den = rng.choice((1, 2, 3, 6, 12))
+        nums = [rng.randint(-40, 40) * rng.choice((1, den)) for _ in range(d)]
+        acc = [Q(n, den) for n in nums]
+        for digit in reversed(digits):
+            acc[0] += digit
+            acc = fraction_div_beta(f, acc)
+        assert_canonical(f.horner_inverse_beta(digits, nums, den), acc)
+        if min(digits) >= 0:
+            # Word stores greedy digits as bytes
+            assert_canonical(f.horner_inverse_beta(bytes(digits), nums, den), acc)
+    assert {c[0] for c in HORNER_FIELDS} == {1, -1, 2, -2, 4, -6, 12}
+
+
 @pytest.mark.parametrize("coeffs", TIMES_BETA_FIELDS)
 def test_from_numerators_reduces_any_denominator(coeffs):
     f = make_field(coeffs)
