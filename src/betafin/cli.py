@@ -21,7 +21,7 @@ import sys
 
 from .classify import DEFAULT_N_SWEEP, REFUTED, classify
 from .errors import BetaFinError, OrbitBudgetExceeded
-from .expansion import DEFAULT_ORBIT_CAP, beta_expand, d_beta_one, is_admissible, nu
+from .expansion import DEFAULT_ORBIT_CAP, Expansion, beta_expand, d_beta_one, is_admissible
 from .field import BetaField, FieldElement, is_pisot, make_field
 from .srs import (
     DEFAULT_CLOSURE_CAP,
@@ -79,7 +79,7 @@ def parse_element(field: BetaField, text: str, cap: int = DEFAULT_ORBIT_CAP) -> 
         exp = int(exp_s)
         if abs(exp) > cap:
             raise OrbitBudgetExceeded(f"|L| = {abs(exp)} exceeds the orbit budget {cap}")
-        return field.beta_power(exp) * nu(field, w)
+        return Expansion(exp, w).value(field)
     coords = text.split(",")
     if len(coords) > field.degree:
         raise ValueError(f"too many coordinates for degree {field.degree}")
@@ -294,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add(sub, "expand", cmd_expand, "beta-expansion of a field element", "--poly", "--budget-orbit")
-    p.add_argument("--x", required=True, help="rational coordinates q0,q1,... or 'L:digits' literal")
+    p.add_argument(
+        "--x", required=True,
+        help="rational coordinates q0,q1,... or 'L:digits' literal; "
+        "write a value that starts with '-' as --x=VALUE",
+    )
 
     srs = sub.add_parser("srs", help="shift radix system queries")
     actions = srs.add_subparsers(dest="action", required=True)

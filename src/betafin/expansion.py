@@ -23,9 +23,9 @@ zero digits, so none of them builds a field element per digit or a
 chain of negative powers of beta.  frac_part then takes its L(x) greedy
 steps on the numerators of beta^{-L(x)} x.  _in_unit_interval decides
 0 <= x <= 1 (x = 1 or floor(x) = 0) where a walk or a t_map step
-starts.  big_l compares the numerators of x with the field's memoized
-integer rows of beta^n (BetaField.beta_row), one BetaField.sign_nums per
-power.
+starts.  big_l compares the numerators of x with the integer rows of
+beta^n, which it walks itself with BetaField.times_beta and memoizes
+nowhere, one BetaField.sign_nums per power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -271,14 +271,15 @@ def nu(field: BetaField, w: Word) -> FieldElement:
 def big_l(x: FieldElement) -> int:
     """Least n >= 0 with x * beta^{-n} < 1, that is x < beta^n, decided on
     integer numerators: with x = (sum_i nums[i] beta^i) / den, the least n
-    with nums - den * beta_row(n) < 0, one sign decision per power."""
+    with nums - den * row < 0 for the row of beta^n, one sign decision per
+    power; each row is times_beta of the row before."""
     field = x.field
     nums, den = x.nums, x.den
     if field.sign_nums(nums) < 0:
         raise OutOfRange("big_l needs x >= 0")
-    n = 0
-    while field.sign_nums([a - den * r for a, r in zip(nums, field.beta_row(n))]) >= 0:
-        n += 1
+    n, row = 0, [1] + [0] * (field.degree - 1)
+    while field.sign_nums([a - den * r for a, r in zip(nums, row)]) >= 0:
+        n, row = n + 1, field.times_beta(row)
     return n
 
 

@@ -44,16 +44,18 @@ numerators of their factors, and expansion.py's greedy step.
 BetaField.horner_inverse_beta is the one division by beta: it solves the
 same relation for n / beta and runs Horner's rule in beta^{-1} over a
 digit word on integer numerators, reduced once per call; expansion.py's
-nu, beta_expand and frac_part and FieldElement.div_beta call it.
-BetaField.beta_row is the one memoized chain of the integer rows
-of beta^n, n >= 0, each times_beta of the row before; beta_power reads
-it, and negative powers are a chain of div_beta steps.
+nu, beta_expand and frac_part, FieldElement.div_beta and the negative
+powers of beta call it.  A power of beta is built when asked for and
+never memoized, since its numerators grow with its exponent:
+BetaField.beta_row(n) is n times_beta shifts of the row of 1,
+beta_power(n) is that row for n >= 0 and one horner_inverse_beta over
+-n zero digits for n < 0, and expansion.py's big_l walks its own row.
 
-Values derived from the field alone (rows and powers of beta,
-floor(beta), the unit-disk profile; in expansion.py d_beta(1) with the
-T-orbit of 1, the quasi-greedy word of 1, the factors 1 / (1 - beta^{-p})
-and xi; in normalization.py the right sides of the carry certificates)
-live in one per-field memo behind BetaField.memo, which publishes each
+Values derived from the field alone (floor(beta), the unit-disk
+profile; in expansion.py d_beta(1) with the T-orbit of 1, the
+quasi-greedy word of 1, the factors 1 / (1 - beta^{-p}) and xi; in
+normalization.py the right sides of the carry certificates) live in one
+per-field memo behind BetaField.memo, which publishes each
 entry with dict.setdefault: every thread gets the first value built.
 """
 
@@ -313,40 +315,22 @@ class BetaField:
         """1/beta."""
         return self.beta_power(-1)
 
-    def _memo_chain(
-        self, name: str, n: int, start: Callable[[], _V], step: Callable[[_V], _V]
-    ) -> _V:
-        """The entry (name, n), by steps from the nearest memoized index
-        between 0 and n; every entry on the way is memoized, (name, 0) as
-        start()."""
-        unit = 1 if n > 0 else -1
-        m = n
-        while m and (name, m) not in self._memo:
-            m -= unit
-        x = self.memo((name, m), start)
-        while m != n:
-            m += unit
-            x = self.memo((name, m), partial(step, x))
-        return x
-
     def beta_row(self, n: int) -> tuple[int, ...]:
-        """The integer power-basis coordinates of beta^n, n >= 0, each row
-        beta * the row before it (BetaField.times_beta), memoized as
-        ("beta_row", m)."""
+        """The integer power-basis coordinates of beta^n, n >= 0: n
+        BetaField.times_beta shifts of the row of 1, built on each call."""
         if n < 0:
             raise ValueError("beta_row needs n >= 0; beta^n is integral only there")
-        return self._memo_chain(
-            "beta_row", n, lambda: (1,) + (0,) * (self.degree - 1),
-            lambda row: tuple(self.times_beta(row)),
-        )
+        row = [1] + [0] * (self.degree - 1)
+        for _ in range(n):
+            row = self.times_beta(row)
+        return tuple(row)
 
     def beta_power(self, n: int) -> "FieldElement":
-        """beta^n for any integer n: read off beta_row for n >= 0, and for
-        n < 0 by O(d) divisions by beta from the nearest memoized power;
-        every power is memoized as ("beta_power", m)."""
+        """beta^n for any integer n, built on each call: beta_row for
+        n >= 0, and for n < 0 one horner_inverse_beta over -n zero digits."""
         if n >= 0:
-            return self.memo(("beta_power", n), lambda: FieldElement._new(self, self.beta_row(n), 1))
-        return self._memo_chain("beta_power", n, self.one, FieldElement.div_beta)
+            return FieldElement._new(self, self.beta_row(n), 1)
+        return self.horner_inverse_beta((0,) * -n, self.beta_row(0), 1)
 
     def floor_beta(self) -> int:
         return self.memo("floor_beta", lambda: self.beta().floor())
@@ -520,7 +504,10 @@ class FieldElement:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.field.from_rational(other) / self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n: int):
         if n < 0:

@@ -88,6 +88,20 @@ def test_word_literal_exponent_counts_against_the_orbit_budget(capsys):
         assert code == 1 and out == "" and err.startswith("error: OrbitBudgetExceeded")
 
 
+def test_negative_x_value_needs_the_equals_form(capsys):
+    # argparse reads "--x -3:1" as a flag, so a value starting with "-"
+    # is written --x=VALUE, as the README and the --x help say
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--poly", "x^2-x-1", "--x", "-3:1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    # beta^-3 * nu(1 0 (2)) = 3 beta^-4 = beta^-2 + beta^-6 for the golden ratio
+    code, out, _ = run(capsys, "expand", "--poly", "x^2-x-1", "--x=-3:1 0 (2)", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert (data["L"], data["word"], data["reconstruction_ok"]) == (0, "0 1 0 0 0 1", True)
+
+
 def test_expand_command(capsys):
     code, out, _ = run(capsys, "expand", "--poly", "x^3-4x^2+4x-2", "--x", "1")
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 from test_field import schoolbook_product
 
 from betafin.classify import classify
+from betafin.cli import parse_element
 from betafin.errors import OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
     DEFAULT_ORBIT_CAP,
@@ -241,8 +242,8 @@ def test_big_l_frac_part_and_beta_expand_subtract_no_elements(monkeypatch):
 
 
 def test_big_l_under_threads():
-    # 8 threads race to build the rows of beta^n on a fresh field: each
-    # gets the single-thread answers, and every row is one published object
+    # 8 threads race on a fresh field, which refines its bracket under
+    # them: each gets the single-thread answers and rows of beta^n
     f0 = make_field((2, -4, 4))
     rng = random.Random(5)
     coords = [
@@ -274,7 +275,7 @@ def test_big_l_under_threads():
             assert rows == [f0.beta_row(n) for n in range(top + 1)]
             for got, got_rows in results:
                 assert got == expect
-                assert all(r is s for r, s in zip(got_rows, rows))
+                assert got_rows == rows
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -545,7 +546,7 @@ def test_t_orbit_of_one_under_threads():
     # d_beta(1) is infinite here, so a duplicated orbit entry would shift
     # every later entry instead of hiding among trailing zeros; every
     # thread must get the single-thread answers, and every request for a
-    # key the same object
+    # memoized key the same object (powers of beta are built on each call)
     expect = memo_answers(make_field((-2, 3, 5)))
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -570,7 +571,7 @@ def test_t_orbit_of_one_under_threads():
             assert first == expect
             for got in results:
                 assert got == expect
-                assert all(x is y for (_, x), (_, y) in zip(got, first))
+                assert all(x is y for (key, x), (_, y) in zip(got, first) if key[0] != "power")
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -637,3 +638,45 @@ def test_nu_takes_no_negative_power(monkeypatch):
     assert ell > 0
     assert schoolbook_product(g.beta_power(ell), nu_power_sum(g, expansion.word)) == x
     assert frac == nu_power_sum(g, expansion.word.shift(ell))
+
+
+def test_powers_of_beta_are_not_memoized(monkeypatch):
+    # beta^n, its row, big_l and an "L:digits" literal build their powers
+    # on each call: no memo key is requested on a fresh field; the oracle
+    # is Cayley-Hamilton's 1 / beta and schoolbook products, on field g
+    g = make_field((2, -4, 4))
+    f = make_field((2, -4, 4))
+    keys = []
+    memo = BetaField.memo
+
+    def recorded(field, key, build):
+        keys.append(key)
+        return memo(field, key, build)
+
+    with monkeypatch.context() as m:
+        m.setattr(BetaField, "memo", recorded)
+        powers = {n: f.beta_power(n) for n in (0, 1, 2, 7, 40, -1, -2, -7, -40)}
+        rows = {n: f.beta_row(n) for n in (0, 1, 7, 40)}
+        ells = [big_l(f.beta_power(n)) for n in (0, 1, 7, 40)]
+        ells += [big_l(f.beta_power(n) + 1) for n in (0, 1, 7, 40)]
+        low = parse_element(f, "-3000:1")
+        high = parse_element(f, "3000:1")
+    assert keys == []
+    beta, beta_inv = g.beta(), g.beta().inverse()
+    expect = g.one()
+    for n in range(41):
+        if n in powers:
+            assert powers[n] == expect, n
+        if n in rows:
+            assert (rows[n], 1) == (expect.nums, expect.den), n
+        expect = schoolbook_product(expect, beta)
+    expect = g.one()
+    for n in range(1, 41):
+        expect = schoolbook_product(expect, beta_inv)
+        if -n in powers:
+            assert powers[-n] == expect == beta_inv**n, -n
+    # beta^n <= x < beta^(n+1) gives L = n + 1
+    assert ells == [1, 2, 8, 41] * 2
+    # "L:1" is beta^L * (1 / beta)
+    assert low == beta_inv**3001
+    assert high == beta**2999

@@ -219,6 +219,19 @@ def test_division_and_powers():
             f.zero().inverse()
 
 
+def test_reflected_division_coerces_like_the_forward_operators():
+    # ints and Fractions divide by an element; other types raise TypeError,
+    # as in x / 1.5 and 1.5 * x, instead of passing through from_rational
+    f = make_field(family(2))
+    x = f.from_coords((Q(3, 7), Q(-1, 2), Q(5)))
+    assert 3 / x == f.from_rational(3) * x.inverse()
+    assert Q(1, 2) / x == schoolbook_product(f.from_rational(Q(1, 2)), x.inverse())
+    for other in ("3", 1.5):
+        for op in (lambda: other / x, lambda: x / other, lambda: other * x, lambda: other - x):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_is_pisot_examples():
     assert is_pisot(make_field(family(2)))
     assert is_pisot(make_field(MINIMAL_PISOT))
