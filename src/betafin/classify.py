@@ -170,7 +170,8 @@ class PropertyReport:
         return json.dumps(self.to_json_dict())
 
 
-_ORDER = ("f", "pf", "f1")
+# the inclusion chain (F) => (PF) => (F1), one (lower, upper) pair per link
+_CHAIN = (("f", "pf"), ("pf", "f1"))
 
 
 def _set_verdict(report: PropertyReport, prop: str, verdict: str, claim: str, rule: str, cite: str) -> None:
@@ -186,20 +187,17 @@ def _set_verdict(report: PropertyReport, prop: str, verdict: str, claim: str, ru
 
 
 def _propagate(report: PropertyReport) -> None:
-    # (F) => (PF) => (F1) upward for proofs, downward for refutations
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in zip(_ORDER, _ORDER[1:]):
-            if getattr(report, lo) == PROVEN and getattr(report, hi) == UNKNOWN:
-                setattr(report, hi, PROVEN)
-                report.add(f"{hi} from {lo}", "inclusion-chain", "(F) implies (PF) implies (F1)")
-                changed = True
-            if getattr(report, hi) == REFUTED and getattr(report, lo) == UNKNOWN:
-                setattr(report, lo, REFUTED)
-                report.add(f"not {lo} from not {hi}", "inclusion-chain", "(F) implies (PF) implies (F1)")
-                changed = True
-    for lo, hi in zip(_ORDER, _ORDER[1:]):
+    # proofs move up the chain and refutations down; both fire on one report
+    # only on a conflict, which the final check raises
+    for lo, hi in _CHAIN:
+        if getattr(report, lo) == PROVEN and getattr(report, hi) == UNKNOWN:
+            setattr(report, hi, PROVEN)
+            report.add(f"{hi} from {lo}", "inclusion-chain", "(F) implies (PF) implies (F1)")
+    for lo, hi in reversed(_CHAIN):
+        if getattr(report, hi) == REFUTED and getattr(report, lo) == UNKNOWN:
+            setattr(report, lo, REFUTED)
+            report.add(f"not {lo} from not {hi}", "inclusion-chain", "(F) implies (PF) implies (F1)")
+    for lo, hi in _CHAIN:
         a, b = getattr(report, lo), getattr(report, hi)
         if a == PROVEN and b == REFUTED:
             raise InvariantViolation(f"inclusion chain violated: {lo} proven but {hi} refuted")

@@ -57,7 +57,7 @@ def _in_unit_interval(field: BetaField, nums: Sequence[int], den: int) -> bool:
 def _greedy_step(field: BetaField, nums: Sequence[int], den: int) -> tuple[int, tuple[int, ...]]:
     """floor(beta x) and the numerators of T(x) over den, for x = (sum_i nums[i] beta^i) / den."""
     bx = field.times_beta(nums)
-    digit = field.floor_nums(bx, den) if any(bx[1:]) else bx[0] // den
+    digit = field.floor_nums(bx, den)
     bx[0] -= digit * den
     return digit, tuple(bx)
 
@@ -135,13 +135,14 @@ def d_beta_one(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     return _orbit_of_one(field, cap)[0]
 
 
-def d_beta_star(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
+def d_beta_star(field: BetaField) -> Word:
     """Quasi-greedy expansion of 1.
 
     If d_beta(1) = d_1 ... d_q 0^inf (finite, q the last nonzero position)
     this is (d_1 ... d_{q-1} (d_q - 1))^inf; otherwise d_beta(1) itself.
+    It walks the orbit of 1 under the default budget.
     """
-    w = d_beta_one(field, cap)
+    w = d_beta_one(field)
     if not w.is_finite():
         return w
     if w.is_zero():

@@ -194,9 +194,11 @@ class BetaField:
     def floor_nums(self, nums: Sequence[int], den: int) -> int:
         """Exact floor of (sum_i nums[i] beta^i) / den, den > 0.
 
-        This is the package's one floor decision: settled once the
-        enclosure no longer straddles an integer.
+        This is the package's one floor decision: a rational value at once,
+        others once the enclosure no longer straddles an integer.
         """
+        if not any(nums[1:]):
+            return nums[0] // den
 
         def decide(vlo: int, vhi: int, s: int) -> int | None:
             scale = den << s
@@ -529,8 +531,6 @@ class FieldElement:
 
     def floor(self) -> int:
         """Exact integer part."""
-        if self.is_rational():
-            return self.nums[0] // self.den
         return self.field.floor_nums(self.nums, self.den)
 
     def __lt__(self, other):

@@ -9,6 +9,7 @@ import pytest
 from betafin.classify import (
     DEFAULT_N_SWEEP,
     _find_infinite_natural,
+    _propagate,
     CASE_I,
     CASE_II,
     CASE_III,
@@ -29,7 +30,7 @@ from betafin.classify import (
 )
 from betafin.errors import InvariantViolation, NotCubicPisot, NotUnit
 from betafin.expansion import DEFAULT_ORBIT_CAP, d_beta, d_beta_one, frac_part, is_finite_expansion
-from betafin.field import cubic_pisot_criterion, make_field
+from betafin.field import cubic_pisot_criterion, is_pisot, make_field
 from betafin.errors import NoRootAboveOne, Reducible
 from betafin.srs import ShiftRadixSystem, q_set
 
@@ -549,8 +550,8 @@ def test_small_orbit_cap_leaves_tau_cycle_check_unknown():
 
 
 def test_pf_proven_fields_have_no_sweep_refuter():
-    # where (PF) is proven and (F1) follows from it by the inclusion chain
-    # alone, a refuting N would contradict (PF); the full sweep finds none
+    # (PF) gives (F1), so a refuting N would contradict the (PF) proof,
+    # whichever rule gave it; the full sweep finds none
     checked = 0
     for a in range(1, 9):
         for b in range(-8, 9):
@@ -561,8 +562,7 @@ def test_pf_proven_fields_have_no_sweep_refuter():
                     f = make_field((c, b, a))
                 except (Reducible, NoRootAboveOne):
                     continue
-                rep = classify(f, n_sweep=0)
-                if rep.pf != PROVEN or not any(e.claim == "f1 from pf" for e in rep.evidence):
+                if classify(f, n_sweep=0).pf != PROVEN:
                     continue
                 report = PropertyReport(poly=f.poly_str())
                 found = _find_infinite_natural(
@@ -570,7 +570,64 @@ def test_pf_proven_fields_have_no_sweep_refuter():
                 )
                 assert found is None and report.evidence == [], (a, b, c)
                 checked += 1
-    assert checked == 35
+    assert checked == 241
+
+
+def test_two_parameter_f1_family():
+    # x^3 - a x^2 + a x - c: Pisot iff 2 <= c <= a - 2, with (F) and (PF)
+    # refuted; (F1) holds iff 2c >= a, by the certificate with P = {(1,1)}
+    # and delta = 1, and otherwise N = a - 1 refutes it
+    pisot = 0
+    for a in range(4, 31):
+        for c in range(-a - 3, a + 4):
+            if c == 0:
+                continue
+            try:
+                f = make_field((c, -a, a))
+            except (Reducible, NoRootAboveOne):
+                assert not 2 <= c <= a - 2, (a, c)
+                continue
+            if not is_pisot(f):
+                assert not 2 <= c <= a - 2, (a, c)
+                continue
+            assert 2 <= c <= a - 2, (a, c)
+            rep = classify(f)
+            assert (rep.f, rep.pf) == (REFUTED, REFUTED), (a, c)
+            if 2 * c >= a:
+                assert rep.f1 == PROVEN, (a, c)
+                assert any(
+                    e.rule == "srs-certificate" and e.claim.startswith("certificate: P=[(1, 1)], delta=1,")
+                    for e in rep.evidence
+                ), (a, c)
+            else:
+                assert rep.f1 == REFUTED, (a, c)
+                assert any(
+                    e.rule == "natural-sweep" and e.claim == f"N = {a - 1} has an infinite expansion"
+                    for e in rep.evidence
+                ), (a, c)
+            pisot += 1
+    assert pisot == 378
+
+
+@pytest.mark.parametrize(
+    "start, end, claims",
+    [
+        ((PROVEN, UNKNOWN, UNKNOWN), (PROVEN,) * 3, ["pf from f", "f1 from pf"]),
+        ((UNKNOWN, UNKNOWN, REFUTED), (REFUTED,) * 3, ["not pf from not f1", "not f from not pf"]),
+        ((UNKNOWN, REFUTED, UNKNOWN), (REFUTED, REFUTED, UNKNOWN), ["not f from not pf"]),
+        ((REFUTED, PROVEN, UNKNOWN), (REFUTED, PROVEN, PROVEN), ["f1 from pf"]),
+    ],
+)
+def test_propagate_moves_proofs_up_and_refutations_down(start, end, claims):
+    report = PropertyReport(poly="p", f=start[0], pf=start[1], f1=start[2])
+    _propagate(report)
+    assert (report.f, report.pf, report.f1) == end
+    assert [e.claim for e in report.evidence] == claims
+
+
+def test_propagate_raises_on_a_conflict():
+    with pytest.raises(InvariantViolation, match="pf proven but f1 refuted"):
+        _propagate(PropertyReport(poly="p", f=PROVEN, f1=REFUTED))
 
 
 def test_quintic_gets_its_refutations():

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -10,6 +11,8 @@ import pytest
 from betafin.cli import build_parser, main, parse_element, parse_poly
 from betafin.errors import OrbitBudgetExceeded
 from betafin.field import make_field
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -369,8 +372,7 @@ def _leaf_parsers(parser, prefix=()):
 
 
 def test_readme_flag_bullets_match_the_parsers():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    bullets = readme.split("takes only the flags it reads", 1)[1].split("\n* ", 1)[0]
+    bullets = README.read_text().split("takes only the flags it reads", 1)[1].split("\n* ", 1)[0]
     documented = {}
     for leaf, flags in re.findall(r"^  \* `([a-z -]+)`: (.*(?:\n    .*)*)", bullets, re.M):
         documented[leaf] = {
@@ -387,6 +389,17 @@ def test_readme_flag_bullets_match_the_parsers():
         for leaf, p in _leaf_parsers(build_parser())
     }
     assert documented == accepted
+
+
+def _readme_command_lines():
+    """The `betafin ...` lines of README's first code block under "## Command line"."""
+    block = README.read_text().split("\n## Command line\n", 1)[1].split("\n```\n", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("betafin ")]
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_line_exits_0(capsys, line):
+    assert main(shlex.split(line)[1:]) == 0
 
 
 def test_expand_determinism(capsys):
