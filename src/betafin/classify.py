@@ -265,13 +265,6 @@ def classify(
 
     d1 = report.d_beta_one
     d1_finite = d1.is_finite() if d1 is not None else None
-    if field.degree == 3 and d1 is not None:
-        # Bassino's cases decide the same finiteness from the coefficients
-        a, b, c = field.coeffs[2], field.coeffs[1], field.coeffs[0]
-        if (bassino_case(a, b, c) == FINITE) != d1_finite:
-            raise InvariantViolation(
-                f"d_beta(1) and Bassino's case disagree on finiteness for {field}"
-            )
 
     # ---- (F): sufficient coefficient rules -------------------------------
     if fs_type(field.coeffs):
@@ -287,26 +280,45 @@ def classify(
             "a_{d-1} > a_{d-2} + ... + a_0, all a_j >= 0 gives (F)",
         )
 
-    # cubic units are completely classified
-    if field.degree == 3 and abs(field.coeffs[0]) == 1:
+    if field.degree == 3:
         a, b, c = field.coeffs[2], field.coeffs[1], field.coeffs[0]
-        unit = cubic_unit_classify(a, b, c)
-        for prop in ("f", "pf", "f1"):
-            _set_verdict(
-                report, prop, unit[prop],
-                f"cubic unit rule for {prop}", "cubic-unit",
-                "(F) iff c=1 and b+c>=0; (PF) iff (F1) iff (b+c)c>=0 and (b,c)!=(1,-1)",
+        # Bassino's cases decide the finiteness of d_beta(1) from the coefficients
+        if d1 is not None and (bassino_case(a, b, c) == FINITE) != d1_finite:
+            raise InvariantViolation(
+                f"d_beta(1) and Bassino's case disagree on finiteness for {field}"
             )
+        # cubic units are completely classified
+        if abs(c) == 1:
+            unit = cubic_unit_classify(a, b, c)
+            for prop in ("f", "pf", "f1"):
+                _set_verdict(
+                    report, prop, unit[prop],
+                    f"cubic unit rule for {prop}", "cubic-unit",
+                    "(F) iff c=1 and b+c>=0; (PF) iff (F1) iff (b+c)c>=0 and (b,c)!=(1,-1)",
+                )
 
     # ---- SRS data: refutes (F) via nonzero tau-cycles, certifies (F1) ----
-    graph = None
     try:
         graph = q_set(ShiftRadixSystem(field), closure_cap)
-        P = graph.p_nodes
-        if P and report.f != REFUTED:
-            wit = min(P)
-            x0 = graph.srs.frac_value(wit)
-            if is_finite_expansion(x0, orbit_cap):
+    except ClosureBudgetExceeded:
+        graph = None
+        report.add(
+            f"vector closure exceeded {closure_cap} nodes", "closure-budget", "budget exceeded"
+        )
+    if graph is not None and graph.p_nodes and report.f != REFUTED:
+        wit = min(graph.p_nodes)
+        x0 = graph.srs.frac_value(wit)
+        try:
+            finite = is_finite_expansion(x0, orbit_cap)
+        except OrbitBudgetExceeded:
+            # the tau-cycle self-check did not run, so (F) is not refuted here
+            report.add(
+                f"tau-cycle check: the digit orbit of frac(value({wit})) "
+                f"exceeded {orbit_cap} states",
+                "orbit-budget", "budget exceeded",
+            )
+        else:
+            if finite:
                 raise InvariantViolation("tau-periodic vector mapped to a finite expansion")
             _set_verdict(
                 report, "f", REFUTED,
@@ -314,17 +326,6 @@ def classify(
                 "tau-cycle-witness",
                 "a nonzero tau-periodic vector yields an element of Z[1/beta] outside Fin",
             )
-    except ClosureBudgetExceeded:
-        report.add(
-            f"vector closure exceeded {closure_cap} nodes", "closure-budget", "budget exceeded"
-        )
-    except OrbitBudgetExceeded:
-        # the tau-cycle self-check did not run, so (F) is not refuted here
-        report.add(
-            f"tau-cycle check: the digit orbit of frac(value({wit})) "
-            f"exceeded {orbit_cap} states",
-            "orbit-budget", "budget exceeded",
-        )
 
     # ---- (PF) -------------------------------------------------------------
     if field.degree == 2:
@@ -361,7 +362,7 @@ def classify(
         )
 
     # ---- (F1) --------------------------------------------------------------
-    if graph is not None and (report.f1 == UNKNOWN or report.pf == UNKNOWN):
+    if graph is not None and report.f1 == UNKNOWN:
         cert = f1_certificate(graph, orbit_cap, closure_cap)
         if cert.verdict == PROVEN:
             _set_verdict(
@@ -371,8 +372,18 @@ def classify(
                 "srs-certificate",
                 "preimage-closed P and delta-box slice of V inside F give (F1)",
             )
+        elif cert.diagnostic.startswith("budget: "):
+            spent = cert.diagnostic.removeprefix("budget: ")
+            rule = "closure-budget" if spent.startswith("closure") else "orbit-budget"
+            report.add(f"(F1) certificate: {spent}", rule, "budget exceeded")
     if report.f1 == UNKNOWN:
-        refuter = _find_infinite_natural(field, n_sweep, orbit_cap, report, graph)
+        refuter, skipped = _find_infinite_natural(field, n_sweep, orbit_cap, graph)
+        if skipped:
+            report.add(
+                f"N = {', '.join(map(str, skipped))} skipped: each T-orbit of "
+                f"frac(N) exceeded {orbit_cap} new states",
+                "orbit-budget", "budget exceeded",
+            )
         if refuter is not None:
             _set_verdict(
                 report, "f1", REFUTED,
@@ -388,11 +399,10 @@ def _find_infinite_natural(
     field: BetaField,
     n_sweep: int,
     orbit_cap: int,
-    report: PropertyReport,
     graph: OrbitGraph | None = None,
-) -> int | None:
-    """The first N with an infinite expansion among floor(beta) + 1, then
-    the other N in 1..n_sweep, made one at a time; None if there is none.
+) -> tuple[int | None, list[int]]:
+    """The first N with an infinite expansion, or None, among floor(beta) + 1
+    then the other N in 1..n_sweep, made one at a time; and the skipped N.
 
     N has a finite expansion iff the T-orbit of its fractional part
     frac(N) = T^{L(N)}(beta^{-L(N)} N), an element of Z[beta] in [0, 1),
@@ -406,7 +416,7 @@ def _find_infinite_natural(
 
     orbit_cap bounds the new states one N walks (the L(N) steps inside
     frac_part are not counted); an N over it is skipped, never decided,
-    and the skipped N are named in an evidence record.  The map goes
+    and returned in the skipped list, in the order tried.  The map goes
     back to the seed once it holds more than orbit_cap entries beyond
     it, so the sweep never holds more than the seed plus about twice
     orbit_cap; states dropped then are stepped again.
@@ -419,7 +429,6 @@ def _find_infinite_natural(
     seed = {**graph.frac_verdicts(), zero: True} if graph is not None else {zero: True}
     reaches_zero = dict(seed)
     skipped: list[int] = []
-    refuter = None
     first = field.floor_beta() + 1
     for n in chain((first,), filter(first.__ne__, range(1, n_sweep + 1))):
         if len(reaches_zero) > len(seed) + orbit_cap:
@@ -435,15 +444,8 @@ def _find_infinite_natural(
             skipped.append(n)
             continue
         if not reaches_zero[y.nums]:
-            refuter = n
-            break
-    if skipped:
-        report.add(
-            f"N = {', '.join(map(str, skipped))} skipped: each T-orbit of "
-            f"frac(N) exceeded {orbit_cap} new states",
-            "orbit-budget", "budget exceeded",
-        )
-    return refuter
+            return n, skipped
+    return None, skipped
 
 
 @dataclass(frozen=True)

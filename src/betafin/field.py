@@ -44,8 +44,8 @@ numerators of their factors, and expansion.py's greedy step.
 BetaField.horner_inverse_beta is the one division by beta: it solves the
 same relation for n / beta and runs Horner's rule in beta^{-1} over a
 digit word on integer numerators, reduced once per call; expansion.py's
-nu, beta_expand and frac_part, FieldElement.div_beta and the negative
-powers of beta call it.  A power of beta is built when asked for and
+nu, beta_expand and frac_part and the negative powers of beta call it.
+A power of beta is built when asked for and
 never memoized, since its numerators grow with its exponent:
 BetaField.beta_row(n) is n times_beta shifts of the row of 1,
 beta_power(n) is that row for n >= 0 and one horner_inverse_beta over
@@ -468,10 +468,6 @@ class FieldElement:
         return self.field.from_numerators(prod, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def div_beta(self) -> "FieldElement":
-        """self / beta, one step of BetaField.horner_inverse_beta (O(d))."""
-        return self.field.horner_inverse_beta((0,), self.nums, self.den)
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse by Cayley-Hamilton in integers.

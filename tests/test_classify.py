@@ -1,4 +1,6 @@
+import hashlib
 import importlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -28,7 +30,7 @@ from betafin.classify import (
     hollander_type,
     pf_shape,
 )
-from betafin.errors import InvariantViolation, NotCubicPisot, NotUnit
+from betafin.errors import BetaFinError, InvariantViolation, NotCubicPisot, NotUnit
 from betafin.expansion import DEFAULT_ORBIT_CAP, d_beta, d_beta_one, frac_part, is_finite_expansion
 from betafin.field import cubic_pisot_criterion, is_pisot, make_field
 from betafin.errors import NoRootAboveOne, Reducible
@@ -345,9 +347,7 @@ def test_natural_sweep_matches_linear_scan(abc, refuter):
     assert _linear_scan(f, 40) == refuter
     # the sweep as classify runs it (seeded with Q's verdicts) and unseeded
     for graph in (_q_graph(f), None):
-        report = PropertyReport(poly=f.poly_str())
-        assert _find_infinite_natural(f, 40, 100_000, report, graph) == refuter
-        assert report.evidence == []
+        assert _find_infinite_natural(f, 40, 100_000, graph) == (refuter, [])
 
 
 def test_classify_refutes_f1_by_the_sweep():
@@ -360,10 +360,9 @@ def test_natural_sweep_makes_candidates_one_at_a_time():
     # x^3-x^2-3x-2 is refuted at N = 7: a sweep over 10^6 candidates must
     # not build them all before it tries the first
     f = make_field((2, 3, 1))
-    report = PropertyReport(poly=f.poly_str())
     tracemalloc.start()
     try:
-        refuter = _find_infinite_natural(f, 10**6, DEFAULT_ORBIT_CAP, report)
+        refuter, _ = _find_infinite_natural(f, 10**6, DEFAULT_ORBIT_CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,8 +380,7 @@ def test_natural_sweep_tries_floor_beta_plus_one_first(monkeypatch):
     f = make_field((1, 1, 1))  # tribonacci: floor(beta) + 1 = 2, no refuter
     for n_sweep, order in ((12, [2, 1, *range(3, 13)]), (1, [2, 1]), (0, [2])):
         tried.clear()
-        report = PropertyReport(poly=f.poly_str())
-        assert _find_infinite_natural(f, n_sweep, 100_000, report) is None
+        assert _find_infinite_natural(f, n_sweep, 100_000) == (None, [])
         assert tried == order
 
 
@@ -399,8 +397,7 @@ def test_natural_sweep_steps_each_state_once(monkeypatch):
 
     monkeypatch.setattr(classify_module, "_greedy_step", counting_step)
     f = make_field((4, -4, 5))  # (a,b,c) = (5,-4,4): no refuter, every N walked
-    report = PropertyReport(poly=f.poly_str())
-    assert _find_infinite_natural(f, 40, 100_000, report) is None
+    assert _find_infinite_natural(f, 40, 100_000) == (None, [])
     assert args and len(args) == len(set(args))
     # walked one N at a time, the T-orbits of the frac(N) would step once
     # per nonzero state
@@ -450,9 +447,9 @@ def test_natural_sweep_memory_stays_within_twice_the_cap(monkeypatch, abc, cap, 
     _, held = _recording_walk(monkeypatch)
     a, b, c = abc
     f = make_field((c, b, a))
-    report = PropertyReport(poly=f.poly_str())
-    assert _find_infinite_natural(f, 40, cap, report) == refuter == _linear_scan(f, 40)
-    assert report.evidence == []
+    found, skipped = _find_infinite_natural(f, 40, cap)
+    assert found == refuter == _linear_scan(f, 40)
+    assert skipped == []
     assert max(held) > cap
     assert max(held) <= 2 * cap + 1
 
@@ -468,9 +465,7 @@ def test_natural_sweep_resets_to_q_verdicts(monkeypatch):
     q_seed = _q_seed(graph)
     assert len(q_seed) == len(q_verdicts) == 27
     cap = 20
-    report = PropertyReport(poly=f.poly_str())
-    assert _find_infinite_natural(f, 40, cap, report, graph) is None
-    assert report.evidence == []
+    assert _find_infinite_natural(f, 40, cap, graph) == (None, [])
     assert graph.in_f == q_verdicts
     assert starts[0] == q_seed
     assert max(held) > len(q_seed) + cap
@@ -490,8 +485,7 @@ def test_natural_sweep_seed_is_q_translated(monkeypatch, coeffs):
     translated = graph.frac_verdicts()
     assert set(translated) == {graph.srs.frac_value(v).nums for v in graph.nodes}
     assert {**translated, (0,) * f.degree: True} == q_seed
-    report = PropertyReport(poly=f.poly_str())
-    _find_infinite_natural(f, 40, DEFAULT_ORBIT_CAP, report, graph)
+    _find_infinite_natural(f, 40, DEFAULT_ORBIT_CAP, graph)
     assert starts and starts[0] == q_seed
 
 
@@ -511,19 +505,48 @@ def test_natural_sweep_checks_frac_in_z_beta_and_unit_interval(monkeypatch, bad_
     monkeypatch.setattr(classify_module, "frac_part", lambda x: bad_frac(original(x)))
     f = make_field((4, -4, 5))
     with pytest.raises(InvariantViolation, match=message):
-        _find_infinite_natural(f, 40, 100_000, PropertyReport(poly=f.poly_str()))
+        _find_infinite_natural(f, 40, 100_000)
 
 
 def test_natural_sweep_skip_is_recorded_not_refuted():
     # at full budget N = 7 refutes (F1).  With Q over its closure budget the
     # sweep starts from zero's verdict alone, and 5 new states per N are
     # too few for N = 7, so it is skipped
-    rep = classify(make_field((2, 3, 1)), orbit_cap=5, closure_cap=5)
+    f = make_field((2, 3, 1))
+    rep = classify(f, orbit_cap=5, closure_cap=5)
     assert rep.f1 == UNKNOWN
     skips = [e for e in rep.evidence if e.rule == "orbit-budget" and "skipped" in e.claim]
     assert len(skips) == 1
     assert " 7," in skips[0].claim and "T-orbit of frac(N) exceeded 5 new states" in skips[0].claim
     assert not any(e.rule == "natural-sweep" for e in rep.evidence)
+    refuter, skipped = _find_infinite_natural(f, DEFAULT_N_SWEEP, 5)
+    assert refuter is None and 7 in skipped
+    assert skips[0].claim.startswith(f"N = {', '.join(map(str, skipped))} skipped:")
+
+
+def test_spent_certificate_budget_is_recorded(monkeypatch):
+    # x^3-4x^2+4x-2 at orbit_cap 1: the orbit of 1, the certificate's walks
+    # and the sweep each spend the budget, and each says so
+    rep = classify(family(2), orbit_cap=1)
+    assert rep.f1 == UNKNOWN
+    spent = [(e.rule, e.claim) for e in rep.evidence if e.cite == "budget exceeded"]
+    assert [rule for rule, _ in spent] == ["orbit-budget"] * 3
+    assert spent[0][1] == "digit orbit of 1 did not close within 1 states"
+    assert spent[1][1] == "(F1) certificate: walk exceeded 1 new states"
+    assert spent[2][1].startswith("N = ") and "skipped" in spent[2][1]
+    # on the grid fields the box slice is never larger than Q, which
+    # classify builds under the same closure budget; so give the
+    # certificate alone a budget of one node
+    classify_module = importlib.import_module("betafin.classify")
+    original = classify_module.f1_certificate
+    monkeypatch.setattr(
+        classify_module, "f1_certificate", lambda graph, walk_cap, cap: original(graph, walk_cap, 1)
+    )
+    rep = classify(family(2))
+    assert rep.f1 == UNKNOWN
+    assert [(e.rule, e.claim) for e in rep.evidence if e.cite == "budget exceeded"] == [
+        ("closure-budget", "(F1) certificate: closure exceeded 1 nodes")
+    ]
 
 
 def test_small_orbit_cap_leaves_tau_cycle_check_unknown():
@@ -564,13 +587,41 @@ def test_pf_proven_fields_have_no_sweep_refuter():
                     continue
                 if classify(f, n_sweep=0).pf != PROVEN:
                     continue
-                report = PropertyReport(poly=f.poly_str())
-                found = _find_infinite_natural(
-                    f, DEFAULT_N_SWEEP, DEFAULT_ORBIT_CAP, report, _q_graph(f)
+                found, skipped = _find_infinite_natural(
+                    f, DEFAULT_N_SWEEP, DEFAULT_ORBIT_CAP, _q_graph(f)
                 )
-                assert found is None and report.evidence == [], (a, b, c)
+                assert found is None and skipped == [], (a, b, c)
                 checked += 1
     assert checked == 241
+
+
+def _grid_sha256(fields):
+    return hashlib.sha256("".join(classify(f).to_json() for f in fields).encode()).hexdigest()
+
+
+def test_survey_grid_reports_are_pinned():
+    # every report of both survey grids, byte for byte, in grid order: a
+    # change to an evidence text or a verdict shows here
+    cubic = [
+        make_field((c, b, a))
+        for a in range(1, 9) for b in range(-8, 9) for c in range(-8, 9)
+        if c != 0 and cubic_pisot_criterion(a, b, c)
+    ]
+    quartic = []
+    for a3 in range(1, 5):
+        for a2, a1, a0 in itertools.product(range(-3, 4), repeat=3):
+            if a0 == 0:
+                continue
+            try:
+                f = make_field((a0, a1, a2, a3))
+            except BetaFinError:
+                continue
+            if is_pisot(f):
+                quartic.append(f)
+    assert len(cubic) == 611
+    assert _grid_sha256(cubic) == "9e25829ea2cb072cafc4391ae6fd63f56e8972cfecf78bde8e155397b35157d9"
+    assert len(quartic) == 249
+    assert _grid_sha256(quartic) == "10cb2f7ceabea247f02eddb27d79f93f2c345bef2e87d7b69d78a3f6f8d23842"
 
 
 def test_two_parameter_f1_family():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from betafin.cli import build_parser, main, parse_element, parse_poly
+from betafin.cli import FAMILY_Q, build_parser, main, parse_element, parse_poly
 from betafin.errors import OrbitBudgetExceeded
 from betafin.field import make_field
 
@@ -144,8 +144,14 @@ def test_srs_commands(capsys):
     code, out, _ = run(capsys, "srs", "qset", "--poly", "x^3-5x^2+5x-3")
     assert code == 0 and out.startswith("#Q = 43")
 
+    code, out, _ = run(capsys, "srs", "qset", "--poly", "x^3-4x^2+4x-2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"count": 27, "nodes": [list(v) for v in sorted(FAMILY_Q)]}
+
     code, out, _ = run(capsys, "srs", "pset", "--poly", "x^3-4x^2+4x-2", "--format", "json")
     assert code == 0 and json.loads(out) == {"p_set": [[1, 1]]}
+    code, out, _ = run(capsys, "srs", "pset", "--poly", "x^3-4x^2+4x-2")
+    assert code == 0 and out == "#P = 1\n  1,1\n"
 
     code, out, _ = run(capsys, "srs", "fcheck", "--poly", "x^3-4x^2+4x-2", "--vec", "1,1")
     assert code == 0 and "not in F_beta (cycle)" in out
@@ -196,6 +202,13 @@ def test_verify_family_r0_row_reads_the_certificate(capsys):
     assert code == 1
     assert checks["R0 inside F"] is False and checks["F1 certificate proven"] is False
     assert checks["d_beta(1) = (2t-2)(2t-2)(t-1)00t"] is True
+
+
+def test_verify_family_names_each_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr("betafin.cli.FAMILY_Q", frozenset())
+    code, out, _ = run(capsys, *FAMILY)
+    assert code == 1
+    assert out == "t=2: FAIL\n    failed: Q is the 27-vector set\n"
 
 
 def test_verify_family_rejects_t1(capsys):

@@ -202,7 +202,7 @@ def test_field_element_stores_integer_numerators():
         "FieldElement._numerators is gone; read the stored pair as .nums and .den"
     )
     names = ("__add__", "_plus", "__sub__", "__neg__", "__eq__", "__hash__", "floor", "sign",
-             "is_zero", "is_rational", "inverse", "div_beta")
+             "is_zero", "is_rational", "inverse")
     methods = {f"FieldElement.{n}": getattr(FieldElement, n, None) for n in names}
     methods["BetaField.from_numerators"] = BetaField.from_numerators
     for name, fn in methods.items():
