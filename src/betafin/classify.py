@@ -42,7 +42,14 @@ from .errors import (
 )
 from .expansion import DEFAULT_ORBIT_CAP, _greedy_step, d_beta_one, frac_part, is_finite_expansion
 from .field import BetaField, cubic_pisot_criterion, is_pisot, unit_disk_profile
-from .srs import DEFAULT_CLOSURE_CAP, OrbitGraph, ShiftRadixSystem, f1_certificate, q_set
+from .srs import (
+    DEFAULT_CLOSURE_CAP,
+    F1Certificate,
+    OrbitGraph,
+    ShiftRadixSystem,
+    f1_certificate,
+    q_set,
+)
 from .walk import walk
 from .words import Word, format_word
 
@@ -233,6 +240,15 @@ def classify(
     The rules read the coefficients and conjugates of p, which is beta's
     minimal polynomial: make_field proves p irreducible.
     """
+    return _classify(field, orbit_cap, closure_cap, n_sweep)[0]
+
+
+def _classify(
+    field: BetaField, orbit_cap: int, closure_cap: int, n_sweep: int
+) -> tuple[PropertyReport, OrbitGraph | None, F1Certificate | None]:
+    """classify's report with the Q graph and the (F1) certificate it
+    built, each None where classify did not build it (a non-Pisot base,
+    a spent closure budget, or (F1) settled before the certificate)."""
     report = PropertyReport(poly=field.poly_str())
 
     pisot = is_pisot(field)
@@ -252,7 +268,7 @@ def classify(
             "pisot-necessity", "not Pisot refutes (F1)",
         )
         _propagate(report)
-        return report
+        return report, None, None
 
     try:
         report.d_beta_one = d_beta_one(field, orbit_cap)
@@ -362,6 +378,7 @@ def classify(
         )
 
     # ---- (F1) --------------------------------------------------------------
+    cert: F1Certificate | None = None
     if graph is not None and report.f1 == UNKNOWN:
         cert = f1_certificate(graph, orbit_cap, closure_cap)
         if cert.verdict == PROVEN:
@@ -392,7 +409,7 @@ def classify(
             )
 
     _propagate(report)
-    return report
+    return report, graph, cert
 
 
 def _find_infinite_natural(

@@ -19,15 +19,14 @@ import os
 import re
 import sys
 
-from .classify import DEFAULT_N_SWEEP, REFUTED, classify
-from .errors import BetaFinError, OrbitBudgetExceeded
+from .classify import DEFAULT_N_SWEEP, PROVEN, REFUTED, _classify, classify
+from .errors import BetaFinError, InvariantViolation, OrbitBudgetExceeded
 from .expansion import DEFAULT_ORBIT_CAP, Expansion, beta_expand, d_beta_one, is_admissible
-from .field import BetaField, FieldElement, is_pisot, make_field
+from .field import BetaField, FieldElement, make_field
 from .srs import (
     DEFAULT_CLOSURE_CAP,
     ShiftRadixSystem,
     export_graph,
-    f1_certificate,
     in_f_beta,
     q_set,
     tau_preimages,
@@ -212,18 +211,24 @@ FAMILY_Q = {(0, 0)} | {
 
 
 def _family_checks(t: int, args) -> list[tuple[str, bool]]:
+    """The family's checks on the Q graph and (F1) certificate that
+    classify builds, so each is built once per t."""
     field = make_field((t, -2 * t, 2 * t))
-    srs = ShiftRadixSystem(field)
+    report, graph, cert = _classify(field, args.budget_orbit, args.budget_closure, args.n_sweep)
+    if graph is None:
+        # classify caught a spent closure budget; building Q again raises it
+        graph = q_set(ShiftRadixSystem(field), args.budget_closure)
+    if cert is None:
+        # no rule settles (F1) on this family before the certificate
+        raise InvariantViolation(f"classify built Q but no (F1) certificate for t = {t}")
+    srs = graph.srs
     checks: list[tuple[str, bool]] = []
-    checks.append(("pisot", is_pisot(field)))
-    graph = q_set(srs, cap=args.budget_closure)
+    checks.append(("pisot", report.pisot == PROVEN))
     checks.append(("Q is the 27-vector set", set(graph.nodes) == FAMILY_Q))
     checks.append(("P = {(1,1)}", graph.p_nodes == frozenset({(1, 1)})))
     checks.append(("tau-preimage closure of (1,1)", tau_preimages(srs, (1, 1)) == {(1, 1)}))
-    cert = f1_certificate(graph, args.budget_orbit, args.budget_closure)
     checks.append(("R0 inside F", cert.r0_in_f))
     checks.append(("F1 certificate proven", cert.verdict == "proven"))
-    report = classify(field, args.budget_orbit, args.budget_closure, args.n_sweep)
     checks.append(("PF refuted", report.pf == REFUTED))
     expected_d1 = Word((2 * t - 2, 2 * t - 2, t - 1, 0, 0, t), ())
     d1 = d_beta_one(field, args.budget_orbit)

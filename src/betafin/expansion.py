@@ -33,7 +33,18 @@ strictly smaller digit, and `is_admissible` is whether the scan
 completes.  It reads digit s + j of the word against digit j of the
 quasi-greedy word in place, over a comparison window computed from the
 two words' preperiod and period lengths (words.window_len, which
-compare_window shares), and builds no shifted word per block.
+compare_window shares), and builds no shifted word per block; both
+words' digits are read by index into their preperiod and period storage.
+
+Digit orbits are memoized per field behind BetaField.memo: the orbit of
+1 once, and d_beta's orbits in the orbit memo, one dict from a start's
+canonical pair (den, *nums) to its word and state count.  Unlike the
+values derived from the field alone, its entries depend on the inputs,
+so it is cleared when it holds ORBIT_MEMO_BOUND (4,096) entries; a start
+walked again after a clear gets an equal entry, not the same object.  A
+hit on either memo raises OrbitBudgetExceeded exactly when a fresh walk
+would (_check_orbit_budget), and neither a failed walk nor an input
+outside [0, 1] is stored.
 """
 
 from __future__ import annotations
@@ -47,6 +58,8 @@ from .words import Word, format_word, window_len
 
 # bounds digit orbits here and shift radix system walks (--budget-orbit)
 DEFAULT_ORBIT_CAP = 100_000
+# d_beta's per-field orbit memo is cleared when it holds this many entries
+ORBIT_MEMO_BOUND = 4096
 
 
 def _in_unit_interval(field: BetaField, nums: Sequence[int], den: int) -> bool:
@@ -75,11 +88,37 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     """Greedy digit word of x in [0, 1], the digit orbit of x's integer
     numerators (_digit_orbit).
 
+    The word and the orbit's state count are memoized per field under
+    x's canonical pair (den, *nums), published with dict.setdefault like
+    every memo entry, and a hit keeps the fresh walk's budget
+    (_check_orbit_budget).  A failed walk is not stored.  The memo is
+    cleared when it holds ORBIT_MEMO_BOUND entries.
+
     Raises OrbitBudgetExceeded when the orbit does not close within cap
     states, which signals a non-Pisot base or a pathological input, and
     OutOfRange when x is not in [0, 1].
     """
-    return _digit_orbit(x.field, x.nums, x.den, cap)[0]
+    field, nums, den = x.field, x.nums, x.den
+    orbits = field.memo("orbits", dict)
+    key = (den, *nums)
+    hit = orbits.get(key)
+    if hit is None:
+        word, states = _digit_orbit(field, nums, den, cap)
+        if len(orbits) >= ORBIT_MEMO_BOUND:
+            orbits.clear()
+        hit = orbits.setdefault(key, (word, len(states)))
+    _check_orbit_budget(field, nums, den, hit[1], cap)
+    return hit[0]
+
+
+def _check_orbit_budget(field: BetaField, nums: Sequence[int], den: int, n: int, cap: int) -> None:
+    """The orbit budget: OrbitBudgetExceeded, naming x = (sum_i nums[i] beta^i) / den,
+    when its orbit has n > cap states.  A fresh walk raises here, and a
+    memo hit on an orbit of n states raises exactly when a fresh walk would."""
+    if n > cap:
+        raise OrbitBudgetExceeded(
+            f"orbit of {field.from_numerators(nums, den)!r} did not close within {cap} states"
+        )
 
 
 def _digit_orbit(
@@ -91,23 +130,20 @@ def _digit_orbit(
 
     The range is decided once, here: every later state is a T-image and
     lies in [0, 1).  OrbitBudgetExceeded, naming x, unless the orbit
-    closes within cap states.
+    closes within cap states; the walk stops at cap + 1 states.
     """
     if not _in_unit_interval(field, nums, den):
         raise OutOfRange("d_beta needs 0 <= x <= 1")
     state = tuple(nums)
     seen: dict[tuple[int, ...], int] = {}
     digits: list[int] = []
-    while len(digits) <= cap:
-        if state in seen:
-            split = seen[state]
-            return Word(digits[:split], digits[split:]), tuple(seen)
+    while len(seen) <= cap and state not in seen:
         seen[state] = len(digits)
         digit, state = _greedy_step(field, state, den)
         digits.append(digit)
-    raise OrbitBudgetExceeded(
-        f"orbit of {field.from_numerators(nums, den)!r} did not close within {cap} states"
-    )
+    _check_orbit_budget(field, nums, den, len(seen), cap)
+    split = seen[state]
+    return Word(digits[:split], digits[split:]), tuple(seen)
 
 
 def _orbit_of_one(field: BetaField, cap: int) -> tuple[Word, tuple[tuple[int, ...], ...]]:
@@ -116,8 +152,10 @@ def _orbit_of_one(field: BetaField, cap: int) -> tuple[Word, tuple[tuple[int, ..
     raises OrbitBudgetExceeded exactly when a fresh walk would, that is
     when n > cap."""
 
+    one = (1,) + (0,) * (field.degree - 1)
+
     def build() -> tuple[Word, tuple[tuple[int, ...], ...]]:
-        word, states = _digit_orbit(field, (1,) + (0,) * (field.degree - 1), 1, cap)
+        word, states = _digit_orbit(field, one, 1, cap)
         # distinct states have distinct digit tails, so the states split
         # as the canonical word does; t_orbit_of_one reads the period there
         if len(states) != len(word.pre) + word.period_len():
@@ -125,8 +163,7 @@ def _orbit_of_one(field: BetaField, cap: int) -> tuple[Word, tuple[tuple[int, ..
         return word, states
 
     word, states = field.memo("orbit_of_one", build)
-    if len(states) > cap:
-        raise OrbitBudgetExceeded(f"orbit of {field.one()!r} did not close within {cap} states")
+    _check_orbit_budget(field, one, 1, len(states), cap)
     return word, states
 
 
@@ -201,13 +238,17 @@ def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
     as well.  Raises NotAdmissible when some shift is not below d*.
 
     The shift at block start s is read in place: its digit j is digit
-    s + j of w.  Its window comes from lengths alone, since the shift has
+    s + j of w, read by index into w's and d*'s preperiod and period
+    storage.  Its window comes from lengths alone, since the shift has
     preperiod length max(len(w.pre) - s, 0) and w's period length, so no
     word is built per block.
     """
     dstar = d_beta_star(field)
-    dprelen, dplen = len(dstar.pre), dstar.period_len()
-    prelen = len(w.pre)
+    # d* is never finite, so its period is nonempty
+    dpre, dper = dstar.pre, dstar.period
+    dprelen, dplen = len(dpre), len(dper)
+    pre, period = w.pre, w.period
+    prelen = len(pre)
     plen = w.period_len()
     ks: list[int] = []
     seen: dict[int, int] = {}
@@ -224,7 +265,12 @@ def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
         window = window_len(max(prelen - s, 0), plen, dprelen, dplen)
         # the block is digits s+1 .. s+j: the first j-1 copy d*, digit s+j is smaller
         for j in range(1, window + 2):
-            a, b = w.digit(s + j - 1), dstar.digit(j - 1)
+            i = s + j - 1
+            if i < prelen:
+                a = pre[i]
+            else:
+                a = period[(i - prelen) % plen] if period else 0
+            b = dpre[j - 1] if j <= dprelen else dper[(j - 1 - dprelen) % dplen]
             if a > b:
                 raise NotAdmissible(f"digit above the quasi-greedy bound at position {s + j}")
             if a < b:

@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import io
 import json
 import re
@@ -202,6 +203,34 @@ def test_verify_family_r0_row_reads_the_certificate(capsys):
     assert code == 1
     assert checks["R0 inside F"] is False and checks["F1 certificate proven"] is False
     assert checks["d_beta(1) = (2t-2)(2t-2)(t-1)00t"] is True
+
+
+def test_verify_family_builds_q_and_the_certificate_once_per_t(monkeypatch, capsys):
+    # _family_checks reads the graph and certificate that classify built;
+    # every binding of either builder in the two modules is counted
+    calls = {"q_set": 0, "f1_certificate": 0}
+    for module in ("betafin.cli", "betafin.classify"):
+        target = importlib.import_module(module)
+        for name in calls:
+            original = getattr(target, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, counted)
+    code, out, _ = run(capsys, "verify-family", "--t-min", "2", "--t-max", "3")
+    assert code == 0 and out == "t=2: PASS\nt=3: PASS\n"
+    assert calls == {"q_set": 2, "f1_certificate": 2}
+
+
+def test_verify_family_names_a_spent_closure_budget(capsys):
+    # classify records the spent budget; the family checks raise it
+    code, out, err = run(capsys, *FAMILY, "--budget-closure", "5")
+    assert code == 1 and out == ""
+    assert err == "error: ClosureBudgetExceeded: closure exceeded 5 nodes\n"
 
 
 def test_verify_family_names_each_failed_check(monkeypatch, capsys):

@@ -5,8 +5,11 @@ import threading
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_field import schoolbook_product
 
+from betafin import expansion
 from betafin.classify import classify
 from betafin.cli import parse_element
 from betafin.errors import OrbitBudgetExceeded, OutOfRange
@@ -451,6 +454,97 @@ def test_orbit_budget():
         d_beta(TRIB.from_coords((Q(1, 97), Q(1, 89), Q(1, 83))), cap=5)
 
 
+MEMO_FIELDS = [make_field(c) for c in ((1, 1, 1), (2, -4, 4), (-2, 3, 5), (1, 1, 1, 1), (-1, 3))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(MEMO_FIELDS),
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_memoized_d_beta_matches_a_fresh_walk(field, nums, den, memo_first):
+    # the fields persist across examples, so later examples also read
+    # entries that earlier ones stored
+    # |x| brought into [0, 1) by frac_part, or 1 itself
+    x = field.from_coords([Q(n, den) for n in nums[: field.degree]])
+    if x.sign() < 0:
+        x = -x
+    x = field.one() if nums[-1] == 6 else frac_part(x)
+    if memo_first:
+        first = d_beta(x)
+        fresh = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)[0]
+    else:
+        fresh = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)[0]
+        first = d_beta(x)
+    assert first == fresh == d_beta(x), x
+
+
+@pytest.mark.parametrize("miss_fails", [False, True], ids=["miss-passes", "miss-raises"])
+def test_orbit_memo_keeps_the_budget_boundary(miss_fails):
+    # n states pass at cap = n and raise at cap = n - 1, with the fresh
+    # walk's text, whether the call hits the memo or walks afresh
+    template = make_field((2, -4, 4))
+    xs = [template.one(), template.from_coords([Q(1, 3), Q(1, 5), 0]), template.from_rational(Q(5, 7))]
+    for coords in ([x.coords for x in xs]):
+        field = make_field((2, -4, 4))
+        x = field.from_coords(coords)
+        word, states = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)
+        n = len(states)
+        assert n > 1
+        with pytest.raises(OrbitBudgetExceeded) as fresh:
+            _digit_orbit(field, x.nums, x.den, n - 1)
+        orbits = field.memo("orbits", dict)
+        if miss_fails:
+            with pytest.raises(OrbitBudgetExceeded) as miss:
+                d_beta(x, n - 1)
+            assert str(miss.value) == str(fresh.value)
+            assert (x.den, *x.nums) not in orbits
+        assert d_beta(x, n) == word
+        assert orbits[(x.den, *x.nums)] == (word, n)
+        with pytest.raises(OrbitBudgetExceeded) as hit:
+            d_beta(x, n - 1)
+        assert str(hit.value) == str(fresh.value)
+        assert d_beta(x, n) == word
+
+
+def test_orbit_memo_stores_no_out_of_range_input():
+    field = make_field((1, 1, 1))
+    orbits = field.memo("orbits", dict)
+    for x in (field.from_rational(2), field.beta(), -field.beta_power(-3), 1 + field.beta_power(-9)):
+        for _ in range(2):
+            with pytest.raises(OutOfRange, match="d_beta needs"):
+                d_beta(x)
+        assert (x.den, *x.nums) not in orbits
+    assert not orbits
+
+
+def test_orbit_memo_clears_at_its_bound(monkeypatch):
+    # x^3-4x^2+4x-2: the sweep of N = 0..199 walks far more than 16
+    # distinct starts; the bounded memo gives the same expansions and
+    # certificates as a memo that never clears
+    free = make_field((2, -4, 4))
+    expect = [add_one(free.from_rational(k)) for k in range(200)]
+    walks = []
+    digit_orbit = expansion._digit_orbit
+
+    def counted(*args):
+        walks.append(args[1:3])
+        return digit_orbit(*args)
+
+    monkeypatch.setattr(expansion, "ORBIT_MEMO_BOUND", 16)
+    monkeypatch.setattr(expansion, "_digit_orbit", counted)
+    field = make_field((2, -4, 4))
+    got = [add_one(field.from_rational(k)) for k in range(200)]
+    orbits = field.memo("orbits", dict)
+    assert 0 < len(orbits) <= 16
+    assert len(walks) > 2 * 16
+    assert [(e.exponent, e.word) for e, _ in got] == [(e.exponent, e.word) for e, _ in expect]
+    assert [w.to_json_dict() for _, w in got] == [w.to_json_dict() for _, w in expect]
+    assert len(free.memo("orbits", dict)) < len(walks)
+
+
 def t_map_orbit(x, cap):
     """Digits, the index where the cycle starts, and the distinct states of
     the T-orbit of x, stepped by two_sign_t_map under d_beta's budget rule."""
@@ -533,6 +627,7 @@ def memo_answers(field):
         out += [(("power", n), field.beta_power(n)), (("power", -n), field.beta_power(-n))]
         if n:
             out.append((("xi", n), xi(field, n)))
+        out.append((("d_beta", n), d_beta(t_orbit_of_one(field, n)[n])))
     out += [
         ("d_beta_one", d_beta_one(field)),
         ("d_beta_star", d_beta_star(field)),

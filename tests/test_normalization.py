@@ -25,7 +25,7 @@ from betafin.normalization import (
     free_blocks,
     witness_for_natural,
 )
-from betafin.words import Word, compare_window, subtract
+from betafin.words import Word, compare_window, subtract, window_len
 
 TRIB = make_field((1, 1, 1))
 MINP = make_field((1, 1, 0))
@@ -157,6 +157,71 @@ def test_free_blocks_matches_reference_scan():
         assert 0 < sum(g is not None for g in got) < len(got), name
         assert any(g and len(w.pre) >= 20 and sum(k < len(w.pre) for k in g[0]) >= 3
                    for w, g in zip(long_words, got)), name
+
+
+def _digit_read_free_blocks(field, w):
+    """(head, cycle_gaps), or the NotAdmissible text, by the in-place scan
+    over the same windows that reads every digit with Word.digit."""
+    dstar = d_beta_star(field)
+    prelen, plen = len(w.pre), w.period_len()
+    ks: list[int] = []
+    seen: dict[int, int] = {}
+    s = 0
+    while True:
+        if s >= prelen:
+            key = (s - prelen) % plen
+            if key in seen:
+                start = seen[key]
+                bounds = [0] + ks
+                return tuple(ks[:start]), tuple(b - a for a, b in zip(bounds[start:], bounds[start + 1:]))
+            seen[key] = len(ks)
+        window = window_len(max(prelen - s, 0), plen, len(dstar.pre), dstar.period_len())
+        for j in range(1, window + 2):
+            a, b = w.digit(s + j - 1), dstar.digit(j - 1)
+            if a > b:
+                return f"digit above the quasi-greedy bound at position {s + j}"
+            if a < b:
+                break
+        else:
+            return f"shift at position {s} coincides with the quasi-greedy word"
+        s += j
+        ks.append(s)
+
+
+def test_free_blocks_reads_digit_storage(monkeypatch):
+    # decompositions and NotAdmissible texts against the Word.digit scan;
+    # the words cover bytes and tuple storage, finite and periodic tails,
+    # and blocks that cross from the preperiod into the period
+    rng = random.Random(20261020)
+    fields = dict(CATALOG)
+    fields.update((name, f) for name, (f, _) in INFINITE_D1.items())
+    cases = []
+    for f in fields.values():
+        bound = f.floor_beta()
+        dstar = d_beta_star(f)
+        words = [_random_word(rng, bound) for _ in range(200)]
+        words += [_random_word(rng, bound + 1) for _ in range(100)]
+        words += [_spliced_word(rng, dstar) for _ in range(200)]
+        words += [_long_spliced_word(rng, dstar) for _ in range(200)]
+        words += [dstar, Word((0, *dstar.pre), dstar.period), Word((0, 0), dstar.period)]
+        words += [Word((0, 300), ()), Word((0,), (0, 300)), Word((), (0, 0, 1)), Word()]
+        cases += [(f, w) for w in words]
+    expected = [_digit_read_free_blocks(f, w) for f, w in cases]
+    assert any(isinstance(e, str) and "coincides" in e for e in expected)
+    assert any(isinstance(e, str) and "above" in e for e in expected)
+    assert sum(isinstance(e, tuple) for e in expected) > len(expected) // 4
+
+    def no_digit(*args):
+        raise AssertionError("the free-block scan called Word.digit")
+
+    monkeypatch.setattr(Word, "digit", no_digit)
+    for (f, w), e in zip(cases, expected):
+        try:
+            fb = free_blocks(f, w)
+        except NotAdmissible as exc:
+            assert str(exc) == e, w
+        else:
+            assert (fb.head, fb.cycle_gaps) == e, w
 
 
 def test_free_blocks_builds_no_word(monkeypatch):

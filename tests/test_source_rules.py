@@ -230,3 +230,16 @@ def test_the_free_block_scan_reads_digits_in_place():
         f"free_blocks contains {found}; read digit s + j of w in place and size the "
         "window with words.window_len"
     )
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml requires Python >= 3.10; on a newer interpreter the
+    # parser's feature_version rejects newer grammar (except* groups, for
+    # one), on a best-effort basis, so CI's 3.10 leg stays the full check
+    failed = []
+    for path in sorted((ROOT / SRC[0]).glob("*.py")):
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append(f"{path.relative_to(ROOT).as_posix()}:{exc.lineno}: {exc.msg}")
+    assert not failed, _fail("use only Python 3.10 syntax in src/betafin", failed)
