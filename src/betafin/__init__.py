@@ -74,8 +74,6 @@ from .classify import (
     classify,
     cpcase_check,
     cubic_unit_classify,
-    fs_type,
-    hollander_type,
     pf_shape,
 )
 

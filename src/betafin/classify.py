@@ -1,17 +1,25 @@
 """Finiteness-property classification for Q(beta).
 
 Verdicts for Pisot, (F), (PF) and (F1) are three-valued: proven, refuted
-or unknown, because most of the usable conditions are sufficient rather
-than characterizations (cubic units being the notable complete case).
-Every applied rule leaves an evidence record naming the rule and the
-mathematical condition it checked, and verdicts are propagated through
-the inclusion chain (F) => (PF) => (F1) with a consistency guard.
+or unknown, because most of the usable conditions for (F1) are
+sufficient rather than characterizations (cubic units being the notable
+complete case), and every decision runs under a budget.  Every applied
+rule leaves an evidence record naming the rule and the mathematical
+condition it checked, and verdicts are propagated through the inclusion
+chain (F) => (PF) => (F1) with a consistency guard.
 
-Refutation routes worth noting:
-  * a nonzero tau-periodic vector v gives frac(value(v)) in Z[1/beta]
-    with an infinite expansion, refuting (F) outright (the conjugacy is
-    a bijection, so a vector that never reaches zero is an element whose
-    digit orbit never terminates);
+(F) is decided on a Pisot base from Q, the closure of the initial SRS
+vector under tau and l -> -tau(-l):
+  * a nonzero tau-periodic vector v of Q gives frac(value(v)) in
+    Z[1/beta] with an infinite expansion, refuting (F) outright (the
+    conjugacy is a bijection, so a vector that never reaches zero is an
+    element whose digit orbit never terminates);
+  * (F) holds iff every vector of the closure W of +-e_1, ..., +-e_{d-1}
+    under the same two maps reaches zero (Brunotte 2001; Akiyama,
+    Borbely, Brunotte, Petho and Thuswaldner 2005); when every +-e_i
+    lies in Q, so does W, and Q without a nonzero tau-cycle proves (F).
+
+Further refutation routes:
   * (PF) forces either (F) or a specific coefficient shape, so failing
     both refutes (PF);
   * any natural number with an infinite expansion refutes (F1); the
@@ -58,21 +66,6 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 DEFAULT_N_SWEEP = 200
-
-
-def fs_type(coeffs: tuple[int, ...]) -> bool:
-    """Descending chain a_{d-1} >= ... >= a_1 >= a_0 >= 1, sufficient for (F)."""
-    if coeffs[0] < 1:
-        return False
-    return all(coeffs[i + 1] >= coeffs[i] for i in range(len(coeffs) - 1))
-
-
-def hollander_type(coeffs: tuple[int, ...]) -> bool:
-    """Dominant top coefficient a_{d-1} > a_{d-2} + ... + a_0 with all
-    a_j >= 0, sufficient for (F)."""
-    if any(a < 0 for a in coeffs):
-        return False
-    return coeffs[-1] > sum(coeffs[:-1])
 
 
 PF_WITHOUT_F_PROVEN = "pf_without_f_proven"
@@ -282,20 +275,6 @@ def _classify(
     d1 = report.d_beta_one
     d1_finite = d1.is_finite() if d1 is not None else None
 
-    # ---- (F): sufficient coefficient rules -------------------------------
-    if fs_type(field.coeffs):
-        _set_verdict(
-            report, "f", PROVEN,
-            "descending coefficient chain", "fs-type",
-            "a_{d-1} >= ... >= a_0 >= 1 gives (F)",
-        )
-    elif hollander_type(field.coeffs):
-        _set_verdict(
-            report, "f", PROVEN,
-            "dominant top coefficient", "hollander-type",
-            "a_{d-1} > a_{d-2} + ... + a_0, all a_j >= 0 gives (F)",
-        )
-
     if field.degree == 3:
         a, b, c = field.coeffs[2], field.coeffs[1], field.coeffs[0]
         # Bassino's cases decide the finiteness of d_beta(1) from the coefficients
@@ -313,7 +292,7 @@ def _classify(
                     "(F) iff c=1 and b+c>=0; (PF) iff (F1) iff (b+c)c>=0 and (b,c)!=(1,-1)",
                 )
 
-    # ---- SRS data: refutes (F) via nonzero tau-cycles, certifies (F1) ----
+    # ---- SRS data: decides (F) by P and the witness set, certifies (F1) --
     try:
         graph = q_set(ShiftRadixSystem(field), closure_cap)
     except ClosureBudgetExceeded:
@@ -342,6 +321,18 @@ def _classify(
                 "tau-cycle-witness",
                 "a nonzero tau-periodic vector yields an element of Z[1/beta] outside Fin",
             )
+    # Q is closed under both maps that close W, so +-e_i in Q (in_f is keyed
+    # by Q's nodes) puts W inside Q, and with P empty every node reaches zero
+    if graph is not None and not graph.p_nodes and _units(graph.srs.dim) <= graph.in_f.keys():
+        # (F) implies a finite d_beta(1) (Frougny and Solomyak 1992)
+        if d1_finite is False:
+            raise InvariantViolation(f"(F) proven but d_beta(1) is infinite for {field}")
+        _set_verdict(
+            report, "f", PROVEN,
+            "P is empty and every +-e_i lies in Q", "brunotte-witness",
+            "Brunotte 2001, Akiyama-Borbely-Brunotte-Petho-Thuswaldner 2005: for Pisot beta, "
+            "(F) iff every vector of the closure of +-e_i under tau and -tau(-l) reaches zero",
+        )
 
     # ---- (PF) -------------------------------------------------------------
     if field.degree == 2:
@@ -410,6 +401,11 @@ def _classify(
 
     _propagate(report)
     return report, graph, cert
+
+
+def _units(dim: int) -> set[tuple[int, ...]]:
+    """The vectors +-e_1, ..., +-e_dim of Z^dim."""
+    return {tuple(sign * (j == i) for j in range(dim)) for i in range(dim) for sign in (1, -1)}
 
 
 def _find_infinite_natural(

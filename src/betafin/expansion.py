@@ -12,18 +12,18 @@ _greedy_step, the package's one T-step, works on integer numerators: the
 beta-shift BetaField.times_beta, one BetaField.floor_nums for the digit,
 and digit * den off the constant numerator.  _digit_orbit is the one
 digit-orbit loop: it walks _greedy_step on numerator tuples over one den
-and hashes them, for the orbit of 1 and for d_beta (so beta_expand,
-is_finite_expansion and add_one), which passes it the stored canonical
-pair of x.  t_map is the public single step on an element; no walk calls
-it.  Every division by beta^m runs in BetaField.horner_inverse_beta,
-Horner's rule in beta^{-1} on integer numerators over one running
-denominator, reduced once per call: nu sums each block of a word there,
-and beta_expand and frac_part scale x by beta^{-L(x)} there, over L(x)
-zero digits, so none of them builds a field element per digit or a
-chain of negative powers of beta.  frac_part then takes its L(x) greedy
-steps on the numerators of beta^{-L(x)} x.  _in_unit_interval decides
-0 <= x <= 1 (x = 1 or floor(x) = 0) where a walk or a t_map step
-starts.  big_l compares the numerators of x with the integer rows of
+and hashes them, for t_orbit_of_one and for d_beta (so d_beta_one,
+beta_expand, is_finite_expansion and add_one), which passes it the
+stored canonical pair of x.  t_map is the public single step on an
+element; no walk calls it.  Every division by beta^m runs in
+BetaField.horner_inverse_beta, Horner's rule in beta^{-1} on integer
+numerators over one running denominator, reduced once per call: nu
+sums each block of a word there, and beta_expand and frac_part scale x
+by beta^{-L(x)} there, over L(x) zero digits, so none of them builds a
+field element per digit or a chain of negative powers of beta.
+frac_part then takes its L(x) greedy steps on the numerators of
+beta^{-L(x)} x.  _in_unit_interval decides 0 <= x <= 1 (x = 1 or
+floor(x) = 0) where a walk or a t_map step starts.  big_l compares the numerators of x with the integer rows of
 beta^n, which it walks itself with BetaField.times_beta and memoizes
 nowhere, one BetaField.sign_nums per power.
 
@@ -36,15 +36,16 @@ two words' preperiod and period lengths (words.window_len, which
 compare_window shares), and builds no shifted word per block; both
 words' digits are read by index into their preperiod and period storage.
 
-Digit orbits are memoized per field behind BetaField.memo: the orbit of
-1 once, and d_beta's orbits in the orbit memo, one dict from a start's
-canonical pair (den, *nums) to its word and state count.  Unlike the
+Digit words are memoized per field behind BetaField.memo in one orbit
+memo, a dict from a start's canonical pair (den, *nums) to its word and
+state count, which d_beta_one reads like every d_beta.  Unlike the
 values derived from the field alone, its entries depend on the inputs,
 so it is cleared when it holds ORBIT_MEMO_BOUND (4,096) entries; a start
 walked again after a clear gets an equal entry, not the same object.  A
-hit on either memo raises OrbitBudgetExceeded exactly when a fresh walk
-would (_check_orbit_budget), and neither a failed walk nor an input
-outside [0, 1] is stored.
+hit raises OrbitBudgetExceeded exactly when a fresh walk would
+(_check_orbit_budget), and neither a failed walk nor an input outside
+[0, 1] is stored.  t_orbit_of_one keeps the states of the orbit of 1 as
+field elements in their own memo entry, walked once.
 """
 
 from __future__ import annotations
@@ -146,30 +147,9 @@ def _digit_orbit(
     return Word(digits[:split], digits[split:]), tuple(seen)
 
 
-def _orbit_of_one(field: BetaField, cap: int) -> tuple[Word, tuple[tuple[int, ...], ...]]:
-    """d_beta(1) and the distinct states T^0(1), ..., T^{n-1}(1) as integer
-    coordinate tuples, walked once per field and memoized; a memo hit
-    raises OrbitBudgetExceeded exactly when a fresh walk would, that is
-    when n > cap."""
-
-    one = (1,) + (0,) * (field.degree - 1)
-
-    def build() -> tuple[Word, tuple[tuple[int, ...], ...]]:
-        word, states = _digit_orbit(field, one, 1, cap)
-        # distinct states have distinct digit tails, so the states split
-        # as the canonical word does; t_orbit_of_one reads the period there
-        if len(states) != len(word.pre) + word.period_len():
-            raise InvariantViolation("the orbit of 1 and its word disagree on the period")
-        return word, states
-
-    word, states = field.memo("orbit_of_one", build)
-    _check_orbit_budget(field, one, 1, len(states), cap)
-    return word, states
-
-
 def d_beta_one(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
-    """d_beta(1), memoized with the T-orbit of 1."""
-    return _orbit_of_one(field, cap)[0]
+    """d_beta(1), read from the orbit memo like every d_beta."""
+    return d_beta(field.one(), cap)
 
 
 def d_beta_star(field: BetaField) -> Word:
@@ -177,14 +157,18 @@ def d_beta_star(field: BetaField) -> Word:
 
     If d_beta(1) = d_1 ... d_q 0^inf (finite, q the last nonzero position)
     this is (d_1 ... d_{q-1} (d_q - 1))^inf; otherwise d_beta(1) itself.
-    It walks the orbit of 1 under the default budget.
+    It reads d_beta(1) under the default budget, once per field.
     """
-    w = d_beta_one(field)
-    if not w.is_finite():
-        return w
-    if w.is_zero():
-        raise InvariantViolation("d_beta(1) cannot be the zero word")
-    return field.memo("d_beta_star", lambda: Word((), (*w.pre[:-1], w.pre[-1] - 1)))
+
+    def build() -> Word:
+        w = d_beta_one(field)
+        if not w.is_finite():
+            return w
+        if w.is_zero():
+            raise InvariantViolation("d_beta(1) cannot be the zero word")
+        return Word((), (*w.pre[:-1], w.pre[-1] - 1))
+
+    return field.memo("d_beta_star", build)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,6 +234,9 @@ def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
     pre, period = w.pre, w.period
     prelen = len(pre)
     plen = w.period_len()
+    # each block's window is window_len(max(prelen - s, 0), plen, dprelen,
+    # dplen); only its preperiod part changes, so the rest is taken once
+    span = window_len(0, plen, 0, dplen)
     ks: list[int] = []
     seen: dict[int, int] = {}
     s = 0
@@ -262,7 +249,7 @@ def free_blocks(field: BetaField, w: Word) -> FreeBlockDecomposition:
                 gaps = (b - a for a, b in zip(bounds[start:], bounds[start + 1:]))
                 return FreeBlockDecomposition(tuple(ks[:start]), tuple(gaps))
             seen[key] = len(ks)
-        window = window_len(max(prelen - s, 0), plen, dprelen, dplen)
+        window = max(prelen - s, dprelen) + span
         # the block is digits s+1 .. s+j: the first j-1 copy d*, digit s+j is smaller
         for j in range(1, window + 2):
             i = s + j - 1
@@ -367,15 +354,20 @@ def xi(field: BetaField, n: int) -> FieldElement:
 
 
 def t_orbit_of_one(field: BetaField, upto: int) -> list[FieldElement]:
-    """[T^0(1), T^1(1), ..., T^upto(1)], read from the memoized orbit of 1:
-    past its last distinct state the list cycles through the period, which
-    is the single state 0 when d_beta(1) is finite.  Raises where
-    d_beta_one(field) raises."""
-    word, states = _orbit_of_one(field, DEFAULT_ORBIT_CAP)
-    # built on first use: classify reads only the word, so the fields it
-    # surveys keep no orbit elements in their memos
-    orbit = field.memo("t_orbit_of_one", lambda: tuple(field.from_numerators(s, 1) for s in states))
-    split = len(word.pre)
+    """[T^0(1), T^1(1), ..., T^upto(1)], read from the T-orbit of 1, walked
+    once per field and memoized: past its last distinct state the list
+    cycles through the period, which is the single state 0 when d_beta(1)
+    is finite.  Raises where d_beta_one(field) raises."""
+
+    def build() -> tuple[int, tuple[FieldElement, ...]]:
+        word, states = _digit_orbit(field, (1,) + (0,) * (field.degree - 1), 1, DEFAULT_ORBIT_CAP)
+        # distinct states have distinct digit tails, so the states split
+        # as the canonical word does, and the period is read there
+        if len(states) != len(word.pre) + word.period_len():
+            raise InvariantViolation("the orbit of 1 and its word disagree on the period")
+        return len(word.pre), tuple(field.from_numerators(s, 1) for s in states)
+
+    split, orbit = field.memo("t_orbit_of_one", build)
     period = len(orbit) - split
     return [orbit[j] if j < len(orbit) else orbit[split + (j - split) % period] for j in range(upto + 1)]
 

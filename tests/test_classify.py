@@ -1,9 +1,12 @@
+import dataclasses
+import functools
 import hashlib
 import importlib
 import itertools
 import json
 import random
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -26,8 +29,6 @@ from betafin.classify import (
     classify,
     cpcase_check,
     cubic_unit_classify,
-    fs_type,
-    hollander_type,
     pf_shape,
 )
 from betafin.errors import BetaFinError, InvariantViolation, NotCubicPisot, NotUnit
@@ -35,12 +36,29 @@ from betafin.expansion import DEFAULT_ORBIT_CAP, d_beta, d_beta_one, frac_part, 
 from betafin.field import cubic_pisot_criterion, is_pisot, make_field
 from betafin.errors import NoRootAboveOne, Reducible
 from betafin.srs import ShiftRadixSystem, q_set
+from betafin.words import Word
 
 TRIB = make_field((1, 1, 1))
 
 
 def family(t):
     return make_field((t, -2 * t, 2 * t))
+
+
+def fs_type(coeffs):
+    """Frougny and Solomyak's descending chain a_{d-1} >= ... >= a_1 >= a_0 >= 1,
+    sufficient for (F); an oracle for classify, which does not read it."""
+    if coeffs[0] < 1:
+        return False
+    return all(coeffs[i + 1] >= coeffs[i] for i in range(len(coeffs) - 1))
+
+
+def hollander_type(coeffs):
+    """Hollander's dominant top coefficient a_{d-1} > a_{d-2} + ... + a_0
+    with all a_j >= 0, sufficient for (F); an oracle like fs_type."""
+    if any(a < 0 for a in coeffs):
+        return False
+    return coeffs[-1] > sum(coeffs[:-1])
 
 
 def test_fs_type():
@@ -169,7 +187,7 @@ def test_classify_tribonacci():
     rep = classify(TRIB)
     assert (rep.pisot, rep.f, rep.pf, rep.f1) == (PROVEN,) * 4
     rules = {e.rule for e in rep.evidence}
-    assert "fs-type" in rules
+    assert "cubic-unit" in rules
 
 
 def test_classify_quadratic():
@@ -576,52 +594,175 @@ def test_pf_proven_fields_have_no_sweep_refuter():
     # (PF) gives (F1), so a refuting N would contradict the (PF) proof,
     # whichever rule gave it; the full sweep finds none
     checked = 0
-    for a in range(1, 9):
-        for b in range(-8, 9):
-            for c in range(-8, 9):
-                if c == 0 or not cubic_pisot_criterion(a, b, c):
+    for f, rep in _survey_grid("cubic"):
+        if rep.pf != PROVEN:
+            continue
+        found, skipped = _find_infinite_natural(f, DEFAULT_N_SWEEP, DEFAULT_ORBIT_CAP, _q_graph(f))
+        assert found is None and skipped == [], rep.poly
+        checked += 1
+    assert checked == 418
+
+
+@functools.lru_cache(maxsize=None)
+def _survey_grid(name):
+    """The fields of a survey grid with their classify reports, in grid
+    order: "cubic" holds the cubic Pisot x^3 - ax^2 - bx - c with
+    1 <= a <= 8 and |b|, |c| <= 8, "quartic" the quartic Pisot bases with
+    1 <= a_3 <= 4 and |a_2|, |a_1|, |a_0| <= 3.  Built once per run; a
+    report does not depend on earlier calls on its field."""
+    if name == "cubic":
+        fields = [
+            make_field((c, b, a))
+            for a in range(1, 9) for b in range(-8, 9) for c in range(-8, 9)
+            if c != 0 and cubic_pisot_criterion(a, b, c)
+        ]
+    else:
+        fields = []
+        for a3 in range(1, 5):
+            for a2, a1, a0 in itertools.product(range(-3, 4), repeat=3):
+                if a0 == 0:
                     continue
                 try:
-                    f = make_field((c, b, a))
-                except (Reducible, NoRootAboveOne):
+                    f = make_field((a0, a1, a2, a3))
+                except BetaFinError:
                     continue
-                if classify(f, n_sweep=0).pf != PROVEN:
-                    continue
-                found, skipped = _find_infinite_natural(
-                    f, DEFAULT_N_SWEEP, DEFAULT_ORBIT_CAP, _q_graph(f)
-                )
-                assert found is None and skipped == [], (a, b, c)
-                checked += 1
-    assert checked == 241
+                if is_pisot(f):
+                    fields.append(f)
+    return tuple((f, classify(f)) for f in fields)
 
 
-def _grid_sha256(fields):
-    return hashlib.sha256("".join(classify(f).to_json() for f in fields).encode()).hexdigest()
+def _grid_sha256(name):
+    return hashlib.sha256("".join(rep.to_json() for _, rep in _survey_grid(name)).encode()).hexdigest()
 
 
 def test_survey_grid_reports_are_pinned():
     # every report of both survey grids, byte for byte, in grid order: a
     # change to an evidence text or a verdict shows here
-    cubic = [
-        make_field((c, b, a))
-        for a in range(1, 9) for b in range(-8, 9) for c in range(-8, 9)
-        if c != 0 and cubic_pisot_criterion(a, b, c)
-    ]
-    quartic = []
-    for a3 in range(1, 5):
-        for a2, a1, a0 in itertools.product(range(-3, 4), repeat=3):
-            if a0 == 0:
+    assert len(_survey_grid("cubic")) == 611
+    assert _grid_sha256("cubic") == "b4bbb485d617b91bc4d16e2f6227f6ed12c385188e16b2e70b147da9b39f0eb8"
+    assert len(_survey_grid("quartic")) == 249
+    assert _grid_sha256("quartic") == "f71182a71c8330585ac70930562c178bff2fbcd36000d8312da183ec34e7e3b9"
+
+
+def test_survey_grids_decide_f_and_pf():
+    # (F) is decided from Q on every Pisot base inside the budgets, and
+    # (PF) follows; only (F1) stays open, on six fields
+    for name, f1_open in (("cubic", 5), ("quartic", 1)):
+        reports = [rep for _, rep in _survey_grid(name)]
+        assert not [rep.poly for rep in reports if UNKNOWN in (rep.f, rep.pf)], name
+        assert sum(rep.f1 == UNKNOWN for rep in reports) == f1_open, name
+
+
+def _quadratic_pisot_fields():
+    """x^2 - ax - b with 1 <= a < 40 and 0 < |b| <= 40, Pisot ones only."""
+    out = []
+    for a in range(1, 40):
+        for b in range(-40, 41):
+            if b == 0:
                 continue
             try:
-                f = make_field((a0, a1, a2, a3))
+                f = make_field((b, a))
             except BetaFinError:
                 continue
             if is_pisot(f):
-                quartic.append(f)
-    assert len(cubic) == 611
-    assert _grid_sha256(cubic) == "9e25829ea2cb072cafc4391ae6fd63f56e8972cfecf78bde8e155397b35157d9"
-    assert len(quartic) == 249
-    assert _grid_sha256(quartic) == "10cb2f7ceabea247f02eddb27d79f93f2c345bef2e87d7b69d78a3f6f8d23842"
+                out.append(f)
+    return out
+
+
+def test_coefficient_rules_agree_with_classify():
+    # fs-type and hollander-type are sufficient for (F); classify decides
+    # (F) from Q alone, and must prove it on every such base
+    counts = {}
+    for name in ("cubic", "quartic"):
+        typed = [rep for f, rep in _survey_grid(name) if fs_type(f.coeffs) or hollander_type(f.coeffs)]
+        assert all(rep.f == PROVEN for rep in typed), [rep.poly for rep in typed if rep.f != PROVEN]
+        counts[name] = len(typed)
+    quadratic = _quadratic_pisot_fields()
+    typed = [f for f in quadratic if fs_type(f.coeffs) or hollander_type(f.coeffs)]
+    assert all(classify(f).f == PROVEN for f in typed)
+    assert (len(quadratic), len(typed)) == (1483, 780)
+    assert counts == {"cubic": 170, "quartic": 39}
+
+
+def _witness_set_reaches_zero(field):
+    """Brunotte's criterion by a plain search: close W = {+-e_1, ...,
+    +-e_{d-1}} under tau and l -> -tau(-l) breadth first, then iterate
+    tau from each vector of W until it reaches zero or repeats."""
+    srs = ShiftRadixSystem(field)
+    dim = srs.dim
+    zero = (0,) * dim
+    witness = {tuple(sign * (j == i) for j in range(dim)) for i in range(dim) for sign in (1, -1)}
+    queue = deque(witness)
+    while queue:
+        v = queue.popleft()
+        for w in (srs.tau(v), tuple(-c for c in srs.tau(tuple(-c for c in v)))):
+            if w not in witness:
+                witness.add(w)
+                queue.append(w)
+    reach = {zero}
+    for v in witness:
+        path = []
+        while v not in reach:
+            if v in path:
+                return False
+            path.append(v)
+            v = srs.tau(v)
+        reach.update(path)
+    return True
+
+
+def test_f_verdicts_match_the_witness_set():
+    # Brunotte 2001 and Akiyama et al. 2005: for a Pisot base, (F) holds
+    # iff every vector of W reaches zero; every seventh field of each grid
+    checked = {PROVEN: 0, REFUTED: 0}
+    for name in ("cubic", "quartic"):
+        for f, rep in _survey_grid(name)[::7]:
+            assert rep.f == (PROVEN if _witness_set_reaches_zero(f) else REFUTED), rep.poly
+            checked[rep.f] += 1
+    assert checked[PROVEN] > 20 and checked[REFUTED] > 20, checked
+
+
+def test_brunotte_witness_proves_f_where_p_is_empty():
+    # x^3-2x^2-2x-2 is fs-type and no unit: the rule alone proves (F)
+    rep = classify(make_field((2, 2, 2)))
+    assert (rep.f, rep.pf, rep.f1) == (PROVEN,) * 3
+    proof = [e for e in rep.evidence if e.claim == "P is empty and every +-e_i lies in Q"]
+    assert [e.rule for e in proof] == ["brunotte-witness"]
+    # P = {(1, 1)} on the paper's family: the rule does not apply, and Q's
+    # cycle refutes (F)
+    rep = classify(family(2))
+    assert rep.f == REFUTED
+    rules = [e.rule for e in rep.evidence]
+    assert "tau-cycle-witness" in rules and "brunotte-witness" not in rules
+
+
+def test_brunotte_witness_needs_every_unit_in_q(monkeypatch):
+    # with a +-e_i outside Q the rule does not apply, and no other closure
+    # is built: (F) stays unknown on x^3-2x^2-2x-2
+    classify_module = importlib.import_module("betafin.classify")
+    calls = []
+
+    def q_without_minus_e1(srs, cap):
+        calls.append(cap)
+        graph = q_set(srs, cap)
+        assert (-1, 0) in graph.in_f
+        in_f = {v: reach for v, reach in graph.in_f.items() if v != (-1, 0)}
+        return dataclasses.replace(graph, in_f=in_f)
+
+    monkeypatch.setattr(classify_module, "q_set", q_without_minus_e1)
+    rep = classify(make_field((2, 2, 2)))
+    assert rep.f == UNKNOWN
+    assert "brunotte-witness" not in {e.rule for e in rep.evidence}
+    assert len(calls) == 1
+
+
+def test_brunotte_witness_checks_a_finite_d_beta_one(monkeypatch):
+    # (F) implies a finite d_beta(1) (Frougny and Solomyak 1992); x^2-2x-1
+    # has (F), so an infinite d_beta(1) must raise, not settle
+    classify_module = importlib.import_module("betafin.classify")
+    monkeypatch.setattr(classify_module, "d_beta_one", lambda field, cap: Word((), (1,)))
+    with pytest.raises(InvariantViolation, match=r"\(F\) proven but d_beta\(1\) is infinite"):
+        classify(make_field((1, 2)))
 
 
 def test_two_parameter_f1_family():

@@ -10,6 +10,7 @@ tree of one function, method or module.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import re
 import textwrap
@@ -243,3 +244,18 @@ def test_sources_parse_as_python_3_10():
         except SyntaxError as exc:
             failed.append(f"{path.relative_to(ROOT).as_posix()}:{exc.lineno}: {exc.msg}")
     assert not failed, _fail("use only Python 3.10 syntax in src/betafin", failed)
+
+
+def test_every_traced_function_exists():
+    # bench/tracing.py wraps each TARGETS entry by name and fails on a
+    # missing one, so a renamed or deleted function must leave TARGETS
+    # (and BENCHMARK.json's metrics) in the same change
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{name}: {owner}.{attr}"
+        for name, owner, attr, _ in tracing.TARGETS
+        if attr not in vars(tracing._resolve(owner))
+    ]
+    assert not missing, _fail("bench/tracing.py traces functions that are gone", missing)
