@@ -36,8 +36,7 @@ print("preimages of (1,1):", tau_preimages(srs, (1, 1)))
 # the sufficient condition for every natural number to expand finitely
 cert = f1_certificate(graph)
 print("certificate verdict:", cert.verdict)
-print("  delta =", cert.delta, "| box slice R0 =", sorted(cert.r0),
-      "| complete:", cert.r0_complete)
+print("  delta =", cert.delta, "| box slice R0 =", sorted(cert.r0))
 
 # graphs export deterministically for regression diffs
 dot = export_graph(graph, "dot")

@@ -215,16 +215,19 @@ def v_box_set(
     delta_bound: int,
     cap: int = DEFAULT_CLOSURE_CAP,
     walk_cap: int = DEFAULT_ORBIT_CAP,
-) -> tuple[set[SrsVector], bool]:
-    """Members of V inside the delta-box, with a completeness flag; cap
-    bounds the box closure and walk_cap the orbit walk.
+) -> set[SrsVector]:
+    """Members of V inside the delta-box; cap bounds the box closure and
+    walk_cap the orbit walk.
 
     V is the set of finite sums -sum omega_n s_n over the orbit vectors
-    s_n.  When the s_n all have the same coordinate sign, partial sums
-    are coordinate-monotone, so the closure of zero under v -> v - s_n
-    kept inside the box is exactly the slice.  Otherwise a sum can leave
-    the box and come back, and the slice is reported incomplete and
-    empty, without a search (never silently wrong).
+    s_n.  The slice is the closure of zero under v -> v - s_n inside a
+    per-coordinate box, cut down to the delta-box.  Where every s_n has
+    one sign, partial sums are monotone between 0 and v, so the radius is
+    delta.  Elsewhere it is n max(M, delta) + delta, n = dim and
+    M = max |s_n|: by the Steinitz lemma (constant n in any norm;
+    Grinberg and Sevast'yanov 1980) the terms of v and -v, which sum to
+    zero, have an order whose partial sums stay within n max(M, delta),
+    and leaving out -v moves them by at most delta.
     """
     if delta_bound < 0:
         raise ValueError("delta must be >= 0")
@@ -232,17 +235,17 @@ def v_box_set(
     zero = (0,) * srs.dim
     if delta_bound == 0 or not S:
         # the box holds only the zero vector, which is always a member
-        return {zero}, True
-    if not (all(c >= 0 for v in S for c in v) or all(c <= 0 for v in S for c in v)):
-        return set(), False
+        return {zero}
+    wide = srs.dim * max(delta_bound, *(abs(c) for s in S for c in s)) + delta_bound
+    radius = [delta_bound if min(col) >= 0 or max(col) <= 0 else wide for col in zip(*S)]
 
     def successors(v: SrsVector):
         for s in S:
             w = _vec_sub(v, s)
-            if all(abs(c) <= delta_bound for c in w):
+            if all(abs(c) <= r for c, r in zip(w, radius)):
                 yield w
 
-    return closure(zero, successors, cap), True
+    return {v for v in closure(zero, successors, cap) if max(map(abs, v)) <= delta_bound}
 
 
 @dataclass(frozen=True)
@@ -255,7 +258,6 @@ class F1Certificate:
     p_set: frozenset[SrsVector]
     delta: int
     r0: frozenset[SrsVector]
-    r0_complete: bool
     preimage_closure_ok: bool
     r0_in_f: bool
     diagnostic: str = ""
@@ -266,36 +268,32 @@ def f1_certificate(
     walk_cap: int = DEFAULT_ORBIT_CAP,
     closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> F1Certificate:
-    """Check the sufficient condition on the closure graph: every preimage
-    of a P vector stays in P, and the delta-box slice of V reaches zero
-    under tau.  walk_cap bounds each tau walk, the orbit of the initial
-    vector included, and closure_cap the box closure; a spent budget
-    gives "unknown"."""
+    """Check the sufficient condition on the closure graph, one condition
+    at a time: every preimage of a P vector stays in P, then the delta-box
+    slice R0 of V reaches zero under tau.  When preimage closure fails, R0
+    is not enumerated and stays empty; when some box vectors miss F, the
+    diagnostic names them all.  walk_cap bounds each tau walk, the orbit
+    of the initial vector included, and closure_cap the box closure; a
+    spent budget gives "unknown"."""
     srs = graph.srs
     P = graph.p_nodes
     d = delta(P)
     try:
         closure_ok = all(tau_preimages(srs, p) <= P for p in P)
-        r0, complete = v_box_set(srs, d, closure_cap, walk_cap)
-        r0_in_f = all(in_f_beta(srs, v, walk_cap) for v in r0)
+        r0 = v_box_set(srs, d, closure_cap, walk_cap) if closure_ok else set()
+        missing = sorted(v for v in r0 if not in_f_beta(srs, v, walk_cap))
     except (ClosureBudgetExceeded, OrbitBudgetExceeded) as exc:
-        return F1Certificate(
-            "unknown", frozenset(), 0, frozenset(), False, False, False, f"budget: {exc}"
-        )
-    if closure_ok and r0_in_f and complete:
-        verdict = "proven"
-        diag = ""
+        return F1Certificate("unknown", frozenset(), 0, frozenset(), False, False, f"budget: {exc}")
+    if not closure_ok:
+        diag = "preimage closure fails"
+    elif missing:
+        diag = f"a box vector misses F: {', '.join(map(str, missing))}"
     else:
-        verdict = "unknown"
-        parts = []
-        if not closure_ok:
-            parts.append("preimage closure fails")
-        if not r0_in_f:
-            parts.append("a box vector misses F")
-        if not complete:
-            parts.append("box enumeration incomplete")
-        diag = "; ".join(parts)
-    return F1Certificate(verdict, P, d, frozenset(r0), complete, closure_ok, r0_in_f, diag)
+        diag = ""
+    proven = closure_ok and not missing
+    return F1Certificate(
+        "proven" if proven else "unknown", P, d, frozenset(r0), closure_ok, proven, diag
+    )
 
 
 def export_graph(graph: OrbitGraph, fmt: str = "dot") -> str:

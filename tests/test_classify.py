@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import hashlib
 import importlib
-import itertools
 import json
 import random
 import tracemalloc
@@ -37,6 +36,7 @@ from betafin.field import cubic_pisot_criterion, is_pisot, make_field
 from betafin.errors import NoRootAboveOne, Reducible
 from betafin.srs import ShiftRadixSystem, q_set
 from betafin.words import Word
+from family_data import survey_grid_fields
 
 TRIB = make_field((1, 1, 1))
 
@@ -552,9 +552,17 @@ def test_spent_certificate_budget_is_recorded(monkeypatch):
     assert spent[0][1] == "digit orbit of 1 did not close within 1 states"
     assert spent[1][1] == "(F1) certificate: walk exceeded 1 new states"
     assert spent[2][1].startswith("N = ") and "skipped" in spent[2][1]
-    # on the grid fields the box slice is never larger than Q, which
-    # classify builds under the same closure budget; so give the
-    # certificate alone a budget of one node
+    # x^3-3x^2-6x-4 has orbit vectors of both signs: its box closure (190
+    # nodes) is larger than Q (171), so a budget between them is spent by
+    # the certificate alone
+    spent = {}
+    for cap in (180, 190):
+        rep = classify(make_field((4, 6, 3)), closure_cap=cap)
+        assert rep.f1 == UNKNOWN
+        spent[cap] = [(e.rule, e.claim) for e in rep.evidence if e.cite == "budget exceeded"]
+    assert spent == {180: [("closure-budget", "(F1) certificate: closure exceeded 180 nodes")], 190: []}
+    # on x^3-4x^2+4x-2, Q (27 nodes) is larger than the box closure (4),
+    # which shares its budget; so give the certificate alone one node
     classify_module = importlib.import_module("betafin.classify")
     original = classify_module.f1_certificate
     monkeypatch.setattr(
@@ -605,30 +613,10 @@ def test_pf_proven_fields_have_no_sweep_refuter():
 
 @functools.lru_cache(maxsize=None)
 def _survey_grid(name):
-    """The fields of a survey grid with their classify reports, in grid
-    order: "cubic" holds the cubic Pisot x^3 - ax^2 - bx - c with
-    1 <= a <= 8 and |b|, |c| <= 8, "quartic" the quartic Pisot bases with
-    1 <= a_3 <= 4 and |a_2|, |a_1|, |a_0| <= 3.  Built once per run; a
-    report does not depend on earlier calls on its field."""
-    if name == "cubic":
-        fields = [
-            make_field((c, b, a))
-            for a in range(1, 9) for b in range(-8, 9) for c in range(-8, 9)
-            if c != 0 and cubic_pisot_criterion(a, b, c)
-        ]
-    else:
-        fields = []
-        for a3 in range(1, 5):
-            for a2, a1, a0 in itertools.product(range(-3, 4), repeat=3):
-                if a0 == 0:
-                    continue
-                try:
-                    f = make_field((a0, a1, a2, a3))
-                except BetaFinError:
-                    continue
-                if is_pisot(f):
-                    fields.append(f)
-    return tuple((f, classify(f)) for f in fields)
+    """The fields of a survey grid (family_data.survey_grid_fields) with
+    their classify reports, in grid order.  Built once per run; a report
+    does not depend on earlier calls on its field."""
+    return tuple((f, classify(f)) for f in survey_grid_fields(name))
 
 
 def _grid_sha256(name):

@@ -181,6 +181,16 @@ def test_classify_command(capsys):
     assert json.loads(out)["F1"] == "refuted"
 
 
+def test_classify_records_a_spent_box_closure(capsys):
+    # README's budget bullet: Q of x^3-3x^2-6x-4 has 171 nodes and its
+    # mixed-sign box closure 190, so 180 is spent by the box closure alone
+    code, out, _ = run(capsys, "classify", "--poly", "x^3-3x^2-6x-4", "--budget-closure", "180")
+    assert code == 0
+    assert "  [closure-budget] (F1) certificate: closure exceeded 180 nodes :: budget exceeded" in out
+    code, out, _ = run(capsys, "classify", "--poly", "x^3-3x^2-6x-4")
+    assert code == 0 and "closure-budget" not in out
+
+
 def test_verify_family(capsys):
     code, out, _ = run(capsys, "verify-family", "--t-min", "2", "--t-max", "3")
     assert code == 0

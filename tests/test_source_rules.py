@@ -9,6 +9,7 @@ tree of one function, method or module.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from betafin.classify import _find_infinite_natural
 from betafin.field import BetaField, FieldElement
-from betafin.srs import ShiftRadixSystem
+from betafin.srs import F1Certificate, ShiftRadixSystem
 
 # betafin.classify names the function the package re-exports, so the
 # module is read from the import system
@@ -175,6 +176,18 @@ def test_the_f1_sweep_walks_frac_n_with_the_greedy_step():
     )
     assert not hasattr(ShiftRadixSystem, "frac_vector"), (
         "ShiftRadixSystem.frac_vector is gone; the (F1) sweep walks T-states, not SRS vectors"
+    )
+
+
+def test_the_box_slice_is_enumerated_in_full():
+    assert "r0_complete" not in {f.name for f in dataclasses.fields(F1Certificate)}, (
+        "F1Certificate.r0_complete is gone; v_box_set enumerates the whole slice, with a "
+        "Steinitz radius on mixed-sign coordinates"
+    )
+    found = _lines("enumeration incomplete", SRC)
+    assert not found, _fail(
+        "the 'box enumeration incomplete' outcome is gone; the certificate reads "
+        "'preimage closure fails' or names the box vectors that miss F", found
     )
 
 

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import random
+from collections import Counter, deque
 from fractions import Fraction as Q
 
 import pytest
@@ -37,7 +39,7 @@ def srs_for(field):
     return ShiftRadixSystem(field)
 
 
-from family_data import FAMILY_EDGES, FAMILY_Q
+from family_data import FAMILY_EDGES, FAMILY_Q, survey_grid_fields
 
 
 def test_radix_vector():
@@ -396,9 +398,7 @@ def test_v_box_family():
     s = srs_for(family(2))
     S = tau_orbit_vectors(s)
     assert set(S) == {(0, 1), (1, 2), (2, 2), (2, 1), (1, 0)}
-    r0, complete = v_box_set(s, 1)
-    assert complete
-    assert r0 == {(0, 0), (0, -1), (-1, 0), (-1, -1)}
+    assert v_box_set(s, 1) == {(0, 0), (0, -1), (-1, 0), (-1, -1)}
 
 
 def test_v_box_against_bounded_combination_oracle():
@@ -423,26 +423,60 @@ def test_v_box_against_bounded_combination_oracle():
             rec(idx + 1, vec)
 
     rec(0, (0, 0))
-    r0, _ = v_box_set(s, box)
-    assert found == r0
+    assert found == v_box_set(s, box)
 
 
 def test_v_box_zero_delta():
-    r0, complete = v_box_set(srs_for(TRIB), 0)
-    assert r0 == {(0, 0)} and complete
+    assert v_box_set(srs_for(TRIB), 0) == {(0, 0)}
 
 
-def test_mixed_sign_orbit_gives_incomplete_box():
-    # x^3-x^2-3x-2 and x^3-2x^2-5x-3: orbit vectors of both signs, delta 3
-    for a, b, c in ((1, 3, 2), (2, 5, 3)):
-        s = srs_for(make_field((c, b, a)))
+def test_mixed_sign_box_against_bounded_sums_oracle():
+    # x^3-3x^2-6x-4: V is the half-plane x + y <= 0, and each of its points
+    # in the 3-box is a sum of at most K = 6 vectors of -S ((-3, -3) needs
+    # six); no seventh vector adds a box point
+    s = srs_for(make_field((4, 6, 3)))
+    S = tau_orbit_vectors(s)
+    assert S == [(0, 1), (1, -1), (-1, 1), (1, 0)]
+    box = 3
+
+    def box_sums(k):
+        out = set()
+        for n in range(k + 1):
+            for terms in itertools.combinations_with_replacement(S, n):
+                v = tuple(-sum(col) for col in zip((0, 0), *terms))
+                if max(map(abs, v)) <= box:
+                    out.add(v)
+        return out
+
+    found = box_sums(6)
+    assert found == box_sums(7)
+    half_plane = {(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1) if x + y <= 0}
+    assert found == half_plane and len(found) == 28
+    assert v_box_set(s, box) == found
+    # the closure steps through 190 nodes of its wider box
+    v_box_set(s, box, cap=190)
+    with pytest.raises(ClosureBudgetExceeded):
+        v_box_set(s, box, cap=189)
+
+
+def test_mixed_sign_orbit_certificates():
+    # orbit vectors of both signs and delta 3: x^3-x^2-3x-2 and
+    # x^3-2x^2-5x-3 fail the preimage check, so R0 is not enumerated;
+    # x^3-3x^2-6x-4 passes it, and two of its 28 box vectors miss F
+    for coeffs, r0_size, diag in (
+        ((2, 3, 1), 0, "preimage closure fails"),
+        ((3, 5, 2), 0, "preimage closure fails"),
+        ((4, 6, 3), 28, "a box vector misses F: (-2, 1), (1, -2)"),
+    ):
+        s = srs_for(make_field(coeffs))
         S = tau_orbit_vectors(s)
         assert any(x < 0 for v in S for x in v) and any(x > 0 for v in S for x in v)
-        assert v_box_set(s, 3) == (set(), False)
         cert = f1_certificate(q_set(s))
         assert cert.delta == 3
-        assert cert.verdict == "unknown" and not cert.r0_complete
-        assert "box enumeration incomplete" in cert.diagnostic
+        assert (cert.verdict, cert.diagnostic) == ("unknown", diag)
+        assert cert.preimage_closure_ok == bool(r0_size) and not cert.r0_in_f
+        assert len(cert.r0) == r0_size
+    assert not in_f_beta(s, (-2, 1)) and not in_f_beta(s, (1, -2))
 
 
 def test_mixed_sign_orbit_with_zero_delta_is_proven():
@@ -451,8 +485,54 @@ def test_mixed_sign_orbit_with_zero_delta_is_proven():
     assert any(x < 0 for v in S for x in v) and any(x > 0 for v in S for x in v)
     cert = f1_certificate(q_set(s))
     assert cert.delta == 0
-    assert cert.verdict == "proven" and cert.r0_complete
+    assert cert.verdict == "proven"
     assert cert.r0 == frozenset({(0, 0)})
+
+
+def _monotone_box(s, bound):
+    """The slice as the closure of zero under v -> v - s_n inside the
+    delta-box alone, breadth first: exact when every orbit vector has one
+    coordinate sign, since partial sums are then monotone."""
+    S = tau_orbit_vectors(s)
+    seen = {(0,) * s.dim}
+    queue = deque(seen)
+    while queue:
+        v = queue.popleft()
+        for step in S:
+            w = tuple(a - b for a, b in zip(v, step))
+            if w not in seen and max(map(abs, w)) <= bound:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, same_sign, outcomes",
+    [
+        ("cubic", 242, {"proven": 372, "preimage closure fails": 234, "a box vector misses F": 5}),
+        ("quartic", 170, {"proven": 72, "preimage closure fails": 177}),
+    ],
+)
+def test_survey_grid_box_slices_and_certificates(name, same_sign, outcomes):
+    # where every orbit vector has one sign, the slice and the closure's
+    # node count (the budget it spends) are the monotone closure's
+    checked = 0
+    counts = Counter()
+    for field in survey_grid_fields(name):
+        graph = q_set(srs_for(field))
+        s = graph.srs
+        bound = delta(graph.p_nodes)
+        S = tau_orbit_vectors(s)
+        if bound and (all(c >= 0 for v in S for c in v) or all(c <= 0 for v in S for c in v)):
+            slice_ = _monotone_box(s, bound)
+            assert v_box_set(s, bound, cap=len(slice_)) == slice_, field
+            with pytest.raises(ClosureBudgetExceeded):
+                v_box_set(s, bound, cap=len(slice_) - 1)
+            checked += 1
+        cert = f1_certificate(graph)
+        counts[cert.diagnostic.split(":")[0] or cert.verdict] += 1
+    assert checked == same_sign
+    assert counts == outcomes
 
 
 def test_f1_certificate_family():
@@ -461,7 +541,7 @@ def test_f1_certificate_family():
         assert cert.verdict == "proven"
         assert cert.p_set == frozenset({(1, 1)})
         assert cert.delta == 1
-        assert cert.preimage_closure_ok and cert.r0_complete and cert.r0_in_f
+        assert cert.preimage_closure_ok and cert.r0_in_f
 
 
 def test_f1_certificate_examples():
@@ -498,8 +578,7 @@ def test_f1_certificate_spent_walk_budget_is_unknown():
 def test_f1_certificate_spent_closure_budget_is_unknown():
     # family t=2: delta 1 and a box slice of 4 vectors
     graph = q_set(srs_for(family(2)))
-    r0, complete = v_box_set(graph.srs, delta(graph.p_nodes))
-    assert len(r0) == 4 and complete
+    assert len(v_box_set(graph.srs, delta(graph.p_nodes))) == 4
     cert = f1_certificate(graph, closure_cap=1)
     assert cert.verdict == "unknown"
     assert cert.diagnostic.startswith("budget: ")
