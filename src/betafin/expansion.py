@@ -40,18 +40,21 @@ Digit words are memoized per field behind BetaField.memo in one orbit
 memo, a dict from a start's canonical pair (den, *nums) to its word and
 state count, which d_beta_one reads like every d_beta.  Unlike the
 values derived from the field alone, its entries depend on the inputs,
-so it is cleared when it holds ORBIT_MEMO_BOUND (4,096) entries; a start
-walked again after a clear gets an equal entry, not the same object.  A
-hit raises OrbitBudgetExceeded exactly when a fresh walk would
-(_check_orbit_budget), and neither a failed walk nor an input outside
-[0, 1] is stored.  t_orbit_of_one keeps the states of the orbit of 1 as
-field elements in their own memo entry, walked once.
+so it is a bounded_memo: cleared when it holds ORBIT_MEMO_BOUND (4,096)
+entries; a start walked again after a clear gets an equal entry, not
+the same object.  normalization.py keeps its word values and free-block
+scans in two more bounded memos; nu, free_blocks, is_admissible and
+beta_expand here fill none.  A hit raises OrbitBudgetExceeded exactly
+when a fresh walk would (_check_orbit_budget), and neither a failed
+walk nor an input outside [0, 1] is stored.  t_orbit_of_one keeps the
+states of the orbit of 1 as field elements in their own memo entry,
+walked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
 
 from .errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from .field import BetaField, FieldElement
@@ -59,8 +62,13 @@ from .words import Word, format_word, window_len
 
 # bounds digit orbits here and shift radix system walks (--budget-orbit)
 DEFAULT_ORBIT_CAP = 100_000
-# d_beta's per-field orbit memo is cleared when it holds this many entries
+# a per-field memo keyed by inputs (bounded_memo: d_beta's orbit memo,
+# normalization's word values and free-block scans) is cleared when it
+# holds this many entries
 ORBIT_MEMO_BOUND = 4096
+
+_V = TypeVar("_V")
+_MISSING = object()
 
 
 def _in_unit_interval(field: BetaField, nums: Sequence[int], den: int) -> bool:
@@ -90,26 +98,41 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     numerators (_digit_orbit).
 
     The word and the orbit's state count are memoized per field under
-    x's canonical pair (den, *nums), published with dict.setdefault like
-    every memo entry, and a hit keeps the fresh walk's budget
-    (_check_orbit_budget).  A failed walk is not stored.  The memo is
-    cleared when it holds ORBIT_MEMO_BOUND entries.
+    x's canonical pair (den, *nums) in the bounded "orbits" memo
+    (bounded_memo), and a hit keeps the fresh walk's budget
+    (_check_orbit_budget).  A failed walk is not stored.
 
     Raises OrbitBudgetExceeded when the orbit does not close within cap
     states, which signals a non-Pisot base or a pathological input, and
     OutOfRange when x is not in [0, 1].
     """
     field, nums, den = x.field, x.nums, x.den
-    orbits = field.memo("orbits", dict)
-    key = (den, *nums)
-    hit = orbits.get(key)
-    if hit is None:
+
+    def walk() -> tuple[Word, int]:
         word, states = _digit_orbit(field, nums, den, cap)
-        if len(orbits) >= ORBIT_MEMO_BOUND:
-            orbits.clear()
-        hit = orbits.setdefault(key, (word, len(states)))
-    _check_orbit_budget(field, nums, den, hit[1], cap)
-    return hit[0]
+        return word, len(states)
+
+    word, n = bounded_memo(field, "orbits", (den, *nums), walk)
+    _check_orbit_budget(field, nums, den, n, cap)
+    return word
+
+
+def bounded_memo(field: BetaField, name: str, key: Hashable, build: Callable[[], _V]) -> _V:
+    """The entry for key in the field's memo dict name, from build() on a miss.
+
+    For memos whose entries depend on the inputs: the dict is cleared
+    when it holds ORBIT_MEMO_BOUND entries, and the new entry is then
+    published with dict.setdefault, so racing threads all get the first
+    value published.  A build that raises stores nothing.
+    """
+    table = field.memo(name, dict)
+    hit = table.get(key, _MISSING)
+    if hit is _MISSING:
+        value = build()
+        if len(table) >= ORBIT_MEMO_BOUND:
+            table.clear()
+        hit = table.setdefault(key, value)
+    return hit
 
 
 def _check_orbit_budget(field: BetaField, nums: Sequence[int], den: int, n: int, cap: int) -> None:

@@ -57,10 +57,12 @@ quasi-greedy word of 1, the factors 1 / (1 - beta^{-p}) and xi; in
 normalization.py the right sides of the carry certificates) live in one
 per-field memo behind BetaField.memo, which publishes each
 entry with dict.setdefault: every thread gets the first value built.
-The same memo holds expansion.py's orbit memo, one dict from d_beta's
-start states to their words, which d_beta clears when it holds
-expansion.ORBIT_MEMO_BOUND (4,096) entries; a start walked again after
-a clear gets an equal entry, not the same object.
+The same memo holds three dicts keyed by inputs (expansion.bounded_memo):
+expansion.py's orbit memo, from d_beta's start states to their words,
+and normalization.py's word values and free-block scans; each is
+cleared when it holds expansion.ORBIT_MEMO_BOUND (4,096) entries, and
+an entry built again after a clear is equal to the old one, not the
+same object.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ class BetaField:
     dyadic bracket (lo, hi, k) with one assignment, under a lock, so
     concurrent readers always observe a valid bracket and concurrent
     refinements each halve it.  The memo only ever gains entries, and an
-    entry never changes once published, except the orbit memo dict,
-    which d_beta fills and clears at its bound.  Everything else is
+    entry never changes once published, except the dicts that
+    expansion.bounded_memo fills and clears at their bound.  Everything else is
     immutable after construction.
     """
 

@@ -14,25 +14,37 @@ product, certifies the identity
 
 with theta in {0, 1} and nonnegative integers omega_j.  Every step here
 self-checks against exact field arithmetic.
+
+Normalization in a Pisot base is a finite transducer, so the cascade
+keeps meeting the same digit words, across calls and within one pass
+over consecutive x.  add_one and carry_step therefore read word values
+(_value, over nu) and free-block scans (_blocks, over free_blocks, a
+failed scan stored as None, "not admissible") from two per-field
+memos keyed by the canonical Word, "word_values" and "free_blocks".
+Both are expansion.bounded_memo dicts, cleared when they hold
+ORBIT_MEMO_BOUND entries like d_beta's orbit memo.  A hit is the value
+or decision for that exact word, and every check still runs on every
+call.  nu, free_blocks, is_admissible and beta_expand in expansion, and
+so classify, fill neither memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CascadeOverrun, InvariantViolation, OutOfRange
+from .errors import CascadeOverrun, InvariantViolation, NotAdmissible, OutOfRange
 from .expansion import (
     DEFAULT_ORBIT_CAP,
     Expansion,
     FreeBlockDecomposition,
     beta_expand,
     big_l,
+    bounded_memo,
     d_beta,
     d_beta_one,
     d_beta_star,
     free_blocks,
     frac_part,
-    is_admissible,
     nu,
     t_orbit_of_one,
     xi,
@@ -40,6 +52,24 @@ from .expansion import (
 )
 from .field import BetaField, FieldElement
 from .words import Word, subtract
+
+
+def _value(field: BetaField, w: Word) -> FieldElement:
+    """nu(field, w), memoized per field under the canonical word w."""
+    return bounded_memo(field, "word_values", w, lambda: nu(field, w))
+
+
+def _blocks(field: BetaField, w: Word) -> FreeBlockDecomposition | None:
+    """free_blocks(field, w), or None when w is not admissible, memoized
+    per field under the canonical word w."""
+
+    def scan() -> FreeBlockDecomposition | None:
+        try:
+            return free_blocks(field, w)
+        except NotAdmissible:
+            return None
+
+    return bounded_memo(field, "free_blocks", w, scan)
 
 
 def _raised_head(w: Word, k: int, n: int) -> list[int]:
@@ -81,17 +111,16 @@ def carry_step(
     if theta == 0:
         # the rewrite is only valid when positions k_i+1 .. ell copy the
         # quasi-greedy word; the cascade guarantees it, re-check anyway
-        for off in range(ell - ki):
-            if incremented[ki + off] != dstar.digit(off):
-                raise InvariantViolation("carry fired outside the quasi-greedy prefix")
+        if incremented[ki:] != dstar.digits(ell - ki):
+            raise InvariantViolation("carry fired outside the quasi-greedy prefix")
 
     new_tail = subtract(tail, dstar.shift(ell - ki))
     out = new_tail.prepend(_raised_head(w, ki, ell - 1) + [theta])
 
     # exact value preservation against the incremented original
-    if nu(field, out) != nu(field, tail.prepend(incremented)):
+    if _value(field, out) != _value(field, tail.prepend(incremented)):
         raise InvariantViolation("carry rewrite changed the value")
-    gain = theta + nu(field, tail) - xi(field, ell - ki + 1)
+    gain = theta + _value(field, tail) - xi(field, ell - ki + 1)
     if gain.sign() < 0:
         raise InvariantViolation("carry tail value went negative")
     return out
@@ -165,16 +194,18 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
     field = x.field
     ell = big_l(x + 1)
     base = beta_expand(x, cap)
-    # free_blocks, is_admissible and xi read d_beta_star with the default
-    # budget; the orbit of 1 counts against this call's cap first
+    # free_blocks and xi read d_beta_star with the default budget; the
+    # orbit of 1 counts against this call's cap first
     d_beta_one(field, cap)
     c = base.word.prepend((0,) * (ell - base.exponent))
-    blocks = free_blocks(field, c)
+    blocks = _blocks(field, c)
+    if blocks is None:
+        raise InvariantViolation("the greedy word of x is not admissible")
     i = blocks.locate(ell)
     theta = 1 if ell < blocks.k(i + 1) else 0
 
     tail = c.shift(ell)
-    y = nu(field, tail)
+    y = _value(field, tail)
     if tail != d_beta(y, cap):
         raise InvariantViolation("tail of the shifted word is not the greedy word of frac(x)")
     y0 = y
@@ -182,7 +213,7 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
     cand = tail.prepend(_raised_head(c, ell, ell))
     xi_indices: list[int] = []
     n = 0
-    while not is_admissible(field, cand):
+    while _blocks(field, cand) is None:
         if n >= i:
             raise CascadeOverrun("carry cascade exceeded its proven bound")
         cur = i - n

@@ -72,7 +72,13 @@ class Word:
         return self.period[(i - len(self.pre)) % len(self.period)]
 
     def digits(self, n: int) -> list[int]:
-        return [self.digit(i) for i in range(n)]
+        """The first n digits, read by slices of the preperiod and period."""
+        out = list(self.pre[: max(n, 0)])
+        rest = n - len(out)
+        if rest > 0:
+            period = self.period or (0,)
+            out += (period * (rest // len(period) + 1))[:rest]
+        return out
 
     def is_finite(self) -> bool:
         """True when only finitely many digits are nonzero."""
@@ -123,11 +129,9 @@ def lex_cmp(a: Word, b: Word) -> int:
 def subtract(a: Word, b: Word) -> Word:
     """Digitwise difference a - b, again eventually periodic."""
     pre = max(len(a.pre), len(b.pre))
-    per = math.lcm(a.period_len(), b.period_len())
-    return Word(
-        (a.digit(i) - b.digit(i) for i in range(pre)),
-        (a.digit(pre + i) - b.digit(pre + i) for i in range(per)),
-    )
+    n = pre + math.lcm(a.period_len(), b.period_len())
+    diff = [x - y for x, y in zip(a.digits(n), b.digits(n))]
+    return Word(diff[:pre], diff[pre:])
 
 
 # -- the shared text format -------------------------------------------------

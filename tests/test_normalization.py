@@ -1,12 +1,15 @@
 import random
+import sys
+import threading
 from fractions import Fraction as Q
 
 import pytest
 
 from test_acceptance import CATALOG, INFINITE_D1, _random_word, _spliced_word
 
-from betafin import normalization
-from betafin.errors import NotAdmissible, OrbitBudgetExceeded, OutOfRange
+from betafin import expansion, normalization
+from betafin.classify import classify
+from betafin.errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
     is_admissible,
     is_finite_expansion,
@@ -18,7 +21,7 @@ from betafin.expansion import (
     t_orbit_of_one,
     xi,
 )
-from betafin.field import make_field
+from betafin.field import BetaField, make_field
 from betafin.normalization import (
     add_one,
     carry_step,
@@ -459,3 +462,159 @@ def test_witness_json_schema():
     assert d["verified"] is True
     assert isinstance(d["omegas"], list)
     assert all(isinstance(s, str) for s in d["lhs"])
+
+
+# add_one's and carry_step's per-field memos of word values and free-block scans
+MEMOS = ("word_values", "free_blocks")
+CATALOG_COEFFS = [(1, 1, 1), (1, 1, 0), (2, -4, 4), (3, -6, 6)]
+
+
+def _clear_memos(field):
+    for name in MEMOS:
+        field.memo(name, dict).clear()
+
+
+def _certificates(field, xs, cold):
+    """add_one(x) as (expansion, theta, omegas, lhs, rhs) for each x, an
+    integer or a tuple of rational coordinates, with the two memos cleared
+    before each call when cold."""
+    out = []
+    for x in xs:
+        if cold:
+            _clear_memos(field)
+        x = field.from_coords(x) if isinstance(x, tuple) else field.from_rational(x)
+        e, w = add_one(x)
+        out.append((e, w.theta, w.omegas, w.lhs, w.rhs))
+    return out
+
+
+@pytest.mark.parametrize("coeffs", CATALOG_COEFFS, ids=str)
+def test_warm_and_cold_memos_agree(coeffs, monkeypatch):
+    # N = 0..399, then nonnegative elements with rational coordinates,
+    # whose words have periodic tails
+    rng = random.Random(sum(coeffs))
+    xs = list(range(400)) + [
+        tuple(Q(rng.randint(0, 6), rng.randint(1, 3)) for _ in coeffs) for _ in range(40)
+    ]
+    warm_field, cold_field = make_field(coeffs), make_field(coeffs)
+    _certificates(warm_field, xs, cold=False)
+    assert all(warm_field.memo(name, dict) for name in MEMOS)
+    warm = _certificates(warm_field, xs, cold=False)
+    assert warm == _certificates(cold_field, xs, cold=True)
+    expect = witness_for_natural(60, warm_field)
+    fresh_add_one = normalization.add_one
+
+    def cold_add_one(x, cap):
+        _clear_memos(x.field)
+        return fresh_add_one(x, cap)
+
+    monkeypatch.setattr(normalization, "add_one", cold_add_one)
+    assert witness_for_natural(60, cold_field) == expect
+
+
+def test_carry_checks_fire_with_warm_memos(monkeypatch):
+    # the tribonacci worked chain: one carry round, whose rewrite is built
+    # with subtract; a rewrite one digit off must fail the value check on
+    # every call, however warm the memos are
+    b = TRIB.beta()
+    x = b**8 + b**6 + b**5 + b**3 + b**2 + 1
+    c = beta_expand(x).word
+    fb = free_blocks(TRIB, c)
+    for _ in range(2):
+        add_one(x)
+        carry_step(TRIB, c, fb, 9, c.shift(9), 1)
+    assert all(TRIB.memo(name, dict) for name in MEMOS)
+    real = normalization.subtract
+
+    def one_digit_off(a, b):
+        w = real(a, b)
+        return w.shift(1).prepend((w.digit(0) + 1,))
+
+    monkeypatch.setattr(normalization, "subtract", one_digit_off)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="carry rewrite changed the value"):
+            carry_step(TRIB, c, fb, 9, c.shift(9), 1)
+        with pytest.raises(InvariantViolation, match="carry rewrite changed the value"):
+            add_one(x)
+
+
+def test_normalization_memos_clear_at_their_bound(monkeypatch):
+    # x^3-4x^2+4x-2: N = 0..199 meet far more than 16 distinct words; the
+    # bounded memos give the certificates of memos that never clear
+    free = make_field((2, -4, 4))
+    expect = _certificates(free, range(200), cold=False)
+    assert all(len(free.memo(name, dict)) > 16 for name in MEMOS)
+    monkeypatch.setattr(expansion, "ORBIT_MEMO_BOUND", 16)
+    field = make_field((2, -4, 4))
+    sizes = {name: [] for name in MEMOS}
+    got = []
+    for n in range(200):
+        got += _certificates(field, [n], cold=False)
+        for name in MEMOS:
+            sizes[name].append(len(field.memo(name, dict)))
+    assert got == expect
+    for name, seen in sizes.items():
+        assert 0 < min(seen) and max(seen) == 16, name
+        assert any(after < before for before, after in zip(seen, seen[1:])), name
+
+
+def test_expansion_and_classify_fill_no_normalization_memo(monkeypatch):
+    # the two memos belong to add_one and carry_step: expansion, the value
+    # of an expansion, admissibility and classify request neither key
+    f = make_field((2, -4, 4))
+    keys = []
+    memo = BetaField.memo
+
+    def recorded(field, key, build):
+        keys.append(key)
+        return memo(field, key, build)
+
+    monkeypatch.setattr(BetaField, "memo", recorded)
+    rng = random.Random(34)
+    for _ in range(20):
+        x = f.from_coords([Q(rng.randint(0, 12), rng.randint(1, 4)) for _ in range(3)])
+        e = beta_expand(x)
+        assert e.value(f) == x
+        assert is_admissible(f, e.word)
+        free_blocks(f, e.word)
+    classify(f)
+    assert "orbits" in keys and not set(MEMOS) & set(keys)
+    add_one(f.from_rational(5))
+    assert set(MEMOS) <= set(keys)
+
+
+def test_add_one_under_threads():
+    # 8 threads race on one fresh field, filling and reading the orbit
+    # memo and both normalization memos: each gets the single-thread answers
+    ns = range(40)
+    expect = _certificates(make_field((2, -4, 4)), ns, cold=False)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            field = make_field((2, -4, 4))
+            results = []
+            start = threading.Barrier(8)
+
+            def worker():
+                start.wait(timeout=60)
+                results.append(_certificates(field, ns, cold=False))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+            assert len(results) == 8
+            first = results[0]
+            for got in results:
+                assert got == expect
+                # a verified certificate's rhs is its one memoized object
+                assert all(g[4] is f[4] for g, f in zip(got, first))
+            for w, value in field.memo("word_values", dict).items():
+                assert value == nu(field, w), w
+            for w, blocks in field.memo("free_blocks", dict).items():
+                assert blocks == (free_blocks(field, w) if is_admissible(field, w) else None), w
+    finally:
+        sys.setswitchinterval(old_interval)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as Q
 
 import pytest
@@ -145,3 +146,29 @@ def test_word_forms_agree_on_queries_and_equality():
     assert format_word(small.prepend((0, 7))) == "0 7 1 0 2 (3 1)"
     assert small.prepend([]) == small
     assert Word() == Word((), ()) == Word(b"", b"") == parse_word("0")
+
+
+# digits in -3..3 with an occasional 300: finite and periodic words,
+# negative digits, and both the bytes and the tuple storage
+_digit_lists = st.lists(st.one_of(st.integers(-3, 3), st.just(300)), max_size=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_digit_lists, _digit_lists, _digit_lists, _digit_lists, st.integers(-2, 40))
+def test_slice_reads_match_digit_reads(pre_a, period_a, pre_b, period_b, n):
+    # Word.digits and subtract read preperiod and period by slices; the
+    # oracle reads one Word.digit per position
+    a, b = Word(pre_a, period_a), Word(pre_b, period_b)
+    for w in (a, b):
+        assert w.digits(n) == [w.digit(i) for i in range(n)]
+    pre = max(len(a.pre), len(b.pre))
+    per = math.lcm(a.period_len(), b.period_len())
+    expect = Word(
+        [a.digit(i) - b.digit(i) for i in range(pre)],
+        [a.digit(pre + i) - b.digit(pre + i) for i in range(per)],
+    )
+    diff = subtract(a, b)
+    assert diff == expect
+    assert [diff.digit(i) for i in range(pre + 2 * per)] == [
+        a.digit(i) - b.digit(i) for i in range(pre + 2 * per)
+    ]
