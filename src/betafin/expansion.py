@@ -19,13 +19,16 @@ element; no walk calls it.  Every division by beta^m runs in
 BetaField.horner_inverse_beta, Horner's rule in beta^{-1} on integer
 numerators over one running denominator, reduced once per call: nu
 sums each block of a word there, and beta_expand and frac_part scale x
-by beta^{-L(x)} there, over L(x) zero digits, so none of them builds a
-field element per digit or a chain of negative powers of beta.
-frac_part then takes its L(x) greedy steps on the numerators of
-beta^{-L(x)} x.  _in_unit_interval decides 0 <= x <= 1 (x = 1 or
-floor(x) = 0) where a walk or a t_map step starts.  big_l compares the numerators of x with the integer rows of
-beta^n, which it walks itself with BetaField.times_beta and memoizes
-nowhere, one BetaField.sign_nums per power.
+by beta^{-L(x)} there, over L(x) zero digits (normalization.add_one
+scales x and x + 1 by beta^{-L(x+1)}), so none of them builds a field
+element per digit or a chain of negative powers of beta.  frac_part
+then takes its L(x) greedy steps on the numerators of beta^{-L(x)} x,
+in _frac_at, which add_one calls at its own exponent.
+_in_unit_interval decides 0 <= x <= 1 (x = 1 or floor(x) = 0) where a
+walk or a t_map step starts.  big_l compares the numerators of x with
+the integer rows of beta^n, which it walks itself with
+BetaField.times_beta and memoizes nowhere, one BetaField.sign_nums per
+power.
 
 The free-block scan decides that condition: it cuts an admissible word
 into maximal prefixes of the quasi-greedy word, each closed by a
@@ -413,7 +416,13 @@ def xi_t_power(field: BetaField, n: int) -> int:
 
 def frac_part(x: FieldElement) -> FieldElement:
     """The beta-fractional part T^L(beta^{-L} x), L = L(x); big_l decides the range."""
-    ell = big_l(x)
+    return _frac_at(x, big_l(x))
+
+
+def _frac_at(x: FieldElement, ell: int) -> FieldElement:
+    """T^ell(beta^{-ell} x), ell greedy steps on the numerators of
+    beta^{-ell} x, which is frac(x) for ell = L(x): frac_part passes
+    big_l(x), and normalization.add_one the exponent it has decided."""
     scaled = x.field.horner_inverse_beta((0,) * ell, x.nums, x.den)
     nums, den = scaled.nums, scaled.den
     for _ in range(ell):

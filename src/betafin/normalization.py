@@ -13,7 +13,11 @@ product, certifies the identity
     frac(x + 1) - frac(x) = theta - sum_j omega_j T^j(1)
 
 with theta in {0, 1} and nonnegative integers omega_j.  Every step here
-self-checks against exact field arithmetic.
+self-checks against exact field arithmetic.  add_one decides
+L(x + 1) once: it reads x's word as the greedy word of beta^{-L(x+1)} x,
+and its cross-check is the direct T-walk of x + 1 at that exponent
+(expansion._frac_at), which is frac(x + 1) and shares nothing with the
+cascade.
 
 Normalization in a Pisot base is a finite transducer, so the cascade
 keeps meeting the same digit words, across calls and within one pass
@@ -37,7 +41,7 @@ from .expansion import (
     DEFAULT_ORBIT_CAP,
     Expansion,
     FreeBlockDecomposition,
-    beta_expand,
+    _frac_at,
     big_l,
     bounded_memo,
     d_beta,
@@ -190,14 +194,22 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
     position outward; each round subtracts one xi value from the running
     tail and stops as soon as the candidate word is admissible.  The
     round count never exceeds the number of enclosing blocks.
+
+    The exponent ell = L(x + 1) is decided once.  The word of x is the
+    greedy word of beta^{-ell} x, which lies in [0, 1) since
+    x < x + 1 < beta^ell: it is 0^{ell - L(x)} d_beta(beta^{-L(x)} x).
+    cap bounds that orbit, ell - L(x) leading zero states included, and
+    the orbit of 1.  The cascade's fractional part is checked against
+    the direct T-walk T^ell(beta^{-ell} (x + 1)), which is frac(x + 1).
     """
     field = x.field
-    ell = big_l(x + 1)
-    base = beta_expand(x, cap)
+    x1 = x + 1
+    ell = big_l(x1)
+    # d_beta's range check rejects a negative x with x + 1 >= 0
+    c = d_beta(field.horner_inverse_beta((0,) * ell, x.nums, x.den), cap)
     # free_blocks and xi read d_beta_star with the default budget; the
     # orbit of 1 counts against this call's cap first
     d_beta_one(field, cap)
-    c = base.word.prepend((0,) * (ell - base.exponent))
     blocks = _blocks(field, c)
     if blocks is None:
         raise InvariantViolation("the greedy word of x is not admissible")
@@ -234,7 +246,7 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
 
     expansion = Expansion(ell, cand)
     lhs = y - y0
-    if y != frac_part(x + 1):
+    if y != _frac_at(x1, ell):
         raise InvariantViolation("cascade fractional part disagrees with direct computation")
     witness = _assemble_witness(field, theta, xi_indices, lhs)
     if not witness.verified:

@@ -11,6 +11,7 @@ from betafin import expansion, normalization
 from betafin.classify import classify
 from betafin.errors import InvariantViolation, NotAdmissible, OrbitBudgetExceeded, OutOfRange
 from betafin.expansion import (
+    big_l,
     is_admissible,
     is_finite_expansion,
     beta_expand,
@@ -363,7 +364,8 @@ def test_add_one_random_elements():
 
 
 def test_add_one_rejects_negative():
-    # big_l raises: on x itself for -1/2 (x + 1 >= 0), on x + 1 for -1 and -3
+    # big_l raises on x + 1 for -3; for -1 and -1/2 (x + 1 >= 0) d_beta's
+    # range check raises on beta^{-L(x+1)} x
     for q in (-1, Q(-1, 2), -3):
         with pytest.raises(OutOfRange):
             add_one(TRIB.from_rational(q))
@@ -386,6 +388,66 @@ def test_add_one_bounds_the_orbit_of_one_by_its_cap():
             add_one(f.from_rational(0), cap=3)
     expansion, witness = add_one(f.from_rational(0), cap=6)
     assert witness.verified and expansion == beta_expand(f.one())
+
+
+def test_add_one_budget_counts_the_padded_walk():
+    # on x^3-x-1, L(3/2) = 2 and L(5/2) = 4: the orbit of beta^{-4} (3/2)
+    # has two more leading-zero states than that of beta^{-2} (3/2), and
+    # cap bounds it, on a fresh field and after a memo hit
+    x = Q(3, 2)
+    f = make_field((1, 1, 0))
+    assert (big_l(f.from_rational(x)), big_l(f.from_rational(x + 1))) == (2, 4)
+    expansion, witness = add_one(f.from_rational(x), cap=28)
+    assert witness.verified and expansion == beta_expand(f.from_rational(x + 1))
+    for warm in (False, True):
+        g = f if warm else make_field((1, 1, 0))
+        with pytest.raises(OrbitBudgetExceeded):
+            add_one(g.from_rational(x), cap=27)
+
+
+def _exponent_jumps():
+    """(field, x) pairs with L(x + 1) - L(x) = 0, 1 and 2: x = 0, integers N
+    below 30 on three fields, and 1/2, 1 and 3/2 on x^3-x-1."""
+    cases = [(f, f.from_rational(n)) for f in (TRIB, family(2), MINP) for n in range(30)]
+    cases += [(MINP, MINP.from_rational(q)) for q in (Q(1, 2), 1, Q(3, 2))]
+    return cases
+
+
+def test_add_one_across_exponent_jumps():
+    # add_one reads x's word at L(x + 1): check it where the exponent stays,
+    # where N + 1 crosses a power of beta, and where L jumps by 2; both
+    # oracles are computed outside add_one
+    jumps = set()
+    for f, x in _exponent_jumps():
+        jumps.add(big_l(x + 1) - big_l(x))
+        expansion, witness = add_one(x)
+        assert expansion == beta_expand(x + 1), x
+        assert witness.verified and witness.lhs == frac_part(x + 1) - frac_part(x), x
+    assert jumps == {0, 1, 2}
+
+
+def test_add_one_decides_the_exponent_once(monkeypatch):
+    # one big_l call per add_one, on x + 1, and no beta_expand: x's word is
+    # read at L(x + 1) and the frac(x + 1) walk reuses that exponent
+    calls = []
+    original = expansion.big_l
+
+    def spy(x):
+        calls.append(x)
+        return original(x)
+
+    def no_beta_expand(x, cap=None):
+        raise AssertionError("add_one called beta_expand")
+
+    cases = _exponent_jumps()
+    expected = [add_one(x) for _, x in cases]
+    for module in (expansion, normalization):
+        monkeypatch.setattr(module, "big_l", spy)
+        monkeypatch.setattr(module, "beta_expand", no_beta_expand, raising=False)
+    for (_, x), answer in zip(cases, expected):
+        calls.clear()
+        assert add_one(x) == answer
+        assert calls == [x + 1], x
 
 
 def test_witness_sides_match_independent_recomputation():

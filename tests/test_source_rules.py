@@ -24,6 +24,7 @@ from betafin.srs import F1Certificate, ShiftRadixSystem
 # betafin.classify names the function the package re-exports, so the
 # module is read from the import system
 expansion = importlib.import_module("betafin.expansion")
+normalization = importlib.import_module("betafin.normalization")
 
 ROOT = Path(__file__).resolve().parents[1]
 REPO = ("src", "tests", "demos", "bench")
@@ -226,7 +227,13 @@ def test_field_element_stores_integer_numerators():
 
 
 def test_division_by_beta_runs_in_horner_inverse_beta():
-    for fn in (expansion.nu, expansion.beta_expand, expansion.frac_part):
+    for fn in (
+        expansion.nu,
+        expansion.beta_expand,
+        expansion.frac_part,
+        expansion._frac_at,
+        normalization.add_one,
+    ):
         found = sorted({"beta_power", "div_beta"} & _names(_tree(fn)))
         assert not found, (
             f"{fn.__name__} names {found}; divide by beta^m with BetaField.horner_inverse_beta"
