@@ -14,8 +14,8 @@ and digit * den off the constant numerator.  _digit_orbit is the one
 digit-orbit loop: it walks _greedy_step on numerator tuples over one den
 and hashes them, for t_orbit_of_one and for d_beta (so d_beta_one,
 beta_expand, is_finite_expansion and add_one), which passes it the
-stored canonical pair of x.  t_map is the public single step on an
-element; no walk calls it.  Every division by beta^m runs in
+stored canonical pair of x and the orbit memo below.  t_map is the
+public single step; no walk calls it.  Every division by beta^m runs in
 BetaField.horner_inverse_beta, Horner's rule in beta^{-1} on integer
 numerators over one running denominator, reduced once per call: nu
 sums each block of a word there, and beta_expand and frac_part scale x
@@ -40,22 +40,36 @@ compare_window shares), and builds no shifted word per block; both
 words' digits are read by index into their preperiod and period storage.
 
 Digit words are memoized per field behind BetaField.memo in one orbit
-memo, a dict from a start's canonical pair (den, *nums) to its word and
-state count, which d_beta_one reads like every d_beta.  Unlike the
-values derived from the field alone, its entries depend on the inputs,
-so it is a bounded_memo: cleared when it holds ORBIT_MEMO_BOUND (4,096)
-entries; a start walked again after a clear gets an equal entry, not
-the same object.  normalization.py keeps its word values and free-block
-scans in two more bounded memos; nu, free_blocks, is_admissible and
-beta_expand here fill none.  A hit raises OrbitBudgetExceeded exactly
-when a fresh walk would (_check_orbit_budget), and neither a failed
-walk nor an input outside [0, 1] is stored.  t_orbit_of_one keeps the
-states of the orbit of 1 as field elements in their own memo entry,
+memo, a dict from a state's pair (den, *nums), a start's canonical pair
+or a state a walk met over its start's den, to (word, r): a start's
+own word with r = 0, or, for each state on a cycle that a walk has
+closed, the cycle's one purely periodic word and the state's rotation
+r within it (for a Pisot base the orbits over one den stay in a finite
+set, so starts keep falling into the same few cycles).  A walk stops
+at the first later state found there and takes its tail from that
+entry, and d_beta_one reads d_beta(1) there like every d_beta.  Distinct states have distinct digit tails, so the state count
+of an orbit is len(word.pre) + word.period_len(), read from the word: a
+hit raises OrbitBudgetExceeded exactly when a fresh walk would
+(_check_orbit_budget), and neither a failed walk nor an input outside
+[0, 1] is stored.  Unlike the values derived from the field alone, the
+entries depend on the inputs, so the memo is a bounded_memo: cleared
+when it holds ORBIT_MEMO_BOUND (4,096) entries, or before a new cycle
+would fill it; a cycle of that many states is not stored, and a start
+walked again after a clear gets an equal entry, not the same object.  nu
+keeps the value of each period, v / (1 - beta^{-p}), in a second
+bounded memo, "period_values", keyed by the period's digits and filled
+only from its own Horner and geometric sums, so Expansion.value stays
+a check of a word that is independent of its orbit.
+normalization.py keeps its word values and free-block scans in two
+more bounded memos; free_blocks, is_admissible and beta_expand fill
+none.  t_orbit_of_one walks the orbit of 1 in full, without the orbit
+memo, and keeps its states as field elements in their own memo entry,
 walked once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence, TypeVar
 
@@ -66,12 +80,14 @@ from .words import Word, format_word, window_len
 # bounds digit orbits here and shift radix system walks (--budget-orbit)
 DEFAULT_ORBIT_CAP = 100_000
 # a per-field memo keyed by inputs (bounded_memo: d_beta's orbit memo,
-# normalization's word values and free-block scans) is cleared when it
-# holds this many entries
+# nu's period values, normalization's word values and free-block scans)
+# is cleared when it holds this many entries
 ORBIT_MEMO_BOUND = 4096
 
 _V = TypeVar("_V")
 _MISSING = object()
+# d_beta replaces a cycle entry by a start's rotated word under this lock
+_ROTATION_LOCK = threading.Lock()
 
 
 def _in_unit_interval(field: BetaField, nums: Sequence[int], den: int) -> bool:
@@ -98,26 +114,78 @@ def t_map(x: FieldElement) -> tuple[int, FieldElement]:
 
 def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     """Greedy digit word of x in [0, 1], the digit orbit of x's integer
-    numerators (_digit_orbit).
+    numerators (_digit_orbit), read from and stored in the field's
+    bounded "orbits" memo (bounded_memo).
 
-    The word and the orbit's state count are memoized per field under
-    x's canonical pair (den, *nums) in the bounded "orbits" memo
-    (bounded_memo), and a hit keeps the fresh walk's budget
-    (_check_orbit_budget).  A failed walk is not stored.
+    The memo maps a state's pair (den, *nums), x's canonical pair or a
+    state met over the den of a walk, to (word, r): a start's own word
+    with r = 0, or, for a state on a cycle that some walk has closed,
+    the cycle's one purely periodic word and the state's rotation r
+    within it.  The walk of x stops at the first later state found there
+    and takes its tail from that entry; a walk that closes a new cycle
+    publishes every state on it (_publish_cycle).  When x itself lies on
+    a published cycle, its rotated word replaces that entry once, so
+    every request gets one object.
+
+    Distinct states have distinct digit tails, so the orbit of x has
+    len(word.pre) + word.period_len() states, and every call checks
+    that count against cap (_check_orbit_budget): a memo hit raises
+    exactly when a fresh walk would.  A failed walk is not stored.
 
     Raises OrbitBudgetExceeded when the orbit does not close within cap
     states, which signals a non-Pisot base or a pathological input, and
     OutOfRange when x is not in [0, 1].
     """
     field, nums, den = x.field, x.nums, x.den
+    key = (den, *nums)
 
     def walk() -> tuple[Word, int]:
-        word, states = _digit_orbit(field, nums, den, cap)
-        return word, len(states)
+        orbits = field.memo("orbits", dict)
+        word, states = _digit_orbit(field, nums, den, cap, orbits)
+        n = _state_count(word)
+        _check_orbit_budget(field, nums, den, n, cap)
+        if len(states) == n:
+            # the walk met no known state: states is the whole orbit, and
+            # its last period_len() states form a new cycle
+            _publish_cycle(orbits, den, word, states[len(word.pre):])
+        return word, 0
 
-    word, n = bounded_memo(field, "orbits", (den, *nums), walk)
-    _check_orbit_budget(field, nums, den, n, cap)
+    hit = bounded_memo(field, "orbits", key, walk)
+    word, r = hit
+    _check_orbit_budget(field, nums, den, _state_count(word), cap)
+    if r:
+        # x lies on a published cycle at rotation r: check-then-replace
+        # under a lock, so racing threads replace the entry once
+        orbits = field.memo("orbits", dict)
+        with _ROTATION_LOCK:
+            word, r = orbits.get(key, hit)
+            if r:
+                word = Word((), word.period[r:] + word.period[:r])
+                orbits[key] = (word, 0)
     return word
+
+
+def _state_count(word: Word) -> int:
+    """The number of states of an orbit with this greedy word: distinct
+    states have distinct digit tails, one per shift of the canonical word."""
+    return len(word.pre) + word.period_len()
+
+
+def _publish_cycle(
+    orbits: dict, den: int, word: Word, cycle: Sequence[tuple[int, ...]]
+) -> None:
+    """Store each state of cycle, the numerators over den of the states
+    whose tails are the rotations of word's period, in order, as
+    (the purely periodic word, rotation), with dict.setdefault so that no
+    entry is replaced.  The memo is cleared first when the cycle would
+    fill it, and a cycle as long as its bound is not stored."""
+    if len(cycle) >= ORBIT_MEMO_BOUND:
+        return
+    if len(orbits) + len(cycle) >= ORBIT_MEMO_BOUND:
+        orbits.clear()
+    periodic = word if not word.pre else Word((), word.period)
+    for r, state in enumerate(cycle):
+        orbits.setdefault((den, *state), (periodic, r))
 
 
 def bounded_memo(field: BetaField, name: str, key: Hashable, build: Callable[[], _V]) -> _V:
@@ -149,26 +217,43 @@ def _check_orbit_budget(field: BetaField, nums: Sequence[int], den: int, n: int,
 
 
 def _digit_orbit(
-    field: BetaField, nums: Sequence[int], den: int, cap: int
+    field: BetaField,
+    nums: Sequence[int],
+    den: int,
+    cap: int,
+    memo: dict | None = None,
 ) -> tuple[Word, tuple[tuple[int, ...], ...]]:
     """Greedy word of x = (sum_i nums[i] beta^i) / den in [0, 1], d nums, den > 0,
     and its distinct states T^0(x), T^1(x), ... as numerator tuples over den,
     found by exact state hashing.  This is the package's one digit-orbit loop.
 
+    With memo, d_beta's orbit memo, the walk stops at the first later
+    state whose key (den, *state) is there, and the word is the digits
+    walked followed by that state's tail; the states are then those
+    walked before it.  Without memo the walk runs until the orbit closes.
+
     The range is decided once, here: every later state is a T-image and
-    lies in [0, 1).  OrbitBudgetExceeded, naming x, unless the orbit
-    closes within cap states; the walk stops at cap + 1 states.
+    lies in [0, 1).  OrbitBudgetExceeded, naming x, unless the walk
+    ends within cap states; it stops at cap + 1 states.
     """
     if not _in_unit_interval(field, nums, den):
         raise OutOfRange("d_beta needs 0 <= x <= 1")
     state = tuple(nums)
     seen: dict[tuple[int, ...], int] = {}
     digits: list[int] = []
+    tail = None
     while len(seen) <= cap and state not in seen:
         seen[state] = len(digits)
         digit, state = _greedy_step(field, state, den)
         digits.append(digit)
+        if memo is not None and (tail := memo.get((den, *state))) is not None:
+            break
     _check_orbit_budget(field, nums, den, len(seen), cap)
+    if tail is not None:
+        # Word's constructor makes this canonical, also where the digits
+        # walked already lie on the tail's cycle
+        word, r = tail
+        return Word([*digits, *word.pre], word.period[r:] + word.period[:r]), tuple(seen)
     split = seen[state]
     return Word(digits[:split], digits[split:]), tuple(seen)
 
@@ -317,15 +402,25 @@ def nu(field: BetaField, w: Word) -> FieldElement:
     tail v / (1 - beta^{-p}) by geometric summation, with
     1 / (1 - beta^{-p}) = 1 + 1 / (beta^p - 1) memoized per period length
     p; it is built from beta^p alone, so no chain of negative powers is
-    memoized.  Horner's rule over the m preperiod digits starts from that
-    tail, which scales it by beta^{-m}.
+    memoized.  The tail is memoized per field under the period's digits
+    in the bounded "period_values" memo (bounded_memo), which only this
+    computation fills, so words that share a period share its tail.
+    Horner's rule over the m preperiod digits starts from that tail,
+    which scales it by beta^{-m}.
     """
     tail = field.zero()
     if w.period:
-        p = len(w.period)
-        geom = field.memo(("geom_inverse", p), lambda: 1 + (field.beta() ** p - 1).inverse())
-        tail = field.horner_inverse_beta(w.period, tail.nums, tail.den) * geom
+        period = w.period
+        tail = bounded_memo(field, "period_values", period, lambda: _periodic_value(field, period))
     return field.horner_inverse_beta(w.pre, tail.nums, tail.den)
+
+
+def _periodic_value(field: BetaField, period: Sequence[int]) -> FieldElement:
+    """The value v / (1 - beta^{-p}) of the purely periodic word with this
+    nonempty period of p digits, v the block's value by Horner's rule."""
+    p = len(period)
+    geom = field.memo(("geom_inverse", p), lambda: 1 + (field.beta() ** p - 1).inverse())
+    return field.horner_inverse_beta(period, (0,) * field.degree, 1) * geom
 
 
 def big_l(x: FieldElement) -> int:
@@ -389,7 +484,7 @@ def t_orbit_of_one(field: BetaField, upto: int) -> list[FieldElement]:
         word, states = _digit_orbit(field, (1,) + (0,) * (field.degree - 1), 1, DEFAULT_ORBIT_CAP)
         # distinct states have distinct digit tails, so the states split
         # as the canonical word does, and the period is read there
-        if len(states) != len(word.pre) + word.period_len():
+        if len(states) != _state_count(word):
             raise InvariantViolation("the orbit of 1 and its word disagree on the period")
         return len(word.pre), tuple(field.from_numerators(s, 1) for s in states)
 

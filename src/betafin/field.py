@@ -57,12 +57,13 @@ quasi-greedy word of 1, the factors 1 / (1 - beta^{-p}) and xi; in
 normalization.py the right sides of the carry certificates) live in one
 per-field memo behind BetaField.memo, which publishes each
 entry with dict.setdefault: every thread gets the first value built.
-The same memo holds three dicts keyed by inputs (expansion.bounded_memo):
-expansion.py's orbit memo, from d_beta's start states to their words,
-and normalization.py's word values and free-block scans; each is
-cleared when it holds expansion.ORBIT_MEMO_BOUND (4,096) entries, and
-an entry built again after a clear is equal to the old one, not the
-same object.
+The same memo holds four dicts keyed by inputs (expansion.bounded_memo):
+expansion.py's orbit memo, from d_beta's start states and the states of
+the cycles its walks close to their words and rotations, and its
+period values, nu's value of each period; and normalization.py's word
+values and free-block scans.  Each is cleared when it holds
+expansion.ORBIT_MEMO_BOUND (4,096) entries, and an entry built again
+after a clear is equal to the old one, not the same object.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction as Q
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -455,58 +456,119 @@ def test_orbit_budget():
 
 
 MEMO_FIELDS = [make_field(c) for c in ((1, 1, 1), (2, -4, 4), (-2, 3, 5), (1, 1, 1, 1), (-1, 3))]
+# the same bases with their own memos, read under a bound of 8 entries
+SMALL_MEMO_FIELDS = [make_field(f.coeffs) for f in MEMO_FIELDS]
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(MEMO_FIELDS),
-    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-    st.integers(1, 6),
-    st.booleans(),
-)
-def test_memoized_d_beta_matches_a_fresh_walk(field, nums, den, memo_first):
-    # the fields persist across examples, so later examples also read
-    # entries that earlier ones stored
-    # |x| brought into [0, 1) by frac_part, or 1 itself
+def _memo_oracle(field, nums, den, memo_first):
+    """d_beta of x, |x| brought into [0, 1) by frac_part or 1 itself,
+    before and after the fresh memo-free walk of x, which must agree."""
     x = field.from_coords([Q(n, den) for n in nums[: field.degree]])
     if x.sign() < 0:
         x = -x
     x = field.one() if nums[-1] == 6 else frac_part(x)
     if memo_first:
         first = d_beta(x)
-        fresh = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)[0]
+        fresh, states = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)
     else:
-        fresh = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)[0]
+        fresh, states = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)
         first = d_beta(x)
+    # distinct states have distinct tails: the word counts the states
+    assert len(states) == len(fresh.pre) + fresh.period_len(), x
     assert first == fresh == d_beta(x), x
+
+
+MEMO_EXAMPLES = (
+    st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+    st.integers(1, 6),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MEMO_FIELDS), *MEMO_EXAMPLES)
+def test_memoized_d_beta_matches_a_fresh_walk(field, nums, den, memo_first):
+    # the fields persist across examples, so later examples also read
+    # entries and cycles that earlier ones stored
+    _memo_oracle(field, nums, den, memo_first)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_MEMO_FIELDS), *MEMO_EXAMPLES)
+def test_memoized_d_beta_matches_a_fresh_walk_across_clears(field, nums, den, memo_first):
+    # under a bound of 8 the memo is cleared mid-stream, between the
+    # cycles it publishes and the starts that walk into them, and cycles
+    # of 8 or more states are not published
+    with mock.patch.object(expansion, "ORBIT_MEMO_BOUND", 8):
+        _memo_oracle(field, nums, den, memo_first)
+        assert len(field.memo("orbits", dict)) <= 8
 
 
 @pytest.mark.parametrize("miss_fails", [False, True], ids=["miss-passes", "miss-raises"])
 def test_orbit_memo_keeps_the_budget_boundary(miss_fails):
     # n states pass at cap = n and raise at cap = n - 1, with the fresh
-    # walk's text, whether the call hits the memo or walks afresh
+    # walk's text, whether the call hits the memo or walks afresh; on
+    # x^3-4x^2+4x-2, once the walk of 1/7 (12 states, purely periodic)
+    # has published its cycle, the walk of (3 + 2 beta - beta^2) / 7
+    # (n = 16) stops after 4 states at a state on that cycle
     template = make_field((2, -4, 4))
-    xs = [template.one(), template.from_coords([Q(1, 3), Q(1, 5), 0]), template.from_rational(Q(5, 7))]
-    for coords in ([x.coords for x in xs]):
+    cases = [
+        (None, template.one(), None),
+        (None, template.from_coords([Q(1, 3), Q(1, 5), 0]), None),
+        (None, template.from_rational(Q(5, 7)), None),
+        (Q(1, 7), template.from_numerators((3, 2, -1), 7), 4),
+    ]
+    for warm, start, walked in cases:
         field = make_field((2, -4, 4))
-        x = field.from_coords(coords)
+        if warm is not None:
+            assert d_beta(field.from_rational(warm)).period_len() == 12
+        x = field.from_coords(start.coords)
         word, states = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)
         n = len(states)
         assert n > 1
+        orbits = field.memo("orbits", dict)
+        memo_walk = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP, orbits)
+        assert memo_walk[0] == word and len(memo_walk[1]) == (walked or n)
         with pytest.raises(OrbitBudgetExceeded) as fresh:
             _digit_orbit(field, x.nums, x.den, n - 1)
-        orbits = field.memo("orbits", dict)
         if miss_fails:
             with pytest.raises(OrbitBudgetExceeded) as miss:
                 d_beta(x, n - 1)
             assert str(miss.value) == str(fresh.value)
             assert (x.den, *x.nums) not in orbits
         assert d_beta(x, n) == word
-        assert orbits[(x.den, *x.nums)] == (word, n)
+        # a start stores its own word at rotation 0, and the word counts
+        # the orbit's states
+        assert orbits[(x.den, *x.nums)] == (word, 0)
+        assert len(word.pre) + word.period_len() == n
         with pytest.raises(OrbitBudgetExceeded) as hit:
             d_beta(x, n - 1)
         assert str(hit.value) == str(fresh.value)
         assert d_beta(x, n) == word
+
+
+def test_a_closed_cycle_is_published_with_its_rotations():
+    # x^3-5x^2-3x+2: d_beta(1) = 5 (2 3)^inf; the walk of 1 publishes T(1)
+    # and T^2(1) as the one periodic word (2 3)^inf at rotations 0 and 1;
+    # a request for T^2(1) replaces its entry by its own word (3 2)^inf
+    field = make_field((-2, 3, 5))
+    one, t1, t2 = t_orbit_of_one(field, 2)
+    orbits = field.memo("orbits", dict)
+    w1 = d_beta(one)
+    assert w1 == Word((5,), (2, 3))
+    periodic, r = orbits[(t1.den, *t1.nums)]
+    assert (periodic, r) == (Word((), (2, 3)), 0)
+    assert orbits[(t2.den, *t2.nums)] == (periodic, 1)
+    assert orbits[(one.den, *one.nums)] == (w1, 0) and len(orbits) == 3
+    assert d_beta(t1) is periodic
+    w2 = d_beta(t2)
+    assert w2 == Word((), (3, 2)) and orbits[(t2.den, *t2.nums)] == (w2, 0)
+    assert d_beta(t2) is w2
+    # frac(6) = 6 - beta walks two states into that cycle and stops there
+    x = frac_part(field.from_rational(6))
+    assert x == 6 - field.beta()
+    assert len(_digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP, orbits)[1]) == 2
+    assert d_beta(x) == Word((2, 4), (3, 2)) == _digit_orbit(field, x.nums, x.den, 4)[0]
 
 
 def test_orbit_memo_stores_no_out_of_range_input():
@@ -524,8 +586,6 @@ def test_orbit_memo_clears_at_its_bound(monkeypatch):
     # x^3-4x^2+4x-2: the sweep of N = 0..199 walks far more than 16
     # distinct starts; the bounded memo gives the same expansions and
     # certificates as a memo that never clears
-    free = make_field((2, -4, 4))
-    expect = [add_one(free.from_rational(k)) for k in range(200)]
     walks = []
     digit_orbit = expansion._digit_orbit
 
@@ -533,8 +593,11 @@ def test_orbit_memo_clears_at_its_bound(monkeypatch):
         walks.append(args[1:3])
         return digit_orbit(*args)
 
-    monkeypatch.setattr(expansion, "ORBIT_MEMO_BOUND", 16)
     monkeypatch.setattr(expansion, "_digit_orbit", counted)
+    free = make_field((2, -4, 4))
+    expect = [add_one(free.from_rational(k)) for k in range(200)]
+    free_walks, walks[:] = len(walks), []
+    monkeypatch.setattr(expansion, "ORBIT_MEMO_BOUND", 16)
     field = make_field((2, -4, 4))
     got = [add_one(field.from_rational(k)) for k in range(200)]
     orbits = field.memo("orbits", dict)
@@ -542,7 +605,9 @@ def test_orbit_memo_clears_at_its_bound(monkeypatch):
     assert len(walks) > 2 * 16
     assert [(e.exponent, e.word) for e, _ in got] == [(e.exponent, e.word) for e, _ in expect]
     assert [w.to_json_dict() for _, w in got] == [w.to_json_dict() for _, w in expect]
-    assert len(free.memo("orbits", dict)) < len(walks)
+    # the unbounded memo walks each start once; the bounded one walks
+    # starts again after its clears
+    assert free_walks < len(walks)
 
 
 def t_map_orbit(x, cap):
@@ -628,6 +693,8 @@ def memo_answers(field):
         if n:
             out.append((("xi", n), xi(field, n)))
         out.append((("d_beta", n), d_beta(t_orbit_of_one(field, n)[n])))
+        # frac(n) for n = 6 ... 16 walks into the cycle of 1's orbit
+        out.append((("d_beta_frac", n), d_beta(frac_part(field.from_rational(n)))))
     out += [
         ("d_beta_one", d_beta_one(field)),
         ("d_beta_star", d_beta_star(field)),
@@ -641,7 +708,10 @@ def test_t_orbit_of_one_under_threads():
     # d_beta(1) is infinite here, so a duplicated orbit entry would shift
     # every later entry instead of hiding among trailing zeros; every
     # thread must get the single-thread answers, and every request for a
-    # memoized key the same object (powers of beta are built on each call)
+    # memoized key the same object (powers of beta are built on each call),
+    # also for the states T^n(1), n >= 1, which lie on the cycle of 1's
+    # orbit at both rotations, and for frac(n), n = 6 ... 16, which walk
+    # into that cycle
     expect = memo_answers(make_field((-2, 3, 5)))
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -703,6 +773,40 @@ def test_nu_matches_power_sum(coeffs):
         words.append(Word(pre, [rng.randint(0, 3) for _ in range(rng.randint(100, 300))]))
     for w in words:
         assert nu(f, w) == nu_power_sum(f, w), w
+
+
+def horner_geometric(field, w):
+    """nu without memos: the period's block by Horner's rule, times
+    1 + 1 / (beta^p - 1), then Horner's rule over the preperiod."""
+    tail = field.zero()
+    if w.period:
+        block = field.horner_inverse_beta(w.period, tail.nums, tail.den)
+        tail = block * (1 + (field.beta() ** len(w.period) - 1).inverse())
+    return field.horner_inverse_beta(w.pre, tail.nums, tail.den)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (2, -4, 4), (-2, 3, 5)])
+def test_nu_shares_period_values(coeffs):
+    # words that share a period, behind different preperiods and at
+    # different rotations, read each period's value from the one memo
+    # entry nu filled, and still give the memo-free value
+    f, g = make_field(coeffs), make_field(coeffs)
+    rng = random.Random(36 + sum(coeffs))
+    periods = [(1,), (2, 0, 1), (1, 0, 0, 1, 1), [rng.randint(0, 2) for _ in range(40)]]
+    words = []
+    for period in periods:
+        for r in range(min(len(period), 4)):
+            rotated = period[r:] + period[:r]
+            for _ in range(4):
+                pre = [rng.randint(-1, 3) for _ in range(rng.randint(0, 6))]
+                words.append(Word(pre, rotated))
+    rng.shuffle(words)
+    for w in words + words:
+        assert nu(f, w) == horner_geometric(g, w), w
+    values = f.memo("period_values", dict)
+    assert set(values) == {w.period for w in words}
+    assert all(values[p] == horner_geometric(g, Word((), p)) for p in values)
+    assert not g.memo("period_values", dict)
 
 
 def test_nu_takes_no_negative_power(monkeypatch):

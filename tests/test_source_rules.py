@@ -208,6 +208,22 @@ def test_field_element_reduces_through_times_beta():
     )
 
 
+def test_only_nu_fills_the_period_values_memo():
+    # Expansion.value(field) == x checks a word independently of its
+    # digit orbit only while period values come from nu's own Horner and
+    # geometric sums, never from an orbit state
+    found = []
+    for path in sorted((ROOT / "src/betafin").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == "period_values":
+                found.append(f"{path.relative_to(ROOT).as_posix()}:{node.lineno}")
+    in_nu = [n for n in ast.walk(_tree(expansion.nu)) if isinstance(n, ast.Constant)]
+    assert len(found) == 1 and any(n.value == "period_values" for n in in_nu), _fail(
+        "only expansion.nu may name the 'period_values' memo, and it fills it from "
+        "its own Horner and geometric sums", found
+    )
+
+
 def test_field_element_stores_integer_numerators():
     assert "coords" not in FieldElement.__slots__, (
         "FieldElement.__slots__ holds coords; store the canonical (nums, den) pair "
