@@ -63,7 +63,6 @@ from .srs import (
     f1_certificate,
     in_f_beta,
     q_set,
-    tau_orbit_vectors,
     tau_preimages,
     v_box_set,
 )

@@ -205,34 +205,25 @@ def delta(p_nodes: frozenset[SrsVector] | set[SrsVector]) -> int:
     return max((abs(c) for v in p_nodes for c in v), default=0)
 
 
-def tau_orbit_vectors(srs: ShiftRadixSystem, cap: int = DEFAULT_ORBIT_CAP) -> list[SrsVector]:
-    """Distinct nonzero vectors of the tau-orbit of the initial vector."""
-    return walk(srs.tau, srs.initial_vector(), {(0,) * srs.dim: True}, set(), cap)
-
-
-def v_box_set(
-    srs: ShiftRadixSystem,
-    delta_bound: int,
-    cap: int = DEFAULT_CLOSURE_CAP,
-    walk_cap: int = DEFAULT_ORBIT_CAP,
-) -> set[SrsVector]:
-    """Members of V inside the delta-box; cap bounds the box closure and
-    walk_cap the orbit walk.
+def v_box_set(graph: OrbitGraph, delta_bound: int, cap: int = DEFAULT_CLOSURE_CAP) -> set[SrsVector]:
+    """Members of V inside the delta-box; cap bounds the box closure.
 
     V is the set of finite sums -sum omega_n s_n over the orbit vectors
-    s_n.  The slice is the closure of zero under v -> v - s_n inside a
-    per-coordinate box, cut down to the delta-box.  Where every s_n has
-    one sign, partial sums are monotone between 0 and v, so the radius is
-    delta.  Elsewhere it is n max(M, delta) + delta, n = dim and
-    M = max |s_n|: by the Steinitz lemma (constant n in any norm;
-    Grinberg and Sevast'yanov 1980) the terms of v and -v, which sum to
-    zero, have an order whose partial sums stay within n max(M, delta),
-    and leaving out -v moves them by at most delta.
+    s_n, the distinct nonzero vectors of the initial vector's tau-orbit,
+    read off the tau-edges of Q.  The slice is the closure of zero under
+    v -> v - s_n inside a per-coordinate box, cut down to the delta-box.
+    Where every s_n has one sign, partial sums are monotone between 0 and
+    v, so the radius is delta.  Elsewhere it is n max(M, delta) + delta,
+    n = dim and M = max |s_n|: by the Steinitz lemma (constant n in any
+    norm; Grinberg and Sevast'yanov 1980) the terms of v and -v, which
+    sum to zero, have an order whose partial sums stay within
+    n max(M, delta), and leaving out -v moves them by at most delta.
     """
     if delta_bound < 0:
         raise ValueError("delta must be >= 0")
-    S = tau_orbit_vectors(srs, walk_cap)
+    srs = graph.srs
     zero = (0,) * srs.dim
+    S = walk(graph.edges.__getitem__, srs.initial_vector(), {zero: True}, set(), len(graph.edges))
     if delta_bound == 0 or not S:
         # the box holds only the zero vector, which is always a member
         return {zero}
@@ -272,18 +263,22 @@ def f1_certificate(
     at a time: every preimage of a P vector stays in P, then the delta-box
     slice R0 of V reaches zero under tau.  When preimage closure fails, R0
     is not enumerated and stays empty; when some box vectors miss F, the
-    diagnostic names them all.  walk_cap bounds each tau walk, the orbit
-    of the initial vector included, and closure_cap the box closure; a
-    spent budget gives "unknown"."""
+    diagnostic names them all.  The box vectors are walked in sorted order
+    over a copy of Q's F flags, so walk_cap bounds the new states each walk
+    steps beyond Q and the walks before it; closure_cap bounds the box
+    closure.  A spent budget gives "unknown"."""
     srs = graph.srs
     P = graph.p_nodes
     d = delta(P)
+    verdict = {**graph.in_f, (0,) * srs.dim: True}
     try:
         closure_ok = all(tau_preimages(srs, p) <= P for p in P)
-        r0 = v_box_set(srs, d, closure_cap, walk_cap) if closure_ok else set()
-        missing = sorted(v for v in r0 if not in_f_beta(srs, v, walk_cap))
+        r0 = v_box_set(graph, d, closure_cap) if closure_ok else set()
+        for v in sorted(r0):
+            walk(srs.tau, v, verdict, set(), walk_cap)
     except (ClosureBudgetExceeded, OrbitBudgetExceeded) as exc:
         return F1Certificate("unknown", frozenset(), 0, frozenset(), False, False, f"budget: {exc}")
+    missing = sorted(v for v in r0 if not verdict[v])
     if not closure_ok:
         diag = "preimage closure fails"
     elif missing:

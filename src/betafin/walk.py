@@ -6,11 +6,12 @@ V (subtracting orbit vectors) are both built by it.
 
 walk answers "does the orbit of x under step reach zero?" for every
 reach-zero question the package asks: on integer vectors under the shift
-radix map tau (closure flags, F membership, the orbit of the initial
-vector), and on the integer numerators of the fractional parts frac(N)
-under the greedy step, which decide finiteness of the expansions of
-natural numbers.  Walks that share one verdict map step each node once,
-however many starts lead into it.
+radix map tau, along Q's tau-edges (Q's flags, the orbit of the initial
+vector) or stepping tau itself (F membership, and the certificate's box
+vectors over a copy of Q's flags), and on the integer numerators of the
+fractional parts frac(N) under the greedy step, which decide finiteness
+of the expansions of natural numbers.  Walks that share one verdict map
+step each node once, however many starts lead into it.
 """
 
 from __future__ import annotations

@@ -543,15 +543,28 @@ def test_natural_sweep_skip_is_recorded_not_refuted():
 
 
 def test_spent_certificate_budget_is_recorded(monkeypatch):
-    # x^3-4x^2+4x-2 at orbit_cap 1: the orbit of 1, the certificate's walks
-    # and the sweep each spend the budget, and each says so
+    # x^3-3x^2-6x-4 at orbit_cap 1: the orbit of 1, the tau-cycle check,
+    # the certificate's walk of its one box vector outside Q and the sweep
+    # each spend the budget, and each says so; at orbit_cap 2 the
+    # certificate's walks finish
+    spent = {}
+    for cap in (1, 2):
+        rep = classify(make_field((4, 6, 3)), orbit_cap=cap)
+        assert rep.f1 == UNKNOWN
+        spent[cap] = [(e.rule, e.claim) for e in rep.evidence if e.cite == "budget exceeded"]
+    assert [rule for rule, _ in spent[1]] == ["orbit-budget"] * 4
+    assert spent[1][0][1] == "digit orbit of 1 did not close within 1 states"
+    assert spent[1][1][1].startswith("tau-cycle check: ")
+    assert spent[1][2][1] == "(F1) certificate: walk exceeded 1 new states"
+    assert spent[1][3][1].startswith("N = ") and "skipped" in spent[1][3][1]
+    assert not [claim for _, claim in spent[2] if claim.startswith("(F1) certificate")]
+    # x^3-4x^2+4x-2 at orbit_cap 1: the certificate's walks all start on
+    # Q's verdicts, so only the orbit of 1 spends the budget
     rep = classify(family(2), orbit_cap=1)
-    assert rep.f1 == UNKNOWN
-    spent = [(e.rule, e.claim) for e in rep.evidence if e.cite == "budget exceeded"]
-    assert [rule for rule, _ in spent] == ["orbit-budget"] * 3
-    assert spent[0][1] == "digit orbit of 1 did not close within 1 states"
-    assert spent[1][1] == "(F1) certificate: walk exceeded 1 new states"
-    assert spent[2][1].startswith("N = ") and "skipped" in spent[2][1]
+    assert rep.f1 == PROVEN
+    assert [(e.rule, e.claim) for e in rep.evidence if e.cite == "budget exceeded"] == [
+        ("orbit-budget", "digit orbit of 1 did not close within 1 states")
+    ]
     # x^3-3x^2-6x-4 has orbit vectors of both signs: its box closure (190
     # nodes) is larger than Q (171), so a budget between them is spent by
     # the certificate alone

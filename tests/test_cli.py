@@ -205,10 +205,20 @@ def test_verify_family(capsys):
     assert data[0]["checks"]["Q is the 27-vector set"] is True
 
 
-def test_verify_family_r0_row_reads_the_certificate(capsys):
-    # 7 states let d_beta(1) close but not the certificate's walks: its R0
-    # is empty, and the row reports the undecided R0 as failed
+def test_verify_family_r0_row_reads_the_certificate(monkeypatch, capsys):
+    # 7 states let d_beta(1) close, and the certificate's walks start on
+    # Q's verdicts, so every row passes
     code, out, _ = run(capsys, *FAMILY, "--budget-orbit", "7", "--format", "json")
+    checks = json.loads(out)[0]["checks"]
+    assert code == 0 and all(checks.values())
+    # with one node for its box closure the certificate's R0 is empty, and
+    # the row reports the undecided R0 as failed
+    classify_module = importlib.import_module("betafin.classify")
+    original = classify_module.f1_certificate
+    monkeypatch.setattr(
+        classify_module, "f1_certificate", lambda graph, walk_cap, cap: original(graph, walk_cap, 1)
+    )
+    code, out, _ = run(capsys, *FAMILY, "--format", "json")
     checks = json.loads(out)[0]["checks"]
     assert code == 1
     assert checks["R0 inside F"] is False and checks["F1 certificate proven"] is False

@@ -19,12 +19,13 @@ from pathlib import Path
 
 from betafin.classify import _find_infinite_natural
 from betafin.field import BetaField, FieldElement
-from betafin.srs import F1Certificate, ShiftRadixSystem
+from betafin.srs import F1Certificate, ShiftRadixSystem, f1_certificate, v_box_set
 
 # betafin.classify names the function the package re-exports, so the
 # module is read from the import system
 expansion = importlib.import_module("betafin.expansion")
 normalization = importlib.import_module("betafin.normalization")
+srs = importlib.import_module("betafin.srs")
 
 ROOT = Path(__file__).resolve().parents[1]
 REPO = ("src", "tests", "demos", "bench")
@@ -189,6 +190,22 @@ def test_the_box_slice_is_enumerated_in_full():
     assert not found, _fail(
         "the 'box enumeration incomplete' outcome is gone; the certificate reads "
         "'preimage closure fails' or names the box vectors that miss F", found
+    )
+
+
+def test_the_certificate_reads_q_verdicts_and_edges():
+    for fn in (f1_certificate, v_box_set):
+        found = sorted({"in_f_beta", "tau_orbit_vectors", "tau_orbit"} & _names(_tree(fn)))
+        assert not found, (
+            f"{fn.__name__} names {found}; walk the box vectors over a copy of "
+            "OrbitGraph.in_f, and read the orbit vectors off OrbitGraph.edges"
+        )
+    assert "tau" not in _names(_tree(v_box_set)), (
+        "v_box_set steps tau; the initial vector's orbit is already in Q, so walk "
+        "graph.edges instead"
+    )
+    assert not hasattr(srs, "tau_orbit_vectors"), (
+        "betafin.srs.tau_orbit_vectors is gone; v_box_set reads the orbit off Q's edges"
     )
 
 

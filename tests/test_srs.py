@@ -23,7 +23,6 @@ from betafin.srs import (
     f1_certificate,
     in_f_beta,
     q_set,
-    tau_orbit_vectors,
     tau_preimages,
     v_box_set,
 )
@@ -40,6 +39,17 @@ def srs_for(field):
 
 
 from family_data import FAMILY_EDGES, FAMILY_Q, survey_grid_fields
+
+
+def orbit_vectors(s):
+    """Distinct nonzero vectors of the initial vector's tau-orbit, by
+    plain iteration of tau."""
+    out = []
+    cur = s.initial_vector()
+    while any(cur) and cur not in out:
+        out.append(cur)
+        cur = s.tau(cur)
+    return out
 
 
 def test_radix_vector():
@@ -285,15 +295,14 @@ def test_q_set_flags_against_stepwise_oracle():
     assert len(q_set(srs_for(make_field((4, -4, 5)))).p_nodes) == 5
 
 
-def test_tau_orbit_vectors_is_plain_iteration():
+def test_orbit_vectors_follow_q_edges():
+    # v_box_set reads the orbit vectors off Q's tau-edges: the plain tau
+    # iteration of the initial vector stays in Q and steps along its edges
     for field in (make_field((4, -4, 5)), make_field((-1, 1, 2)), family(2), TRIB):
-        s = srs_for(field)
-        expect = []
-        cur = s.initial_vector()
-        while any(cur) and cur not in expect:
-            expect.append(cur)
-            cur = s.tau(cur)
-        assert tau_orbit_vectors(s) == expect
+        g = q_set(srs_for(field))
+        S = orbit_vectors(g.srs)
+        assert S and set(S) <= set(g.nodes)
+        assert all(g.edges[v] == g.srs.tau(v) for v in S)
 
 
 def test_in_f_beta():
@@ -396,16 +405,16 @@ def test_delta():
 
 def test_v_box_family():
     s = srs_for(family(2))
-    S = tau_orbit_vectors(s)
+    S = orbit_vectors(s)
     assert set(S) == {(0, 1), (1, 2), (2, 2), (2, 1), (1, 0)}
-    assert v_box_set(s, 1) == {(0, 0), (0, -1), (-1, 0), (-1, -1)}
+    assert v_box_set(q_set(s), 1) == {(0, 0), (0, -1), (-1, 0), (-1, -1)}
 
 
 def test_v_box_against_bounded_combination_oracle():
     # brute force: all combinations -sum w_n s_n with coefficients up to 20,
     # pruned coordinatewise (sound because the family orbit is nonnegative)
     s = srs_for(family(2))
-    S = tau_orbit_vectors(s)
+    S = orbit_vectors(s)
     box = 1
     found = set()
 
@@ -423,11 +432,11 @@ def test_v_box_against_bounded_combination_oracle():
             rec(idx + 1, vec)
 
     rec(0, (0, 0))
-    assert found == v_box_set(s, box)
+    assert found == v_box_set(q_set(s), box)
 
 
 def test_v_box_zero_delta():
-    assert v_box_set(srs_for(TRIB), 0) == {(0, 0)}
+    assert v_box_set(q_set(srs_for(TRIB)), 0) == {(0, 0)}
 
 
 def test_mixed_sign_box_against_bounded_sums_oracle():
@@ -435,7 +444,7 @@ def test_mixed_sign_box_against_bounded_sums_oracle():
     # in the 3-box is a sum of at most K = 6 vectors of -S ((-3, -3) needs
     # six); no seventh vector adds a box point
     s = srs_for(make_field((4, 6, 3)))
-    S = tau_orbit_vectors(s)
+    S = orbit_vectors(s)
     assert S == [(0, 1), (1, -1), (-1, 1), (1, 0)]
     box = 3
 
@@ -452,11 +461,12 @@ def test_mixed_sign_box_against_bounded_sums_oracle():
     assert found == box_sums(7)
     half_plane = {(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1) if x + y <= 0}
     assert found == half_plane and len(found) == 28
-    assert v_box_set(s, box) == found
+    graph = q_set(s)
+    assert v_box_set(graph, box) == found
     # the closure steps through 190 nodes of its wider box
-    v_box_set(s, box, cap=190)
+    v_box_set(graph, box, cap=190)
     with pytest.raises(ClosureBudgetExceeded):
-        v_box_set(s, box, cap=189)
+        v_box_set(graph, box, cap=189)
 
 
 def test_mixed_sign_orbit_certificates():
@@ -469,7 +479,7 @@ def test_mixed_sign_orbit_certificates():
         ((4, 6, 3), 28, "a box vector misses F: (-2, 1), (1, -2)"),
     ):
         s = srs_for(make_field(coeffs))
-        S = tau_orbit_vectors(s)
+        S = orbit_vectors(s)
         assert any(x < 0 for v in S for x in v) and any(x > 0 for v in S for x in v)
         cert = f1_certificate(q_set(s))
         assert cert.delta == 3
@@ -481,7 +491,7 @@ def test_mixed_sign_orbit_certificates():
 
 def test_mixed_sign_orbit_with_zero_delta_is_proven():
     s = srs_for(make_field((5, 5, 4)))  # x^3-4x^2-5x-5
-    S = tau_orbit_vectors(s)
+    S = orbit_vectors(s)
     assert any(x < 0 for v in S for x in v) and any(x > 0 for v in S for x in v)
     cert = f1_certificate(q_set(s))
     assert cert.delta == 0
@@ -493,7 +503,7 @@ def _monotone_box(s, bound):
     """The slice as the closure of zero under v -> v - s_n inside the
     delta-box alone, breadth first: exact when every orbit vector has one
     coordinate sign, since partial sums are then monotone."""
-    S = tau_orbit_vectors(s)
+    S = orbit_vectors(s)
     seen = {(0,) * s.dim}
     queue = deque(seen)
     while queue:
@@ -515,21 +525,30 @@ def _monotone_box(s, bound):
 )
 def test_survey_grid_box_slices_and_certificates(name, same_sign, outcomes):
     # where every orbit vector has one sign, the slice and the closure's
-    # node count (the budget it spends) are the monotone closure's
+    # node count (the budget it spends) are the monotone closure's.  The
+    # certificate walks R0 over a copy of Q's F flags; a fresh walk of each
+    # box vector (in_f_beta) finds the same box vectors missing F, and Q's
+    # own flags are left as they were
     checked = 0
     counts = Counter()
     for field in survey_grid_fields(name):
         graph = q_set(srs_for(field))
         s = graph.srs
         bound = delta(graph.p_nodes)
-        S = tau_orbit_vectors(s)
+        S = orbit_vectors(s)
         if bound and (all(c >= 0 for v in S for c in v) or all(c <= 0 for v in S for c in v)):
             slice_ = _monotone_box(s, bound)
-            assert v_box_set(s, bound, cap=len(slice_)) == slice_, field
+            assert v_box_set(graph, bound, cap=len(slice_)) == slice_, field
             with pytest.raises(ClosureBudgetExceeded):
-                v_box_set(s, bound, cap=len(slice_) - 1)
+                v_box_set(graph, bound, cap=len(slice_) - 1)
             checked += 1
+        in_f = dict(graph.in_f)
         cert = f1_certificate(graph)
+        assert graph.in_f == in_f, field
+        missing = sorted(v for v in cert.r0 if not in_f_beta(s, v))
+        assert cert.r0_in_f == (cert.preimage_closure_ok and not missing), field
+        if missing:
+            assert cert.diagnostic == f"a box vector misses F: {', '.join(map(str, missing))}"
         counts[cert.diagnostic.split(":")[0] or cert.verdict] += 1
     assert checked == same_sign
     assert counts == outcomes
@@ -563,22 +582,28 @@ def test_f1_certificate_unknown_is_not_refuted():
 
 
 def test_f1_certificate_spent_walk_budget_is_unknown():
-    # the walks of the box vectors spend the orbit budget: unknown, and
-    # the diagnostic says why
-    cert = f1_certificate(q_set(srs_for(make_field((2, -4, 4)))), 1)
+    # x^3-3x^2-6x-4: (-3, -3) is the one box vector outside Q, and its
+    # walk steps two new states before it meets Q's flags.  One state
+    # spends the orbit budget: unknown, and the diagnostic says why; two
+    # let every walk finish, and the two box vectors that miss F are named
+    graph = q_set(srs_for(make_field((4, 6, 3))))
+    assert (-3, -3) not in graph.in_f
+    cert = f1_certificate(graph, 1)
     assert cert.verdict == "unknown" and not cert.r0_in_f
-    assert cert.diagnostic.startswith("budget: ")
-    # x^3-x^2-2x-1: the box vectors' walks stay within the budget; the
-    # walk of the initial vector's orbit in v_box_set spends it
-    cert = f1_certificate(q_set(srs_for(make_field((1, 2, 1)))), 1)
-    assert cert.verdict == "unknown"
-    assert cert.diagnostic.startswith("budget: ")
+    assert cert.diagnostic == "budget: walk exceeded 1 new states"
+    cert = f1_certificate(graph, 2)
+    assert cert.verdict == "unknown" and len(cert.r0) == 28
+    assert cert.diagnostic == "a box vector misses F: (-2, 1), (1, -2)"
+    # the orbit vectors and the box vectors of the family at t = 2 and of
+    # x^3-x^2-2x-1 all have Q's verdicts: one state is budget enough
+    for coeffs in ((2, -4, 4), (1, 2, 1)):
+        assert f1_certificate(q_set(srs_for(make_field(coeffs))), 1).verdict == "proven"
 
 
 def test_f1_certificate_spent_closure_budget_is_unknown():
     # family t=2: delta 1 and a box slice of 4 vectors
     graph = q_set(srs_for(family(2)))
-    assert len(v_box_set(graph.srs, delta(graph.p_nodes))) == 4
+    assert len(v_box_set(graph, delta(graph.p_nodes))) == 4
     cert = f1_certificate(graph, closure_cap=1)
     assert cert.verdict == "unknown"
     assert cert.diagnostic.startswith("budget: ")
@@ -607,7 +632,7 @@ def test_budget_errors():
     with pytest.raises(OrbitBudgetExceeded):
         in_f_beta(srs_for(family(2)), (0, 1), cap=2)
     with pytest.raises(ClosureBudgetExceeded):
-        v_box_set(srs_for(family(2)), 1, cap=2)
+        v_box_set(q_set(srs_for(family(2))), 1, cap=2)
 
 
 def test_export_graph_dot_and_json():
