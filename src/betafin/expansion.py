@@ -14,10 +14,10 @@ and digit * den off the constant numerator.  _digit_orbit is the one
 digit-orbit loop: it walks _greedy_step on numerator tuples over one den
 and hashes them, for t_orbit_of_one and for d_beta (so d_beta_one,
 beta_expand, is_finite_expansion and add_one), which passes it the
-stored canonical pair of x and the orbit memo below.  t_map is the
-public single step; no walk calls it.  Every division by beta^m runs in
-BetaField.horner_inverse_beta, Horner's rule in beta^{-1} on integer
-numerators over one running denominator, reduced once per call: nu
+stored canonical pair of x and the memo of cycle states below.  t_map
+is the public single step; no walk calls it.  Every division by beta^m
+runs in BetaField.horner_inverse_beta, Horner's rule in beta^{-1} on
+integer numerators over one running denominator, reduced once per call: nu
 sums each block of a word there, and beta_expand and frac_part scale x
 by beta^{-L(x)} there, over L(x) zero digits (normalization.add_one
 scales x and x + 1 by beta^{-L(x+1)}), so none of them builds a field
@@ -39,37 +39,39 @@ two words' preperiod and period lengths (words.window_len, which
 compare_window shares), and builds no shifted word per block; both
 words' digits are read by index into their preperiod and period storage.
 
-Digit words are memoized per field behind BetaField.memo in one orbit
-memo, a dict from a state's pair (den, *nums), a start's canonical pair
-or a state a walk met over its start's den, to (word, r): a start's
-own word with r = 0, or, for each state on a cycle that a walk has
-closed, the cycle's one purely periodic word and the state's rotation
-r within it (for a Pisot base the orbits over one den stay in a finite
-set, so starts keep falling into the same few cycles).  A walk stops
-at the first later state found there and takes its tail from that
-entry, and d_beta_one reads d_beta(1) there like every d_beta.  Distinct states have distinct digit tails, so the state count
+Digit words are memoized per field behind BetaField.memo in two
+bounded memos, one per kind of entry.  "orbits" maps a start's
+canonical pair (den, *nums) to its word, through bounded_memo.
+"cycles" maps each state of a cycle that a walk has closed, keyed
+(den, *state) over that walk's den, to the cycle's one purely periodic
+word and the state's rotation r within it (for a Pisot base the orbits
+over one den stay in a finite set, so starts keep falling into the same
+few cycles); only _publish_cycle fills it.  A walk stops at the first later state found
+in "cycles" and takes its tail from that entry, and d_beta_one reads
+d_beta(1) from "orbits" like every d_beta.  Every entry is published
+once with dict.setdefault and never replaced; the dicts are only
+cleared.  Distinct states have distinct digit tails, so the state count
 of an orbit is len(word.pre) + word.period_len(), read from the word: a
 hit raises OrbitBudgetExceeded exactly when a fresh walk would
 (_check_orbit_budget), and neither a failed walk nor an input outside
 [0, 1] is stored.  Unlike the values derived from the field alone, the
-entries depend on the inputs, so the memo is a bounded_memo: cleared
-when it holds ORBIT_MEMO_BOUND (4,096) entries, or before a new cycle
+entries depend on the inputs, so each memo is cleared when it holds
+ORBIT_MEMO_BOUND (4,096) entries, "cycles" also before a new cycle
 would fill it; a cycle of that many states is not stored, and a start
 walked again after a clear gets an equal entry, not the same object.  nu
-keeps the value of each period, v / (1 - beta^{-p}), in a second
+keeps the value of each period, v / (1 - beta^{-p}), in a third
 bounded memo, "period_values", keyed by the period's digits and filled
 only from its own Horner and geometric sums, so Expansion.value stays
 a check of a word that is independent of its orbit.
 normalization.py keeps its word values and free-block scans in two
 more bounded memos; free_blocks, is_admissible and beta_expand fill
-none.  t_orbit_of_one walks the orbit of 1 in full, without the orbit
-memo, and keeps its states as field elements in their own memo entry,
+none.  t_orbit_of_one walks the orbit of 1 in full, without the memos
+above, and keeps its states as field elements in their own memo entry,
 walked once.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence, TypeVar
 
@@ -79,15 +81,14 @@ from .words import Word, format_word, window_len
 
 # bounds digit orbits here and shift radix system walks (--budget-orbit)
 DEFAULT_ORBIT_CAP = 100_000
-# a per-field memo keyed by inputs (bounded_memo: d_beta's orbit memo,
-# nu's period values, normalization's word values and free-block scans)
-# is cleared when it holds this many entries
+# a per-field memo keyed by inputs (bounded_memo: d_beta's starts, and
+# its cycle states in _publish_cycle; nu's period values; normalization's
+# word values and free-block scans) is cleared when it holds this many
+# entries
 ORBIT_MEMO_BOUND = 4096
 
 _V = TypeVar("_V")
 _MISSING = object()
-# d_beta replaces a cycle entry by a start's rotated word under this lock
-_ROTATION_LOCK = threading.Lock()
 
 
 def _in_unit_interval(field: BetaField, nums: Sequence[int], den: int) -> bool:
@@ -114,18 +115,19 @@ def t_map(x: FieldElement) -> tuple[int, FieldElement]:
 
 def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     """Greedy digit word of x in [0, 1], the digit orbit of x's integer
-    numerators (_digit_orbit), read from and stored in the field's
-    bounded "orbits" memo (bounded_memo).
+    numerators (_digit_orbit), read from and stored in two bounded memos
+    of the field.
 
-    The memo maps a state's pair (den, *nums), x's canonical pair or a
-    state met over the den of a walk, to (word, r): a start's own word
-    with r = 0, or, for a state on a cycle that some walk has closed,
-    the cycle's one purely periodic word and the state's rotation r
-    within it.  The walk of x stops at the first later state found there
-    and takes its tail from that entry; a walk that closes a new cycle
-    publishes every state on it (_publish_cycle).  When x itself lies on
-    a published cycle, its rotated word replaces that entry once, so
-    every request gets one object.
+    The "orbits" memo maps a start's canonical pair (den, *nums) to its
+    word, through bounded_memo.  The "cycles" memo maps each state
+    (den, *state) of a cycle that some walk has closed, met over that
+    walk's den, to the cycle's one purely periodic word and the state's
+    rotation r within it; only _publish_cycle fills it.  The walk of x
+    stops at the first later state found in "cycles" and takes its tail
+    from that entry, so a start on a published cycle walks one step and
+    gets its own rotated word.  Every entry is published once with
+    dict.setdefault and never replaced, so every request gets one object
+    between clears.
 
     Distinct states have distinct digit tails, so the orbit of x has
     len(word.pre) + word.period_len() states, and every call checks
@@ -137,31 +139,20 @@ def d_beta(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> Word:
     OutOfRange when x is not in [0, 1].
     """
     field, nums, den = x.field, x.nums, x.den
-    key = (den, *nums)
 
-    def walk() -> tuple[Word, int]:
-        orbits = field.memo("orbits", dict)
-        word, states = _digit_orbit(field, nums, den, cap, orbits)
+    def walk() -> Word:
+        cycles = field.memo("cycles", dict)
+        word, states = _digit_orbit(field, nums, den, cap, cycles)
         n = _state_count(word)
         _check_orbit_budget(field, nums, den, n, cap)
         if len(states) == n:
             # the walk met no known state: states is the whole orbit, and
             # its last period_len() states form a new cycle
-            _publish_cycle(orbits, den, word, states[len(word.pre):])
-        return word, 0
+            _publish_cycle(cycles, den, word, states[len(word.pre):])
+        return word
 
-    hit = bounded_memo(field, "orbits", key, walk)
-    word, r = hit
+    word = bounded_memo(field, "orbits", (den, *nums), walk)
     _check_orbit_budget(field, nums, den, _state_count(word), cap)
-    if r:
-        # x lies on a published cycle at rotation r: check-then-replace
-        # under a lock, so racing threads replace the entry once
-        orbits = field.memo("orbits", dict)
-        with _ROTATION_LOCK:
-            word, r = orbits.get(key, hit)
-            if r:
-                word = Word((), word.period[r:] + word.period[:r])
-                orbits[key] = (word, 0)
     return word
 
 
@@ -172,20 +163,21 @@ def _state_count(word: Word) -> int:
 
 
 def _publish_cycle(
-    orbits: dict, den: int, word: Word, cycle: Sequence[tuple[int, ...]]
+    cycles: dict, den: int, word: Word, cycle: Sequence[tuple[int, ...]]
 ) -> None:
     """Store each state of cycle, the numerators over den of the states
-    whose tails are the rotations of word's period, in order, as
-    (the purely periodic word, rotation), with dict.setdefault so that no
-    entry is replaced.  The memo is cleared first when the cycle would
-    fill it, and a cycle as long as its bound is not stored."""
+    whose tails are the rotations of word's period, in order, in d_beta's
+    "cycles" memo as (the purely periodic word, rotation), with
+    dict.setdefault so that no entry is replaced.  The memo is cleared
+    first when the cycle would fill it, and a cycle as long as its bound
+    is not stored."""
     if len(cycle) >= ORBIT_MEMO_BOUND:
         return
-    if len(orbits) + len(cycle) >= ORBIT_MEMO_BOUND:
-        orbits.clear()
+    if len(cycles) + len(cycle) >= ORBIT_MEMO_BOUND:
+        cycles.clear()
     periodic = word if not word.pre else Word((), word.period)
     for r, state in enumerate(cycle):
-        orbits.setdefault((den, *state), (periodic, r))
+        cycles.setdefault((den, *state), (periodic, r))
 
 
 def bounded_memo(field: BetaField, name: str, key: Hashable, build: Callable[[], _V]) -> _V:
@@ -221,16 +213,17 @@ def _digit_orbit(
     nums: Sequence[int],
     den: int,
     cap: int,
-    memo: dict | None = None,
+    cycles: dict | None = None,
 ) -> tuple[Word, tuple[tuple[int, ...], ...]]:
     """Greedy word of x = (sum_i nums[i] beta^i) / den in [0, 1], d nums, den > 0,
     and its distinct states T^0(x), T^1(x), ... as numerator tuples over den,
     found by exact state hashing.  This is the package's one digit-orbit loop.
 
-    With memo, d_beta's orbit memo, the walk stops at the first later
-    state whose key (den, *state) is there, and the word is the digits
-    walked followed by that state's tail; the states are then those
-    walked before it.  Without memo the walk runs until the orbit closes.
+    With cycles, d_beta's memo of published cycle states, the walk stops
+    at the first later state whose key (den, *state) is there, and the
+    word is the digits walked followed by that state's rotation of the
+    cycle; the states are then those walked before it.  Without cycles
+    the walk runs until the orbit closes.
 
     The range is decided once, here: every later state is a T-image and
     lies in [0, 1).  OrbitBudgetExceeded, naming x, unless the walk
@@ -246,7 +239,7 @@ def _digit_orbit(
         seen[state] = len(digits)
         digit, state = _greedy_step(field, state, den)
         digits.append(digit)
-        if memo is not None and (tail := memo.get((den, *state))) is not None:
+        if cycles is not None and (tail := cycles.get((den, *state))) is not None:
             break
     _check_orbit_budget(field, nums, den, len(seen), cap)
     if tail is not None:
@@ -259,7 +252,7 @@ def _digit_orbit(
 
 
 def d_beta_one(field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> Word:
-    """d_beta(1), read from the orbit memo like every d_beta."""
+    """d_beta(1), read from the "orbits" memo like every d_beta."""
     return d_beta(field.one(), cap)
 
 

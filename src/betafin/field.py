@@ -57,11 +57,14 @@ quasi-greedy word of 1, the factors 1 / (1 - beta^{-p}) and xi; in
 normalization.py the right sides of the carry certificates) live in one
 per-field memo behind BetaField.memo, which publishes each
 entry with dict.setdefault: every thread gets the first value built.
-The same memo holds four dicts keyed by inputs (expansion.bounded_memo):
-expansion.py's orbit memo, from d_beta's start states and the states of
-the cycles its walks close to their words and rotations, and its
-period values, nu's value of each period; and normalization.py's word
-values and free-block scans.  Each is cleared when it holds
+The same memo holds five dicts keyed by inputs: expansion.py's
+"orbits", from d_beta's start states to their words, its "cycles", from
+the states of the cycles its walks close to their periodic words and
+rotations, and its period values, nu's value of each period; and
+normalization.py's word values and free-block scans.  Each publishes
+its entries with dict.setdefault as well (expansion.bounded_memo and
+expansion._publish_cycle), so an entry never changes once published;
+bounded dicts are only cleared, when they hold
 expansion.ORBIT_MEMO_BOUND (4,096) entries, and an entry built again
 after a clear is equal to the old one, not the same object.
 """
@@ -96,9 +99,8 @@ class BetaField:
     dyadic bracket (lo, hi, k) with one assignment, under a lock, so
     concurrent readers always observe a valid bracket and concurrent
     refinements each halve it.  The memo only ever gains entries, and an
-    entry never changes once published, except the dicts that
-    expansion.bounded_memo fills and clears at their bound.  Everything else is
-    immutable after construction.
+    entry never changes once published; bounded dicts are only cleared.
+    Everything else is immutable after construction.
     """
 
     def __init__(self, coeffs: Sequence[int]):

@@ -26,10 +26,10 @@ over consecutive x.  add_one and carry_step therefore read word values
 failed scan stored as None, "not admissible") from two per-field
 memos keyed by the canonical Word, "word_values" and "free_blocks".
 Both are expansion.bounded_memo dicts, cleared when they hold
-ORBIT_MEMO_BOUND entries like d_beta's orbit memo.  A hit is the value
-or decision for that exact word, and every check still runs on every
-call.  nu, free_blocks, is_admissible and beta_expand in expansion, and
-so classify, fill neither memo.
+ORBIT_MEMO_BOUND entries like d_beta's "orbits" memo of start words.
+A hit is the value or decision for that exact word, and every check
+still runs on every call.  nu, free_blocks, is_admissible and
+beta_expand in expansion, and so classify, fill neither memo.
 """
 
 from __future__ import annotations

@@ -266,18 +266,21 @@ def f1_certificate(
     diagnostic names them all.  The box vectors are walked in sorted order
     over a copy of Q's F flags, so walk_cap bounds the new states each walk
     steps beyond Q and the walks before it; closure_cap bounds the box
-    closure.  A spent budget gives "unknown"."""
+    closure.  A spent budget gives "unknown" and keeps what was decided
+    before it: P, delta, the preimage check, and R0 once enumerated."""
     srs = graph.srs
     P = graph.p_nodes
     d = delta(P)
     verdict = {**graph.in_f, (0,) * srs.dim: True}
+    closure_ok = all(tau_preimages(srs, p) <= P for p in P)
+    r0: set[SrsVector] = set()
     try:
-        closure_ok = all(tau_preimages(srs, p) <= P for p in P)
-        r0 = v_box_set(graph, d, closure_cap) if closure_ok else set()
+        if closure_ok:
+            r0 = v_box_set(graph, d, closure_cap)
         for v in sorted(r0):
             walk(srs.tau, v, verdict, set(), walk_cap)
     except (ClosureBudgetExceeded, OrbitBudgetExceeded) as exc:
-        return F1Certificate("unknown", frozenset(), 0, frozenset(), False, False, f"budget: {exc}")
+        return F1Certificate("unknown", P, d, frozenset(r0), closure_ok, False, f"budget: {exc}")
     missing = sorted(v for v in r0 if not verdict[v])
     if not closure_ok:
         diag = "preimage closure fails"

@@ -462,11 +462,14 @@ SMALL_MEMO_FIELDS = [make_field(f.coeffs) for f in MEMO_FIELDS]
 
 def _memo_oracle(field, nums, den, memo_first):
     """d_beta of x, |x| brought into [0, 1) by frac_part or 1 itself,
-    before and after the fresh memo-free walk of x, which must agree."""
+    before and after the fresh memo-free walk of x, which must agree.
+    No entry of either memo changes while it stays published."""
     x = field.from_coords([Q(n, den) for n in nums[: field.degree]])
     if x.sign() < 0:
         x = -x
     x = field.one() if nums[-1] == 6 else frac_part(x)
+    memos = [field.memo(name, dict) for name in ("orbits", "cycles")]
+    before = [dict(memo) for memo in memos]
     if memo_first:
         first = d_beta(x)
         fresh, states = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)
@@ -476,6 +479,8 @@ def _memo_oracle(field, nums, den, memo_first):
     # distinct states have distinct tails: the word counts the states
     assert len(states) == len(fresh.pre) + fresh.period_len(), x
     assert first == fresh == d_beta(x), x
+    for memo, old in zip(memos, before):
+        assert all(memo.get(key, entry) == entry for key, entry in old.items()), x
 
 
 MEMO_EXAMPLES = (
@@ -501,7 +506,7 @@ def test_memoized_d_beta_matches_a_fresh_walk_across_clears(field, nums, den, me
     # of 8 or more states are not published
     with mock.patch.object(expansion, "ORBIT_MEMO_BOUND", 8):
         _memo_oracle(field, nums, den, memo_first)
-        assert len(field.memo("orbits", dict)) <= 8
+        assert len(field.memo("orbits", dict)) <= 8 and len(field.memo("cycles", dict)) < 8
 
 
 @pytest.mark.parametrize("miss_fails", [False, True], ids=["miss-passes", "miss-raises"])
@@ -526,8 +531,8 @@ def test_orbit_memo_keeps_the_budget_boundary(miss_fails):
         word, states = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP)
         n = len(states)
         assert n > 1
-        orbits = field.memo("orbits", dict)
-        memo_walk = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP, orbits)
+        orbits, cycles = field.memo("orbits", dict), field.memo("cycles", dict)
+        memo_walk = _digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP, cycles)
         assert memo_walk[0] == word and len(memo_walk[1]) == (walked or n)
         with pytest.raises(OrbitBudgetExceeded) as fresh:
             _digit_orbit(field, x.nums, x.den, n - 1)
@@ -537,9 +542,8 @@ def test_orbit_memo_keeps_the_budget_boundary(miss_fails):
             assert str(miss.value) == str(fresh.value)
             assert (x.den, *x.nums) not in orbits
         assert d_beta(x, n) == word
-        # a start stores its own word at rotation 0, and the word counts
-        # the orbit's states
-        assert orbits[(x.den, *x.nums)] == (word, 0)
+        # a start stores its own word, and the word counts the orbit's states
+        assert orbits[(x.den, *x.nums)] == word
         assert len(word.pre) + word.period_len() == n
         with pytest.raises(OrbitBudgetExceeded) as hit:
             d_beta(x, n - 1)
@@ -549,25 +553,28 @@ def test_orbit_memo_keeps_the_budget_boundary(miss_fails):
 
 def test_a_closed_cycle_is_published_with_its_rotations():
     # x^3-5x^2-3x+2: d_beta(1) = 5 (2 3)^inf; the walk of 1 publishes T(1)
-    # and T^2(1) as the one periodic word (2 3)^inf at rotations 0 and 1;
-    # a request for T^2(1) replaces its entry by its own word (3 2)^inf
+    # and T^2(1) in "cycles" as the one periodic word (2 3)^inf at
+    # rotations 0 and 1; a request for T^2(1) walks one step onto T(1) and
+    # stores its own word (3 2)^inf in "orbits", leaving the cycle entry
     field = make_field((-2, 3, 5))
     one, t1, t2 = t_orbit_of_one(field, 2)
-    orbits = field.memo("orbits", dict)
+    orbits, cycles = field.memo("orbits", dict), field.memo("cycles", dict)
     w1 = d_beta(one)
     assert w1 == Word((5,), (2, 3))
-    periodic, r = orbits[(t1.den, *t1.nums)]
-    assert (periodic, r) == (Word((), (2, 3)), 0)
-    assert orbits[(t2.den, *t2.nums)] == (periodic, 1)
-    assert orbits[(one.den, *one.nums)] == (w1, 0) and len(orbits) == 3
-    assert d_beta(t1) is periodic
+    periodic = Word((), (2, 3))
+    assert cycles == {(t1.den, *t1.nums): (periodic, 0), (t2.den, *t2.nums): (periodic, 1)}
+    assert orbits == {(one.den, *one.nums): w1}
+    entry = cycles[(t2.den, *t2.nums)]
     w2 = d_beta(t2)
-    assert w2 == Word((), (3, 2)) and orbits[(t2.den, *t2.nums)] == (w2, 0)
+    assert w2 == Word((), (3, 2)) and orbits[(t2.den, *t2.nums)] is w2
+    assert cycles[(t2.den, *t2.nums)] is entry and len(cycles) == 2
     assert d_beta(t2) is w2
+    w = d_beta(t1)
+    assert w == periodic and d_beta(t1) is w
     # frac(6) = 6 - beta walks two states into that cycle and stops there
     x = frac_part(field.from_rational(6))
     assert x == 6 - field.beta()
-    assert len(_digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP, orbits)[1]) == 2
+    assert len(_digit_orbit(field, x.nums, x.den, DEFAULT_ORBIT_CAP, cycles)[1]) == 2
     assert d_beta(x) == Word((2, 4), (3, 2)) == _digit_orbit(field, x.nums, x.den, 4)[0]
 
 
@@ -579,7 +586,7 @@ def test_orbit_memo_stores_no_out_of_range_input():
             with pytest.raises(OutOfRange, match="d_beta needs"):
                 d_beta(x)
         assert (x.den, *x.nums) not in orbits
-    assert not orbits
+    assert not orbits and not field.memo("cycles", dict)
 
 
 def test_orbit_memo_clears_at_its_bound(monkeypatch):
@@ -600,8 +607,8 @@ def test_orbit_memo_clears_at_its_bound(monkeypatch):
     monkeypatch.setattr(expansion, "ORBIT_MEMO_BOUND", 16)
     field = make_field((2, -4, 4))
     got = [add_one(field.from_rational(k)) for k in range(200)]
-    orbits = field.memo("orbits", dict)
-    assert 0 < len(orbits) <= 16
+    assert 0 < len(field.memo("orbits", dict)) <= 16
+    assert 0 < len(field.memo("cycles", dict)) < 16
     assert len(walks) > 2 * 16
     assert [(e.exponent, e.word) for e, _ in got] == [(e.exponent, e.word) for e, _ in expect]
     assert [w.to_json_dict() for _, w in got] == [w.to_json_dict() for _, w in expect]

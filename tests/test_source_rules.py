@@ -241,6 +241,38 @@ def test_only_nu_fills_the_period_values_memo():
     )
 
 
+def test_orbit_memo_entries_are_published_once():
+    # d_beta keeps starts in "orbits" and cycle states in "cycles"; each
+    # entry is published once with dict.setdefault and never replaced, so
+    # no lock guards a check-then-replace
+    tree = _tree(expansion)
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "threading" not in imported and not hasattr(expansion, "_ROTATION_LOCK"), (
+        "betafin.expansion needs no lock: a start on a published cycle gets its rotated "
+        "word from its walk, published by bounded_memo, and no entry is replaced"
+    )
+    stores = [
+        n.lineno
+        for n in ast.walk(_tree(expansion.d_beta))
+        if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)
+    ]
+    assert not stores, (
+        "d_beta assigns to a subscript; publish memo entries only through bounded_memo "
+        f"and _publish_cycle (lines {stores} of d_beta)"
+    )
+    publishers = {
+        n.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef)
+        and any(isinstance(c, ast.Attribute) and c.attr == "setdefault" for c in ast.walk(n))
+    }
+    assert publishers == {"bounded_memo", "_publish_cycle"}, (
+        f"{sorted(publishers)} publish with setdefault; only bounded_memo and "
+        "_publish_cycle publish expansion's memo entries"
+    )
+
+
 def test_field_element_stores_integer_numerators():
     assert "coords" not in FieldElement.__slots__, (
         "FieldElement.__slots__ holds coords; store the canonical (nums, den) pair "

@@ -585,14 +585,18 @@ def test_f1_certificate_spent_walk_budget_is_unknown():
     # x^3-3x^2-6x-4: (-3, -3) is the one box vector outside Q, and its
     # walk steps two new states before it meets Q's flags.  One state
     # spends the orbit budget: unknown, and the diagnostic says why; two
-    # let every walk finish, and the two box vectors that miss F are named
+    # let every walk finish, and the two box vectors that miss F are named.
+    # The spent budget keeps P, delta, the passed preimage check and the
+    # 28 box vectors enumerated before the walks
     graph = q_set(srs_for(make_field((4, 6, 3))))
     assert (-3, -3) not in graph.in_f
     cert = f1_certificate(graph, 1)
     assert cert.verdict == "unknown" and not cert.r0_in_f
     assert cert.diagnostic == "budget: walk exceeded 1 new states"
+    assert (cert.p_set, cert.delta) == (graph.p_nodes, 3) and cert.preimage_closure_ok
+    spent_r0 = cert.r0
     cert = f1_certificate(graph, 2)
-    assert cert.verdict == "unknown" and len(cert.r0) == 28
+    assert cert.verdict == "unknown" and len(cert.r0) == 28 and cert.r0 == spent_r0
     assert cert.diagnostic == "a box vector misses F: (-2, 1), (1, -2)"
     # the orbit vectors and the box vectors of the family at t = 2 and of
     # x^3-x^2-2x-1 all have Q's verdicts: one state is budget enough
@@ -601,13 +605,16 @@ def test_f1_certificate_spent_walk_budget_is_unknown():
 
 
 def test_f1_certificate_spent_closure_budget_is_unknown():
-    # family t=2: delta 1 and a box slice of 4 vectors
+    # family t=2: delta 1 and a box slice of 4 vectors.  The spent box
+    # closure leaves R0 empty but keeps P, delta and the passed preimage check
     graph = q_set(srs_for(family(2)))
     assert len(v_box_set(graph, delta(graph.p_nodes))) == 4
     cert = f1_certificate(graph, closure_cap=1)
     assert cert.verdict == "unknown"
     assert cert.diagnostic.startswith("budget: ")
     assert "1 nodes" in cert.diagnostic
+    assert (cert.p_set, cert.delta) == (frozenset({(1, 1)}), 1)
+    assert cert.preimage_closure_ok and not cert.r0 and not cert.r0_in_f
     assert f1_certificate(graph, closure_cap=4).verdict == "proven"
 
 
