@@ -30,7 +30,12 @@ until a decision holds on the enclosure.  Two decisions on integer
 numerators run it: BetaField.sign_nums, the one sign decision, which
 FieldElement.sign and expansion.py's big_l call, and
 BetaField.floor_nums, the one floor decision, which FieldElement.floor,
-the shift radix system's tau and expansion.py's greedy step call.
+expansion.py's greedy step and the shift radix system's preimages call.
+BetaField.linear_floor gives the shift radix system's tau a first try:
+it floors sum_j l_j R_j(beta) for integer rows R_j from a table of each
+row's enclosure on the bracket it was built on, a dot product of l with
+d - 1 enclosures, and falls back to floor_nums on the numerators where
+the table leaves the floor open.
 FieldElement.inverse runs Cayley-Hamilton on the integer matrix of
 multiplication by the element's numerators.
 
@@ -75,6 +80,7 @@ import math
 import threading
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from . import polys
@@ -100,7 +106,9 @@ class BetaField:
     concurrent readers always observe a valid bracket and concurrent
     refinements each halve it.  The memo only ever gains entries, and an
     entry never changes once published; bounded dicts are only cleared.
-    Everything else is immutable after construction.
+    A linear_floor callable keeps its own table of row enclosures, which
+    it replaces with one assignment.  Everything else is immutable after
+    construction.
     """
 
     def __init__(self, coeffs: Sequence[int]):
@@ -216,6 +224,50 @@ class BetaField:
             return k if vlo // scale == k else None
 
         return self._settle(nums, decide)
+
+    def linear_floor(self, rows: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], int]:
+        """The map l -> floor(sum_j l_j R_j(beta)) for integer rows R_j of
+        power-basis numerators over den 1, len(l) == len(rows).
+
+        Its first try reads a table of each row's enclosure on the bracket
+        it was built on, kept as centre c_j = lo_j + hi_j and width
+        w_j = hi_j - lo_j over 2^(s+1): sum_j l_j R_j(beta) lies in
+        [m - r, m + r] / 2^(s+1) for m = sum_j l_j c_j and
+        r = sum_j |l_j| w_j, and the floor is decided when both ends have
+        the same one.  Otherwise floor_nums decides it on the numerators,
+        and when that refined the bracket the rows are enclosed again and
+        the new table swapped in with one assignment.  Every bracket the
+        field has held contains beta, so an older table, as a thread may
+        read it, still encloses the value and every floor stays exact.
+        """
+        rows = tuple(map(tuple, rows))
+        if any(len(row) != self.degree for row in rows):
+            raise ValueError(f"expected rows of {self.degree} numerators")
+        cols = tuple(zip(*rows))
+        table = None
+
+        def enclose() -> None:
+            nonlocal table
+            bracket = self._bracket
+            ends = [horner(row, bracket) for row in rows]
+            centres = tuple(a + b for a, b, _ in ends)
+            widths = tuple(b - a for a, b, _ in ends)
+            table = (bracket, centres, widths, ends[0][2] + 1)
+
+        def floor(vec: Sequence[int]) -> int:
+            bracket, centres, widths, s = table
+            m = sum(map(mul, vec, centres))
+            r = sum(map(mul, map(abs, vec), widths))
+            k = (m + r) >> s
+            if (m - r) >> s == k:
+                return k
+            k = self.floor_nums([sum(map(mul, vec, col)) for col in cols], 1)
+            if self._bracket is not bracket:
+                enclose()
+            return k
+
+        enclose()
+        return floor
 
     def times_beta(self, v: Sequence[_C]) -> list[_C]:
         """beta * v for power-basis coordinates v (ints or Fractions): a

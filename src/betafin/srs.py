@@ -2,9 +2,11 @@
 
 Integer vectors l in Z^{d-1} evolve by tau(l) = (l_2, ..., l_{d-1},
 -floor(r . l)) where r is the radix vector built from the defining
-coefficients.  Every r_j lies in Z[beta], so r . l is one integer dot
-product, floored by the field's integer floor kernel
-BetaField.floor_nums.  The fractional value map, a bijection onto
+coefficients.  Every r_j lies in Z[beta], so r . l is the integer
+combination sum_j l_j R_j of integer rows, floored by
+BetaField.linear_floor: a dot product of l with the rows' enclosures
+decides most floors, and the field's integer floor kernel
+BetaField.floor_nums the rest.  The fractional value map, a bijection onto
 Z[beta] intersected with [0, 1), conjugates tau to the
 beta-transformation there, which turns digit finiteness questions into
 reachability questions on integer vectors: F collects the vectors whose
@@ -42,8 +44,11 @@ class ShiftRadixSystem:
     Z[beta]: with beta^d = sum_i a_i beta^i,
     r_j = beta^{d-j} - sum_{i=j}^{d-1} a_i beta^{i-j}.  Each r_j is kept
     once, as the integer row R_j of its power-basis coordinates, so r . l
-    is the integer dot product sum_j l_j R_j, and tau floors it with the
-    field's integer floor kernel, the one that FieldElement.floor runs.
+    is sum_j l_j R_j.  tau floors it with the callable that
+    BetaField.linear_floor builds on the rows: its first try is a dot
+    product of l with each row's enclosure on the field's bracket, and
+    where that leaves the floor open it falls back to floor_nums, the
+    field's integer floor kernel, which FieldElement.floor runs.
     """
 
     def __init__(self, field: BetaField):
@@ -58,6 +63,11 @@ class ShiftRadixSystem:
         ]
         # column m holds the beta^m coordinates of every row
         self._cols = tuple(zip(*self._rows))
+        self._floor = field.linear_floor(self._rows)
+
+    def __reduce__(self):
+        # tau's floor is a closure; a copy builds its own from the field
+        return ShiftRadixSystem, (self.field,)
 
     @property
     def r(self) -> list[FieldElement]:
@@ -81,7 +91,8 @@ class ShiftRadixSystem:
         return v - v.floor()
 
     def tau(self, vec: SrsVector) -> SrsVector:
-        return vec[1:] + (-self.field.floor_nums(self._numerators(vec), 1),)
+        self._check(vec)
+        return vec[1:] + (-self._floor(vec),)
 
     def tau_star(self, vec: SrsVector, tau_vec: SrsVector | None = None) -> SrsVector:
         """-tau(-l); checked to equal tau(l) - initial_vector for l != 0.

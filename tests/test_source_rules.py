@@ -96,6 +96,17 @@ def test_only_field_py_refines_the_isolating_interval():
     )
 
 
+def test_only_field_py_reads_the_bracket():
+    # every bracket the field has held contains beta, and only field.py
+    # decides on it: _settle refines it and linear_floor encloses rows on it
+    found = _lines(r"\b_bracket\b", REPO, allowed=("src/betafin/field.py",))
+    assert not found, _fail(
+        "only src/betafin/field.py may read BetaField._bracket; read BetaField.interval, "
+        "or decide on integer numerators with sign_nums, floor_nums or linear_floor",
+        found,
+    )
+
+
 def test_only_expansion_py_steps_t_map():
     # __init__.py only re-exports t_map as public API
     found = _lines(
@@ -143,17 +154,41 @@ def test_the_greedy_step_is_written_once():
     )
 
 
+def _floors(tree: ast.AST) -> list[int]:
+    """The lines of every // and >> in the tree."""
+    return [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, (ast.FloorDiv, ast.RShift))
+    ]
+
+
 def test_floor_nums_is_the_one_floor_decision():
     for fn in (FieldElement.floor, expansion._greedy_step):
-        divisions = [
-            n
-            for n in ast.walk(_tree(fn))
-            if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.FloorDiv)
-        ]
-        assert not divisions, (
-            f"{fn.__qualname__} does a // of its own; BetaField.floor_nums decides "
+        assert not _floors(_tree(fn)), (
+            f"{fn.__qualname__} does a // or >> of its own; BetaField.floor_nums decides "
             "every floor, a rational value included"
         )
+    # tau's first try is BetaField.linear_floor's table of enclosed radix
+    # rows, and where the table leaves a floor open it asks floor_nums
+    assert "_floor" in _names(_tree(ShiftRadixSystem.tau)), (
+        "ShiftRadixSystem.tau must floor r . l with the callable of BetaField.linear_floor"
+    )
+    assert "linear_floor" in _names(_tree(ShiftRadixSystem.__init__)), (
+        "ShiftRadixSystem.__init__ must build tau's floor with BetaField.linear_floor"
+    )
+    assert "floor_nums" in _names(_tree(BetaField.linear_floor)), (
+        "BetaField.linear_floor must fall back to floor_nums where its table leaves the "
+        "floor open, so _settle stays the one refinement loop"
+    )
+
+
+def test_srs_py_floors_nothing_itself():
+    found = _floors(_tree(srs))
+    assert not found, (
+        f"src/betafin/srs.py does a // or >> on lines {found}; floor with "
+        "BetaField.linear_floor or BetaField.floor_nums"
+    )
 
 
 def test_powers_of_beta_are_built_on_each_call():

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
+import sys
+import threading
 from collections import Counter, deque
 from fractions import Fraction as Q
 
@@ -232,6 +236,163 @@ def test_tau_star_checks_the_given_tau_image():
     assert s.tau_star(vec, image) == s.tau_star(vec)
     with pytest.raises(InvariantViolation):
         s.tau_star(vec, image[:-1] + (image[-1] + 1,))
+
+
+# -- the first try of tau's floor: enclosed radix rows ----------------------
+#
+# tau floors r . l from a table of the rows' enclosures and falls back to
+# BetaField.floor_nums on the numerators when the table leaves the floor
+# open.  floor_nums on ShiftRadixSystem._numerators is the oracle here.
+
+
+def _floor_nums_tau(s, vec):
+    return vec[1:] + (-s.field.floor_nums(s._numerators(vec), 1),)
+
+
+def _counting_floor_nums(field):
+    """Count the floor_nums calls on field, the fallbacks of its tables."""
+    calls = [0]
+    plain = field.floor_nums
+
+    def floor_nums(nums, den):
+        calls[0] += 1
+        return plain(nums, den)
+
+    field.floor_nums = floor_nums
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, sha256",
+    [
+        ("cubic", "38f82c85d309c7cd315a5298ede639d49ff8ff2a44f881e86ae533925e96adde"),
+        ("quartic", "7b46546deb98d45b304bb0b737f4ceb4be9de75ca051fc987730e62f47dbfb6f"),
+    ],
+    ids=["cubic", "quartic"],
+)
+def test_survey_grid_q_graphs_are_pinned(name, sha256):
+    # nodes, tau-edges, P and F flags of every Q on the survey grid, in
+    # grid order, pinned: a change to any floor tau decides shows here.
+    # Each tau-edge and tau_star image also matches floor_nums
+    h = hashlib.sha256()
+    for field in survey_grid_fields(name):
+        s = srs_for(field)
+        g = q_set(s)
+        for v in g.nodes:
+            assert g.edges[v] == _floor_nums_tau(s, v), (field, v)
+            neg = tuple(-c for c in v)
+            assert s.tau_star(v) == tuple(-c for c in _floor_nums_tau(s, neg)), (field, v)
+        h.update(
+            repr(
+                (field.coeffs, g.nodes, sorted(g.edges.items()), sorted(g.p_nodes), sorted(g.in_f.items()))
+            ).encode()
+        )
+    assert h.hexdigest() == sha256
+
+
+@pytest.mark.parametrize("coeffs", [(5, 5, 4), (8, 8, 7), (-2, 1, 1, 4), (1, 1, 1)])
+def test_tau_falls_back_and_encloses_again_on_a_fresh_field(coeffs):
+    # a fresh field's coarse bracket leaves some enclosure across an
+    # integer: floor_nums refines it, the rows are enclosed again, and a
+    # second pass over Q is decided at the first try
+    field = make_field(coeffs)
+    lo, hi = field.interval
+    s = srs_for(field)
+    calls = _counting_floor_nums(field)
+    graph = q_set(s)
+    nlo, nhi = field.interval
+    assert lo <= nlo < nhi <= hi and nhi - nlo < hi - lo
+    assert 0 < calls[0] < len(graph.nodes)
+    calls[0] = 0
+    oracle = srs_for(make_field(coeffs))
+    for v in graph.nodes:
+        assert s.tau(v) == _floor_nums_tau(oracle, v), v
+        assert s.tau_star(v) == oracle.tau_star(v), v
+    assert calls[0] == 0
+
+
+def test_a_stale_table_stays_exact():
+    # a table built on one bracket still encloses every value after the
+    # field refines further: it decides floors at the first try until one
+    # falls back, and that fallback encloses the rows again on the refined
+    # bracket, so no later call falls back
+    rng = random.Random(39)
+    for coeffs, built_after in (((5, 5, 4), 16), ((-3, 3, -2, 4), 16), ((-1, 3), 10)):
+        field = make_field(coeffs)
+        s = srs_for(field)
+        for _ in range(built_after):
+            field.refine()
+        floor = field.linear_floor(s._rows)
+        for _ in range(30):
+            field.refine()
+        calls = _counting_floor_nums(field)
+        oracle = srs_for(make_field(coeffs))
+        vecs = [tuple(rng.randint(-60, 60) for _ in range(s.dim)) for _ in range(300)]
+        first_tries = 0
+        for _ in range(2):
+            for v in vecs:
+                assert floor(v) == oracle.field.floor_nums(oracle._numerators(v), 1), (coeffs, v)
+                first_tries += not calls[0]
+        assert calls[0] == 1 and first_tries > 0, coeffs
+
+
+def test_a_coarse_table_decides_exactly():
+    # each call on its own fresh field, so the table is the one enclosed
+    # on the bracket isolation left; mixed signs in l make the enclosure
+    # the sum of |l_j| times each row's width
+    rng = random.Random(7)
+    for coeffs in ((5, 5, 4), (-3, 3, -2, 4), (1, 1, 1), (8, 8, 7)):
+        oracle = srs_for(make_field(coeffs))
+        for _ in range(40):
+            v = tuple(rng.randint(-30, 30) for _ in range(oracle.dim))
+            field = make_field(coeffs)
+            floor = field.linear_floor(oracle._rows)
+            assert floor(v) == oracle.field.floor_nums(oracle._numerators(v), 1), (coeffs, v)
+
+
+def test_linear_floor_takes_rows_of_the_field_degree():
+    with pytest.raises(ValueError):
+        TRIB.linear_floor([(1, 2)])
+
+
+def test_q_set_under_threads():
+    # eight threads close Q on one fresh field and one SRS, so they refine
+    # one bracket and read and replace one row table while others use it
+    coeffs = (5, 5, 4)
+    expect = q_set(srs_for(make_field(coeffs)))
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            s = srs_for(make_field(coeffs))
+            results = []
+            start = threading.Barrier(8)
+
+            def worker():
+                start.wait(timeout=60)
+                results.append(q_set(s))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+            assert len(results) == 8
+            for g in results:
+                assert (g.nodes, g.edges, g.in_f, g.p_nodes) == (
+                    expect.nodes, expect.edges, expect.in_f, expect.p_nodes
+                )
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_q_graph_pickles_with_its_srs():
+    # tau's floor is a closure over its table; a copy builds its own
+    g = q_set(srs_for(make_field((5, 5, 4))))
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy.edges == g.edges
+    assert all(copy.srs.tau(v) == w for v, w in g.edges.items())
 
 
 def test_q_set_against_plain_closure_oracle():
