@@ -193,7 +193,13 @@ def cmd_classify(args) -> int:
         print(f"F      {report.f}")
         print(f"PF     {report.pf}")
         print(f"F1     {report.f1}")
-        d1 = format_word(report.d_beta_one) if report.d_beta_one else "(orbit budget exceeded)"
+        if report.d_beta_one:
+            d1 = format_word(report.d_beta_one)
+        elif report.pisot != PROVEN:
+            # classify walks no digit orbit off the Pisot case
+            d1 = "(not computed: the base is not Pisot)"
+        else:
+            d1 = "(orbit budget exceeded)"
         print(f"d_beta(1) = {d1}")
         for ev in report.evidence:
             print(f"  [{ev.rule}] {ev.claim} :: {ev.cite}")

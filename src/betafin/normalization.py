@@ -161,7 +161,7 @@ def _assemble_witness(
     that holds it as both sides: normalization in a Pisot base is a finite
     transducer, so a field's certificates take few shapes, and every call
     whose lhs equals the memoized right side returns that one object.  A
-    mismatch keeps lhs as found, with verified False.
+    mismatch raises InvariantViolation.
     """
     omegas: dict[int, int] = {}
     for m in xi_indices:
@@ -181,9 +181,9 @@ def _assemble_witness(
         return KeyWitness(theta, om, rhs, rhs, verified=True)
 
     held = field.memo(("witness_rhs", theta, om), build)
-    if lhs == held.rhs:
-        return held
-    return KeyWitness(theta, held.omegas, lhs, held.rhs, verified=False)
+    if lhs != held.rhs:
+        raise InvariantViolation("witness identity failed the exact check")
+    return held
 
 
 def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, KeyWitness]:
@@ -248,10 +248,7 @@ def add_one(x: FieldElement, cap: int = DEFAULT_ORBIT_CAP) -> tuple[Expansion, K
     lhs = y - y0
     if y != _frac_at(x1, ell):
         raise InvariantViolation("cascade fractional part disagrees with direct computation")
-    witness = _assemble_witness(field, theta, xi_indices, lhs)
-    if not witness.verified:
-        raise InvariantViolation("witness identity failed the exact check")
-    return expansion, witness
+    return expansion, _assemble_witness(field, theta, xi_indices, lhs)
 
 
 def witness_for_natural(N: int, field: BetaField, cap: int = DEFAULT_ORBIT_CAP) -> list[int]:

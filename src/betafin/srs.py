@@ -48,7 +48,10 @@ class ShiftRadixSystem:
     BetaField.linear_floor builds on the rows: its first try is a dot
     product of l with each row's enclosure on the field's bracket, and
     where that leaves the floor open it falls back to floor_nums, the
-    field's integer floor kernel, which FieldElement.floor runs.
+    field's integer floor kernel, which FieldElement.floor runs.  The dual
+    tau*(l) = -tau(-l) = l[1:] + (floor(-r . l),) takes the same callable
+    on -l, and one step, _tau_pair, gives both images and checks the
+    identity tau*(l) = tau(l) - l_I that holds for l != 0.
     """
 
     def __init__(self, field: BetaField):
@@ -94,27 +97,23 @@ class ShiftRadixSystem:
         self._check(vec)
         return vec[1:] + (-self._floor(vec),)
 
-    def tau_star(self, vec: SrsVector, tau_vec: SrsVector | None = None) -> SrsVector:
-        """-tau(-l); checked to equal tau(l) - initial_vector for l != 0.
+    def tau_star(self, vec: SrsVector) -> SrsVector:
+        """-tau(-l); checked to equal tau(l) - initial_vector for l != 0."""
+        return self._tau_pair(vec)[1]
 
-        A caller that already holds tau(l) passes it as tau_vec, and the
-        check reads it instead of computing tau(l) again.
-        """
-        out = tuple(-c for c in self.tau(tuple(-c for c in vec)))
-        if any(vec):
-            if tau_vec is None:
-                tau_vec = self.tau(vec)
-            if out != _vec_sub(tau_vec, self.initial_vector()):
-                raise InvariantViolation("tau_star identity tau(l) - l_I failed")
-        return out
+    def _tau_pair(self, vec: SrsVector) -> tuple[SrsVector, SrsVector]:
+        """tau(l) and tau*(l) from one step.  r . l is irrational for
+        l != 0, so floor(-r . l) = -floor(r . l) - 1 and the two last
+        coordinates differ by exactly one; anything else raises."""
+        image = self.tau(vec)
+        star = vec[1:] + (self._floor(tuple(-c for c in vec)),)
+        if any(vec) and image[-1] - star[-1] != 1:
+            raise InvariantViolation("tau_star identity tau(l) - l_I failed")
+        return image, star
 
     def _check(self, vec: SrsVector) -> None:
         if len(vec) != self.dim:
             raise ValueError(f"vector length {len(vec)} != {self.dim}")
-
-
-def _vec_sub(a: SrsVector, b: SrsVector) -> SrsVector:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 @dataclass
@@ -145,12 +144,15 @@ class OrbitGraph:
 
 def q_set(srs: ShiftRadixSystem, cap: int = DEFAULT_CLOSURE_CAP) -> OrbitGraph:
     """Closure of the initial vector under tau and its dual, with the
-    tau-edge relation and membership annotations."""
+    tau-edge relation and membership annotations.  Each node takes one
+    ShiftRadixSystem._tau_pair step, which gives both images and checks
+    the identity tau*(l) = tau(l) - l_I."""
     edges: dict[SrsVector, SrsVector] = {}
 
     def successors(v: SrsVector) -> tuple[SrsVector, SrsVector]:
-        image = edges[v] = srs.tau(v)
-        return image, srs.tau_star(v, image)
+        pair = srs._tau_pair(v)
+        edges[v] = pair[0]
+        return pair
 
     seen = closure(srs.initial_vector(), successors, cap)
     if any(t not in seen for t in edges.values()):
@@ -243,7 +245,7 @@ def v_box_set(graph: OrbitGraph, delta_bound: int, cap: int = DEFAULT_CLOSURE_CA
 
     def successors(v: SrsVector):
         for s in S:
-            w = _vec_sub(v, s)
+            w = tuple(x - y for x, y in zip(v, s))
             if all(abs(c) <= r for c, r in zip(w, radius)):
                 yield w
 

@@ -181,6 +181,26 @@ def test_classify_command(capsys):
     assert json.loads(out)["F1"] == "refuted"
 
 
+def test_classify_says_why_d_beta_one_is_missing(capsys):
+    # off the Pisot case classify walks no orbit, so no budget was spent
+    code, out, _ = run(capsys, "classify", "--poly", "x^2-2")
+    assert code == 0 and "pisot  refuted" in out
+    assert "d_beta(1) = (not computed: the base is not Pisot)" in out.splitlines()
+    assert "budget" not in out
+    code, out, _ = run(capsys, "classify", "--poly", "x^2-2", "--format", "json")
+    assert json.loads(out)["d_beta_1"] == ""
+
+
+def test_classify_reports_a_spent_orbit_of_one(capsys):
+    # tribonacci's orbit of 1 needs 4 states for d_beta(1) = 1 1 1
+    code, out, _ = run(capsys, "classify", "--poly", "x^3-x^2-x-1", "--budget-orbit", "2")
+    assert code == 0 and "pisot  proven" in out
+    assert "d_beta(1) = (orbit budget exceeded)" in out.splitlines()
+    assert "  [orbit-budget] digit orbit of 1 did not close within 2 states :: budget exceeded" in out
+    code, out, _ = run(capsys, "classify", "--poly", "x^3-x^2-x-1")
+    assert "d_beta(1) = 1 1 1" in out.splitlines()
+
+
 def test_classify_records_a_spent_box_closure(capsys):
     # README's budget bullet: Q of x^3-3x^2-6x-4 has 171 nodes and its
     # mixed-sign box closure 190, so 180 is spent by the box closure alone

@@ -24,6 +24,7 @@ from betafin.expansion import (
 )
 from betafin.field import BetaField, make_field
 from betafin.normalization import (
+    KeyWitness,
     add_one,
     carry_step,
     free_blocks,
@@ -468,7 +469,7 @@ def test_witness_sides_match_independent_recomputation():
             assert wit.rhs == rhs, (name, n)
 
 
-def test_witness_keeps_a_wrong_lhs_unverified(monkeypatch):
+def test_witness_rejects_a_wrong_lhs(monkeypatch):
     calls = []
     assemble = normalization._assemble_witness
 
@@ -485,13 +486,24 @@ def test_witness_keeps_a_wrong_lhs_unverified(monkeypatch):
     for theta, xi_indices, lhs in calls:
         good = assemble(f, theta, xi_indices, lhs)
         assert good.verified and good.lhs == lhs and good.lhs is good.rhs
-        wrong = lhs + f.beta_power(-30)
-        bad = assemble(f, theta, xi_indices, wrong)
-        assert not bad.verified
-        assert bad.lhs is wrong and bad.rhs == good.rhs
-        assert (bad.theta, bad.omegas) == (good.theta, good.omegas)
+        with pytest.raises(InvariantViolation, match="witness identity failed the exact check"):
+            assemble(f, theta, xi_indices, lhs + f.beta_power(-30))
         # the mismatch leaves the memoized certificate as it was
         assert assemble(f, theta, xi_indices, lhs) is good and good.lhs == lhs
+
+
+def test_add_one_raises_on_a_wrong_memoized_witness():
+    # tribonacci at N = 5 gives theta 1 and omegas (0, 1); a right side
+    # seeded under that key cannot equal frac(6) - frac(5), which lies in
+    # (-1, 1), so add_one's exact check raises instead of returning it;
+    # the shape is read on another field, so this field's memo is empty
+    field = make_field((1, 1, 1))
+    _, wit = add_one(make_field((1, 1, 1)).from_rational(5))
+    assert (wit.theta, wit.omegas) == (1, (0, 1))
+    two = field.from_rational(2)
+    field.memo(("witness_rhs", 1, (0, 1)), lambda: KeyWitness(1, (0, 1), two, two, verified=True))
+    with pytest.raises(InvariantViolation, match="witness identity failed the exact check"):
+        add_one(field.from_rational(5))
 
 
 def test_witness_for_natural():

@@ -191,6 +191,35 @@ def test_srs_py_floors_nothing_itself():
     )
 
 
+def test_each_q_node_takes_one_tau_step():
+    # _tau_pair gives tau(l) and tau*(l) from one call and checks the
+    # identity tau*(l) = tau(l) - l_I, so q_set needs no second step
+    successors = [
+        fn
+        for fn in ast.walk(_tree(srs.q_set))
+        if isinstance(fn, ast.FunctionDef) and fn.name == "successors"
+    ]
+    assert len(successors) == 1, "q_set must close Q with one nested successors function"
+    calls = [
+        n.func.attr
+        for n in ast.walk(successors[0])
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    ]
+    assert calls.count("_tau_pair") == 1 and not {"tau", "tau_star"} & set(calls), (
+        f"q_set's successors calls {calls}; take both images of a node from one "
+        "ShiftRadixSystem._tau_pair call"
+    )
+    params = list(inspect.signature(ShiftRadixSystem.tau_star).parameters)
+    assert params == ["self", "vec"], (
+        f"ShiftRadixSystem.tau_star takes {params}; it is _tau_pair(vec)[1], with no tau_vec"
+    )
+    defined = {n.name for n in ast.walk(_tree(srs)) if isinstance(n, ast.FunctionDef)}
+    assert "_vec_sub" not in defined, (
+        "betafin.srs._vec_sub is gone; _tau_pair compares last coordinates and "
+        "v_box_set subtracts inline"
+    )
+
+
 def test_powers_of_beta_are_built_on_each_call():
     for fn in (BetaField.beta_row, BetaField.beta_power, expansion.big_l):
         assert not {"memo", "_memo"} & _names(_tree(fn)), (

@@ -229,13 +229,24 @@ def test_tau_and_tau_star_match_fraction_oracle(coeffs):
         assert s.tau_star(vec) == tuple(-c for c in oracle_tau(s.field, neg)), vec
 
 
-def test_tau_star_checks_the_given_tau_image():
+def test_tau_star_and_q_set_check_the_identity():
+    # one floor of -l off by one, on the negated initial vector: tau_star
+    # and q_set's first step both see tau*(l) != tau(l) - l_I and raise
     s = srs_for(TRIB)
-    vec = (3, -2)
-    image = s.tau(vec)
-    assert s.tau_star(vec, image) == s.tau_star(vec)
-    with pytest.raises(InvariantViolation):
-        s.tau_star(vec, image[:-1] + (image[-1] + 1,))
+    plain = s._floor
+    bad = tuple(-c for c in s.initial_vector())
+    s._floor = lambda vec: plain(vec) + (vec == bad)
+    with pytest.raises(InvariantViolation, match="tau_star identity"):
+        s.tau_star(s.initial_vector())
+    with pytest.raises(InvariantViolation, match="tau_star identity"):
+        q_set(s)
+    # at l = 0 both images are zero, so the identity fails there and is
+    # not checked, even on the closure of a zero-reaching initial vector
+    zero = (0,) * s.dim
+    t = srs_for(TRIB)
+    assert t._tau_pair(zero) == (zero, zero)
+    assert t.tau_star(zero) == zero
+    assert zero in q_set(t).nodes
 
 
 # -- the first try of tau's floor: enclosed radix rows ----------------------
